@@ -402,6 +402,8 @@ def cmd_uncertainty(args) -> int:
         raise UsageError("hbar * tau must be below 2")
     brute = None
     if args.brute_force:
+        if args.sigma_steps < 1:
+            raise UsageError("--sigma-steps must be at least 1")
         sigmas = np.exp(
             np.linspace(np.log(args.sigma_min), np.log(args.sigma_max), args.sigma_steps)
         )
@@ -517,15 +519,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What a config value must be, by the type of its default ("out" is a path).
+_CONFIG_KINDS = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _read_config(path: str) -> dict:
+    """Load a JSON config object, checking every key and the type of its value."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            config = json.load(handle)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"config file {path!r} must hold a JSON object")
+    for key, value in config.items():
+        name = key.replace("-", "_")
+        if name not in _DEFAULTS:
+            raise UsageError(f"unknown config key {key!r}")
+        kind = type(_DEFAULTS[name]) if _DEFAULTS[name] is not None else str
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise UsageError(f"config key {key!r} must be {_CONFIG_KINDS[kind]}")
+    return config
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the optional JSON config, then from defaults."""
-    config = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
-        for key in config:
-            if key.replace("-", "_") not in _DEFAULTS:
-                raise UsageError(f"unknown config key {key!r}")
+    config = _read_config(args.config) if getattr(args, "config", None) else {}
     for key, default in _DEFAULTS.items():
         if not hasattr(args, key):
             continue

@@ -19,6 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from .algebra import Expression, MixedAlphabetError
 from .hamiltonian import h_core, h_tau, h_theta_eta
@@ -32,9 +34,9 @@ class NumericError(RuntimeError):
 class ParameterPoint:
     """Numeric values of the physical parameters.
 
-    hbar, m, omega must be positive; the deformation parameters theta, eta,
-    tau are meant to be small.  Derived quantities are recomputed on access,
-    never stored.
+    All six must be finite and hbar, m, omega positive; the deformation
+    parameters theta, eta, tau are meant to be small.  Derived quantities
+    are recomputed on access, never stored.
     """
 
     hbar: float = 1.0
@@ -45,6 +47,9 @@ class ParameterPoint:
     tau: float = 0.0
 
     def __post_init__(self):
+        for name, value in self.values().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         for name in ("hbar", "m", "omega"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -103,24 +108,32 @@ class FockBasis:
 
 
 def build_ladder(basis: FockBasis):
-    """The four helicity ladder matrices (A+, A-, A+dag, A-dag).
+    """The four helicity ladder matrices (A+, A-, A+dag, A-dag), sparse CSR.
 
     A+|n+, n-> = sqrt(n+) |n+-1, n->  and its three partners; the daggered
     matrices are exactly the conjugate transposes of the undaggered ones.
     """
     d = basis.dimension
-    a_plus = np.zeros((d, d), dtype=complex)
-    a_minus = np.zeros((d, d), dtype=complex)
-    for (n_plus, n_minus), col in basis.index.items():
-        if n_plus >= 1:
-            a_plus[basis.index[(n_plus - 1, n_minus)], col] = math.sqrt(n_plus)
-        if n_minus >= 1:
-            a_minus[basis.index[(n_plus, n_minus - 1)], col] = math.sqrt(n_minus)
-    return a_plus, a_minus, a_plus.conj().T, a_minus.conj().T
+
+    def lowering(axis: int) -> scipy.sparse.csr_matrix:
+        rows, cols, values = [], [], []
+        for state, col in basis.index.items():
+            if state[axis] >= 1:
+                lowered = list(state)
+                lowered[axis] -= 1
+                rows.append(basis.index[tuple(lowered)])
+                cols.append(col)
+                values.append(math.sqrt(state[axis]))
+        return scipy.sparse.csr_matrix(
+            (np.array(values, dtype=complex), (rows, cols)), shape=(d, d)
+        )
+
+    a_plus, a_minus = lowering(0), lowering(1)
+    return a_plus, a_minus, a_plus.conj().T.tocsr(), a_minus.conj().T.tocsr()
 
 
 def build_phase_space(basis: FockBasis, p: ParameterPoint):
-    """Canonical phase-space matrices (q1, q2, pi1, pi2) over the basis."""
+    """Canonical phase-space matrices (q1, q2, pi1, pi2) over the basis, sparse."""
     a_plus, a_minus, a_plus_dag, a_minus_dag = build_ladder(basis)
     q1 = math.sqrt(p.hbar / (4 * p.m * p.omega)) * (
         a_plus + a_minus + a_plus_dag + a_minus_dag
@@ -140,9 +153,10 @@ def build_phase_space(basis: FockBasis, p: ParameterPoint):
 def evaluate(e: Expression, basis: FockBasis, p: ParameterPoint) -> np.ndarray:
     """Realize a canonical-alphabet Expression as a dense matrix.
 
-    Each word becomes the corresponding matrix product; scalars are
-    evaluated at the parameter point.  Noncommutative-alphabet input is
-    rejected: push it through the Bopp shift first.
+    Each word becomes the corresponding chain of sparse matrix products;
+    scalars are evaluated at the parameter point, and the sum is densified
+    once at the end.  Noncommutative-alphabet input is rejected: push it
+    through the Bopp shift first.
     """
     if e.alphabet == "noncommutative":
         raise MixedAlphabetError(
@@ -152,25 +166,17 @@ def evaluate(e: Expression, basis: FockBasis, p: ParameterPoint) -> np.ndarray:
     mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, p)))
     values = p.values()
     d = basis.dimension
-    out = np.zeros((d, d), dtype=complex)
-    identity = np.eye(d, dtype=complex)
-    products: dict = {(): identity}
+    out = scipy.sparse.csr_matrix((d, d), dtype=complex)
     for (word, powers), coef in e.sorted_terms():
-        prod = products.get(word)
-        if prod is None:
-            prod = products[word[:-1]] if word[:-1] in products else None
-            if prod is None:
-                prod = identity
-                for g in word[:-1]:
-                    prod = prod @ mats[g]
-            prod = prod @ mats[word[-1]]
-            products[word] = prod
+        prod = scipy.sparse.identity(d, dtype=complex, format="csr")
+        for g in word:
+            prod = prod @ mats[g]
         scalar = complex(coef)
         for name, exp in zip(("hbar", "m", "omega", "theta", "eta", "tau"), powers):
             if exp:
                 scalar *= values[name] ** exp
-        out += scalar * prod
-    return out
+        out = out + scalar * prod
+    return out.toarray()
 
 
 def analytic_energy(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
@@ -195,7 +201,14 @@ class EigenPair:
 
 
 def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
-    """Dense non-symmetric eigensolve, sorted by real part.
+    """Block-wise non-symmetric eigensolve, sorted by real part.
+
+    The matrix splits into the connected components of its exact nonzero
+    pattern (for the Hamiltonian: the even-grade and odd-grade blocks).
+    Off-block entries are exactly zero, so the union of the block spectra is
+    the spectrum of the whole matrix.  A block whose imaginary part is
+    exactly zero is solved in real arithmetic.  Eigenvectors are embedded
+    back at full length.
 
     Every returned pair satisfies ||H v - lambda v|| <= residual_factor
     times ||H||; a violation (or LAPACK non-convergence) raises
@@ -203,22 +216,36 @@ def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
-    try:
-        values, vectors = scipy.linalg.eig(h)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    norm = np.linalg.norm(h)
+    d = h.shape[0]
+    bound = residual_factor * max(np.linalg.norm(h), 1.0)
+    # csgraph would copy a dense input as float, dropping imaginary parts.
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(h != 0), directed=False
+    )
     pairs = []
-    for k in range(len(values)):
-        v = vectors[:, k]
-        v = v / np.linalg.norm(v)
-        residual = float(np.linalg.norm(h @ v - values[k] * v))
-        if residual > residual_factor * max(norm, 1.0):
+    for label in range(n_blocks):
+        idx = np.flatnonzero(labels == label)
+        block = h[np.ix_(idx, idx)]
+        if not block.imag.any():
+            block = block.real
+        try:
+            values, vectors = scipy.linalg.eig(block)
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise NumericError(f"eigensolver did not converge: {exc}") from exc
+        vectors = vectors / np.linalg.norm(vectors, axis=0)
+        residuals = np.linalg.norm(block @ vectors - vectors * values, axis=0)
+        worst = float(residuals.max())
+        if worst > bound:
             raise NumericError(
-                f"eigenpair residual {residual:.3e} exceeds "
+                f"eigenpair residual {worst:.3e} exceeds "
                 f"{residual_factor:.1e} * ||H||"
             )
-        pairs.append(EigenPair(complex(values[k]), v, residual))
+        embedded = np.zeros((len(idx), d), dtype=complex)
+        embedded[:, idx] = vectors.T
+        pairs.extend(
+            EigenPair(complex(value), vector, float(residual))
+            for value, vector, residual in zip(values, embedded, residuals)
+        )
     pairs.sort(key=lambda pair: (pair.value.real, pair.value.imag))
     return pairs
 
@@ -388,12 +415,12 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
         return (hbar**2 / (2 * m)) * (2 * n_plus * n_minus + n_plus + n_minus + 2)
 
     checks = [
-        ("diag(m omega^2 q2^2 q1^2)", np.diag(quartic), closed_form_quartic),
-        ("diag(-(i hbar/m) q2 pi2)", np.diag(linear), closed_form_linear),
-        ("diag((1/m) q2^2 pi2^2)", np.diag(squared), closed_form_squared),
+        ("diag(m omega^2 q2^2 q1^2)", quartic.diagonal(), closed_form_quartic),
+        ("diag(-(i hbar/m) q2 pi2)", linear.diagonal(), closed_form_linear),
+        ("diag((1/m) q2^2 pi2^2)", squared.diagonal(), closed_form_squared),
         (
             "diag sum vs closed-form level shift",
-            np.diag(quartic + linear + squared),
+            (quartic + linear + squared).diagonal(),
             closed_form_sum,
         ),
     ]

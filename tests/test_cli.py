@@ -120,6 +120,13 @@ def test_spectrum_cutoff_validation(capsys):
     assert "cutoff" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_spectrum_rejects_non_finite_parameter(value, capsys):
+    code, _o, err = run(["spectrum", "--cutoff", "6", f"--tau={value}"], capsys)
+    assert code == EXIT_USAGE
+    assert err == "usage error: tau must be finite\n"
+
+
 # -- sweep --------------------------------------------------------------------------
 
 
@@ -207,6 +214,14 @@ def test_uncertainty_domain_error(capsys):
     assert "below 2" in err
 
 
+def test_uncertainty_rejects_empty_sigma_grid(capsys):
+    code, _o, err = run(
+        ["uncertainty", "--tau", "0.04", "--brute-force", "--sigma-steps", "0"], capsys
+    )
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:") and "--sigma-steps" in err
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_numeric_failure_exit_code(capsys):
     # Absurdly wide packets concentrate all mass at the edge of the
@@ -255,6 +270,27 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     code, _o, err = run(["spectrum", "--config", str(config)], capsys)
     assert code == EXIT_USAGE
     assert "thtea" in err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    code, _o, err = run(["spectrum", "--config", str(missing)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:") and "absent.json" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "config,key",
+    [({"cutoff": "16"}, "cutoff"), ({"tau": True}, "tau"), ({"policy": {}}, "policy")],
+)
+def test_wrongly_typed_config_value_is_usage_error(config, key, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, _o, err = run(["spectrum", "--config", str(path)], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error:") and repr(key) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_policy_keyword_and_json(capsys):

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 from ncphase.algebra import CANONICAL, commutator, normal_order
 from ncphase.fock import (
@@ -40,6 +42,10 @@ def test_parameter_validation():
         ParameterPoint(hbar=0.0)
     with pytest.raises(ValueError):
         ParameterPoint(m=-1.0)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        ParameterPoint(theta=float("nan"))
+    with pytest.raises(ValueError, match="hbar must be finite"):
+        ParameterPoint(hbar=float("inf"))
 
 
 def test_derived_parameters():
@@ -78,7 +84,7 @@ def test_basis_cutoff_validation():
 
 def test_ladder_matrix_elements():
     basis = FockBasis(6)
-    a_plus, a_minus, a_plus_dag, a_minus_dag = build_ladder(basis)
+    a_plus, a_minus, a_plus_dag, a_minus_dag = (m.toarray() for m in build_ladder(basis))
     assert a_plus[basis.index[(0, 0)], basis.index[(1, 0)]] == pytest.approx(1.0)
     assert a_plus_dag[basis.index[(2, 1)], basis.index[(1, 1)]] == pytest.approx(
         math.sqrt(2)
@@ -91,7 +97,7 @@ def test_ladder_matrix_elements():
 
 def test_daggers_are_conjugate_transposes():
     basis = FockBasis(5)
-    a_plus, a_minus, a_plus_dag, a_minus_dag = build_ladder(basis)
+    a_plus, a_minus, a_plus_dag, a_minus_dag = (m.toarray() for m in build_ladder(basis))
     assert np.array_equal(a_plus_dag, a_plus.conj().T)
     assert np.array_equal(a_minus_dag, a_minus.conj().T)
     assert np.allclose(a_plus @ a_minus, a_minus @ a_plus)
@@ -100,7 +106,7 @@ def test_daggers_are_conjugate_transposes():
 def test_canonical_commutators_on_interior():
     basis = FockBasis(8)
     p = ParameterPoint(hbar=1.7, m=0.8, omega=1.3)
-    q1, q2, pi1, pi2 = build_phase_space(basis, p)
+    q1, q2, pi1, pi2 = (m.toarray() for m in build_phase_space(basis, p))
     keep = basis.interior(2)
     eye = np.eye(basis.dimension)[np.ix_(keep, keep)]
     for a, b in ((q1, pi1), (q2, pi2)):
@@ -114,7 +120,7 @@ def test_canonical_commutators_on_interior():
 def test_vacuum_position_variance():
     basis = FockBasis(6)
     p = ParameterPoint(hbar=2.0, m=0.5, omega=3.0)
-    q1, _q2, _pi1, _pi2 = build_phase_space(basis, p)
+    q1, _q2, _pi1, _pi2 = (m.toarray() for m in build_phase_space(basis, p))
     got = (q1 @ q1)[0, 0]
     assert got == pytest.approx(p.hbar / (2 * p.m * p.omega), rel=1e-12)
 
@@ -227,6 +233,57 @@ def test_diagonalize_rejects_nonsquare():
         diagonalize(np.zeros((3, 4), dtype=complex))
 
 
+def _permuted_blocks(rng, sizes, complex_entries):
+    d = sum(sizes)
+    h = np.zeros((d, d), dtype=complex)
+    start = 0
+    for size in sizes:
+        block = rng.standard_normal((size, size))
+        if complex_entries:
+            block = block + 1j * rng.standard_normal((size, size))
+        h[start:start + size, start:start + size] = block
+        start += size
+    perm = rng.permutation(d)
+    return h[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("sizes", [(7, 1, 12, 5), (20,)], ids=["blocks", "coupled"])
+@pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
+def test_diagonalize_matches_whole_matrix_eig(sizes, complex_entries):
+    # The block-wise solve must reproduce the eigenvalues of one eig call on
+    # the whole matrix, and its embedded vectors must be eigenvectors of the
+    # whole matrix.  A real matrix (zero imaginary part) takes the real
+    # LAPACK path, a complex one the complex path.
+    rng = np.random.default_rng(len(sizes) + 2 * complex_entries)
+    h = _permuted_blocks(rng, sizes, complex_entries)
+    pairs = diagonalize(h)
+    got = np.array([pair.value for pair in pairs])
+    expected = scipy.linalg.eig(h, right=False)
+    distance = np.abs(got[:, None] - expected[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(distance)
+    assert len(got) == len(expected) == h.shape[0]
+    assert distance[rows, cols].max() <= 1e-10
+    for pair in pairs:
+        assert pair.vector.shape == (h.shape[0],)
+        residual = np.linalg.norm(h @ pair.vector - pair.value * pair.vector)
+        assert residual <= 1e-10 * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        ParameterPoint(theta=0.02, eta=0.03, tau=0.005),
+        ParameterPoint(hbar=1.3, m=0.7, omega=1.9, theta=-0.04, eta=0.05, tau=0.01),
+    ],
+)
+def test_hamiltonian_matrix_is_exactly_real(point):
+    # In the helicity basis the Hamiltonian is exactly real at every real
+    # parameter point; diagonalize relies on it to use real arithmetic.
+    h = evaluate(build_hamiltonian(), FockBasis(12), point)
+    assert isinstance(h, np.ndarray)
+    assert not h.imag.any()
+
+
 # -- classification ------------------------------------------------------------------
 
 
@@ -323,7 +380,7 @@ def test_level_table_csv_format():
 
 
 def _sector_diagonals(basis, p):
-    q1, q2, pi1, pi2 = build_phase_space(basis, p)
+    q1, q2, pi1, pi2 = (m.toarray() for m in build_phase_space(basis, p))
     quartic = p.m * p.omega**2 * (q2 @ q2 @ q1 @ q1)
     linear = -(1j * p.hbar / p.m) * (q2 @ pi2)
     squared = (1 / p.m) * (q2 @ q2 @ pi2 @ pi2)
@@ -370,7 +427,7 @@ def test_vacuum_quartic_matches_gaussian_moments():
     # <0,0| q2^2 q1^2 |0,0> factorizes over independent vacuum Gaussians.
     basis = FockBasis(8)
     p = ParameterPoint(hbar=1.4, m=2.2, omega=0.75)
-    q1, q2, _pi1, _pi2 = build_phase_space(basis, p)
+    q1, q2, _pi1, _pi2 = (m.toarray() for m in build_phase_space(basis, p))
     got = (q2 @ q2 @ q1 @ q1)[0, 0]
     variance = p.hbar / (2 * p.m * p.omega)
     assert got.real == pytest.approx(variance**2, rel=1e-12)
