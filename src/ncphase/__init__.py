@@ -65,10 +65,12 @@ from .symmetry import (
 )
 from .uncertainty import (
     Gaussian,
+    MomentError,
     QuadratureError,
     brute_force_min_product,
     delta_y_solutions,
     expectation,
+    gaussian_moments,
     min_delta_x,
     min_delta_py,
     rho_inner,

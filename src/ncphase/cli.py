@@ -16,7 +16,9 @@ formatted to 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import fields as dataclass_fields
 from fractions import Fraction
@@ -55,6 +57,7 @@ from .parsing import parse
 from .rationals import GaussianRational
 from .symmetry import P_THETA_ETA_T, PT, check_algebra_invariance, is_invariant
 from .uncertainty import (
+    MomentError,
     QuadratureError,
     brute_force_min_product,
     uncertainty_report,
@@ -312,9 +315,20 @@ def _point_from_args(args, **overrides) -> ParameterPoint:
     return ParameterPoint(**kwargs)
 
 
+def _check_cutoff(cutoff: int) -> None:
+    # Below 4 no level is inside the truncation-exact interior.
+    if cutoff < 4:
+        raise UsageError("--cutoff must be at least 4")
+
+
+def _check_finite(flag: str, value: float, positive: bool = False) -> None:
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "positive and finite" if positive else "finite"
+        raise UsageError(f"{flag} must be {kind}")
+
+
 def cmd_spectrum(args) -> int:
-    if args.cutoff < 4:
-        raise UsageError("spectrum needs --cutoff of at least 4")
+    _check_cutoff(args.cutoff)
     point = _point_from_args(args)
     policy = resolve_policy(args.policy)
     table = spectrum(point, args.cutoff, build_hamiltonian(policy))
@@ -335,6 +349,12 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"--param must be one of {', '.join(_SWEEPABLE)}")
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
+    _check_cutoff(args.cutoff)
+    _check_finite("--from", args.sweep_from)
+    _check_finite("--to", args.sweep_to)
+    # The unswept parameters are checked once here; a bad swept value fails
+    # only its own point.
+    _point_from_args(args, **{args.param: getattr(ParameterPoint(), args.param)})
     policy = resolve_policy(args.policy)
     hamiltonian = build_hamiltonian(policy)
     values = np.linspace(args.sweep_from, args.sweep_to, args.steps)
@@ -343,7 +363,7 @@ def cmd_sweep(args) -> int:
         try:
             point = _point_from_args(args, **{args.param: float(value)})
             table = spectrum(point, args.cutoff, hamiltonian)
-        except (NumericError, ValueError) as exc:
+        except (NumericError, ValueError, ArithmeticError) as exc:
             failures.append({"param": args.param, "value": float(value),
                              "error": str(exc)})
             continue
@@ -400,10 +420,17 @@ def cmd_uncertainty(args) -> int:
     point = _point_from_args(args)
     if point.hbar * point.tau >= 2:
         raise UsageError("hbar * tau must be below 2")
+    _check_finite("--y-mean", args.y_mean)
     brute = None
     if args.brute_force:
         if args.sigma_steps < 1:
             raise UsageError("--sigma-steps must be at least 1")
+        if args.kick_steps < 1:
+            raise UsageError("--kick-steps must be at least 1")
+        _check_finite("--sigma-min", args.sigma_min, positive=True)
+        _check_finite("--sigma-max", args.sigma_max, positive=True)
+        _check_finite("--kick-max", args.kick_max)
+        _check_finite("--center", args.center)
         sigmas = np.exp(
             np.linspace(np.log(args.sigma_min), np.log(args.sigma_max), args.sigma_steps)
         )
@@ -491,11 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fault drill: flip the Bopp sign convention and watch it fail",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_spec = sub.add_parser("spectrum", help="classified level table")
     _add_common(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum)
 
     p_sweep = sub.add_parser("sweep", help="one-parameter scan of the spectrum")
     _add_common(p_sweep)
@@ -503,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="sweep_from", type=float)
     p_sweep.add_argument("--to", dest="sweep_to", type=float)
     p_sweep.add_argument("--steps", type=int)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_unc = sub.add_parser("uncertainty", help="closed-form bounds report")
     _add_common(p_unc)
@@ -515,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_unc.add_argument("--kick-max", dest="kick_max", type=float)
     p_unc.add_argument("--kick-steps", dest="kick_steps", type=int)
     p_unc.add_argument("--center", type=float)
-    p_unc.set_defaults(func=cmd_uncertainty)
     return parser
 
 
@@ -562,17 +585,25 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args = _merge_config(args)
-        return args.func(args)
+        # Looked up at call time, so a rebinding of cmd_* on this module counts.
+        return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, QuadratureError) as exc:
+    except (NumericError, QuadratureError, MomentError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ArithmeticError as exc:  # e.g. a float power overflowing
+        print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

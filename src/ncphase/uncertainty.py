@@ -14,16 +14,20 @@ The Gaussian test family is
 
 so that at tau = 0 the position variance of a centered member is
 sigma^2 / 2.  That sigma convention is used by every closed-form oracle.
+The grid scan takes its moments from the Faddeeva function in closed form
+(``gaussian_moments``) and checks the state it reports against quadrature.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import wofz
 
 
 class QuadratureError(RuntimeError):
@@ -32,6 +36,10 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, estimate: float):
         super().__init__(f"{message} (error estimate {estimate:.3e})")
         self.estimate = estimate
+
+
+class MomentError(RuntimeError):
+    """Closed-form Gaussian moments out of range or off their quadrature."""
 
 
 QUAD_TOLERANCE = 1e-10
@@ -77,9 +85,12 @@ def _integrate(f: Callable[[float], complex]) -> complex:
     half_pi = math.pi / 2
     value = 0.0j
     for part, picker in ((real_part, 1.0), (imag_part, 1.0j)):
-        integral, estimate = quad(
-            part, -half_pi, half_pi, epsabs=1e-12, epsrel=1e-12, limit=400
-        )
+        # The estimate decides acceptance below; scipy's warning only repeats it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            integral, estimate = quad(
+                part, -half_pi, half_pi, epsabs=1e-12, epsrel=1e-12, limit=400
+            )
         if estimate > QUAD_TOLERANCE * max(1.0, abs(integral)):
             raise QuadratureError("quadrature did not converge", estimate)
         value += picker * integral
@@ -215,6 +226,96 @@ def squeezing_bound(p, y_mean: float) -> float:
     return math.sqrt(p.hbar * (1 + p.tau * y_mean**2) / (2 - p.hbar * p.tau))
 
 
+# -- closed-form Gaussian moments -----------------------------------------------
+
+_SQRT_PI = math.sqrt(math.pi)
+# From |zeta| = 10 on, 16 terms of the asymptotic series give h to 4e-16
+# relative at every phase of zeta, where 1 + i sqrt(pi) zeta wofz(zeta)
+# cancels to about 1e-13.
+_SERIES_RADIUS = 10.0
+_SERIES_TERMS = 16
+# Four Gauss-Hermite nodes and weights: they integrate exp(-x^2) times any
+# polynomial of degree <= 7 exactly.
+_HERMITE = [(float(x), float(w)) for x, w in zip(*np.polynomial.hermite.hermgauss(4))]
+
+
+def _weighted_sums(a: float, sigma: float, tau: float) -> tuple:
+    """(S0, S1, S2), S_n = integral of y^n exp(-(y-a)^2/sigma^2)/(1 + tau y^2).
+
+    With zeta = (i/sqrt(tau) - a)/sigma and the Faddeeva function w
+    (Poppe & Wijers, ACM TOMS 16 (1990) 38; scipy.special.wofz):
+
+        S0 = pi Re w(zeta)/sqrt(tau),  S1 = -pi Im w(zeta)/tau,
+        S2 = (sigma sqrt(pi) - S0)/tau      from y^2 = (1 + tau y^2 - 1)/tau.
+
+    The difference in S2 cancels as tau -> 0, so for |zeta| >= 10 all three
+    come from the asymptotic series h(zeta) = 1 + i sqrt(pi) zeta w(zeta)
+    = -sum_{m>=1} (2m-1)!! q^m, q = 1/(2 zeta^2), written in
+    alpha = a sqrt(tau) and beta = sigma sqrt(tau) so that no power of tau
+    is divided out:
+
+        S0 = L + sigma^3 tau Im K,  S1 = a L + sigma^3 sqrt(tau) Re K,
+        S2 = a^2 L - sigma^3 Im K,  L = sqrt(pi) sigma/(1 + alpha^2),
+        K = sqrt(pi) h/(zeta beta^3) = sqrt(pi) (h/q)/(2 (i - alpha)^3).
+
+    This branch is exact at tau = 0: q = 0, h/q = -1, and the sums are the
+    flat Gaussian moments sqrt(pi) sigma (1, a, a^2 + sigma^2/2).
+    """
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    root = math.sqrt(tau)
+    alpha, beta = a * root, sigma * root
+    pole = 1j - alpha  # (i - alpha)/beta = zeta
+    if beta * _SERIES_RADIUS > abs(pole):
+        w = complex(wofz(pole / beta))
+        s0 = math.pi * w.real / root
+        return s0, -math.pi * w.imag / tau, (_SQRT_PI * sigma - s0) / tau
+    q = beta * beta / (2 * pole * pole)
+    minus_h_over_q = 1.0  # 1 + 3 q + 15 q^2 + ..., by Horner's rule
+    for m in range(_SERIES_TERMS, 1, -1):
+        minus_h_over_q = 1 + (2 * m - 1) * q * minus_h_over_q
+    k = -_SQRT_PI * minus_h_over_q / (2 * pole * pole * pole)
+    lead = _SQRT_PI * sigma / (1 + alpha * alpha)
+    cube = sigma * sigma * sigma
+    return (lead + cube * tau * k.imag,
+            a * lead + cube * root * k.real,
+            a * a * lead - cube * k.imag)
+
+
+def gaussian_moments(psi: Gaussian, p) -> tuple:
+    """(<Y>, <Y^2>, <P_y>, <P_y^2>) of a Gaussian in closed form.
+
+    The values ``expectation`` gives for "Y", "Y2", "Py" and "Py2", without
+    quadrature.  The position moments are ratios of ``_weighted_sums``.  In
+    the momentum moments the weight cancels: <psi|P_y psi>_rho is
+    -i hbar integral conj(psi) psi' dy and, P_y being rho-symmetric,
+    <psi|P_y^2 psi>_rho = hbar^2 integral (1 + tau y^2) |psi'|^2 dy.  Both
+    are Gaussian integrals of polynomials of degree <= 4; the first is
+    hbar kick sigma sqrt(pi), the second is taken exactly by Gauss-Hermite.
+    """
+    a, sigma, kick, tau = psi.center, psi.sigma, psi.kick, p.tau
+    s0, s1, s2 = _weighted_sums(a, sigma, tau)
+    if not 0 < s0 < math.inf:
+        raise MomentError(
+            f"weighted norm {s0!r} out of floating-point range at "
+            f"sigma={sigma:.6g}, center={a:.6g}"
+        )
+    # At y = a + sigma x: |psi|^2 dy = sigma exp(-x^2) dx, psi'/psi = i kick - x/sigma.
+    py2 = p.hbar * p.hbar * sigma * sum(
+        weight * (1 + tau * (a + sigma * x) * (a + sigma * x))
+        * (kick * kick + x * x / (sigma * sigma))
+        for x, weight in _HERMITE
+    )
+    py = p.hbar * kick * sigma * _SQRT_PI
+    moments = (s1 / s0, s2 / s0, py / s0, py2 / s0)
+    if not all(math.isfinite(value) for value in moments):
+        raise MomentError(
+            f"closed-form moments {moments!r} not finite at sigma={sigma:.6g}, "
+            f"center={a:.6g}, kick={kick:.6g}"
+        )
+    return moments
+
+
 # -- brute-force confirmation -------------------------------------------------
 
 
@@ -229,13 +330,9 @@ class StateScan:
     bound_gap: float  # Delta Y * Delta Py - (hbar/2)(1 + tau <Y^2>), >= 0
 
 
-def scan_state(psi: Gaussian, p) -> StateScan:
-    y_mean = expectation("Y", psi, p)
-    y2 = expectation("Y2", psi, p)
-    py_mean = expectation("Py", psi, p)
-    py2 = expectation("Py2", psi, p)
-    delta_y = math.sqrt(max(y2 - y_mean**2, 0.0))
-    delta_py = math.sqrt(max(py2 - py_mean**2, 0.0))
+def _state_scan(psi: Gaussian, p, y_mean, y2, py_mean, py2) -> StateScan:
+    delta_y = math.sqrt(max(y2 - y_mean * y_mean, 0.0))
+    delta_py = math.sqrt(max(py2 - py_mean * py_mean, 0.0))
     bound = 0.5 * p.hbar * (1 + p.tau * y2)
     return StateScan(
         sigma=psi.sigma,
@@ -246,6 +343,31 @@ def scan_state(psi: Gaussian, p) -> StateScan:
         delta_py=delta_py,
         bound_gap=delta_y * delta_py - bound,
     )
+
+
+def scan_state(psi: Gaussian, p) -> StateScan:
+    """One state of the scan with every moment by quadrature."""
+    return _state_scan(psi, p, *(expectation(name, psi, p) for name in ("Y", "Y2", "Py", "Py2")))
+
+
+# The closed-form argmin state must match its quadrature to this, relative to
+# the root mean square of the sector: sqrt<Y^2> for Y, sqrt<P_y^2> for P_y.
+ORACLE_TOLERANCE = 1e-8
+
+
+def _check_against_quadrature(best: StateScan, psi: Gaussian, p) -> None:
+    oracle = scan_state(psi, p)
+    y_scale = math.hypot(oracle.y_mean, oracle.delta_y)
+    py_scale = math.hypot(oracle.py_mean, oracle.delta_py)
+    for field, scale in (("y_mean", y_scale), ("delta_y", y_scale),
+                         ("py_mean", py_scale), ("delta_py", py_scale)):
+        closed, quadrature = getattr(best, field), getattr(oracle, field)
+        if not abs(closed - quadrature) <= ORACLE_TOLERANCE * scale:
+            raise MomentError(
+                f"closed form and quadrature disagree at sigma={psi.sigma:.6g}, "
+                f"center={psi.center:.6g}, kick={psi.kick:.6g}: {field} "
+                f"{closed!r} vs {quadrature!r}"
+            )
 
 
 def brute_force_min_product(
@@ -259,18 +381,21 @@ def brute_force_min_product(
     Asserts nothing itself: reports the worst (most negative) gap between
     Delta Y * Delta Py and the state-dependent lower bound, and the smallest
     normalized momentum spread  Delta Py / sqrt(1 + tau <Y>^2)  found, whose
-    theoretical floor is hbar sqrt(tau).
+    theoretical floor is hbar sqrt(tau).  Every state's moments come from
+    ``gaussian_moments``; the reported argmin state is evaluated again by
+    quadrature (``scan_state``), and a disagreement raises ``MomentError``.
     """
-    scans = [
-        scan_state(Gaussian(center=center, sigma=s, kick=k), p)
-        for s in sigmas
-        for k in kicks
-    ]
+    scans = []
+    for s in sigmas:
+        for k in kicks:
+            psi = Gaussian(center=center, sigma=s, kick=k)
+            scans.append(_state_scan(psi, p, *gaussian_moments(psi, p)))
     worst_gap = min(scan.bound_gap for scan in scans)
     best = min(
-        scans, key=lambda s: s.delta_py / math.sqrt(1 + p.tau * s.y_mean**2)
+        scans, key=lambda scan: scan.delta_py / math.sqrt(1 + p.tau * scan.y_mean * scan.y_mean)
     )
-    min_normalized = best.delta_py / math.sqrt(1 + p.tau * best.y_mean**2)
+    _check_against_quadrature(best, Gaussian(center=center, sigma=best.sigma, kick=best.kick), p)
+    min_normalized = best.delta_py / math.sqrt(1 + p.tau * best.y_mean * best.y_mean)
     floor = p.hbar * math.sqrt(p.tau)
     return {
         "states": len(scans),

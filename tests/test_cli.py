@@ -2,10 +2,13 @@
 config-file merging and byte determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ncphase.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 
@@ -222,18 +225,111 @@ def test_uncertainty_rejects_empty_sigma_grid(capsys):
     assert err.startswith("usage error:") and "--sigma-steps" in err
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 def test_numeric_failure_exit_code(capsys):
     # Absurdly wide packets concentrate all mass at the edge of the
     # compactified interval; the quadrature gives up and the failure
-    # surfaces as exit code 3.
+    # surfaces as exit code 3, with one line and no warning from scipy.
     code, _o, err = run(
         ["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
          "--sigma-min", "1000000", "--sigma-max", "10000000", "--sigma-steps", "2"],
         capsys,
     )
     assert code == EXIT_NUMERIC
-    assert "numeric failure" in err
+    assert err.startswith("numeric failure") and err.count("\n") == 1
+
+
+# -- exit-code contract ------------------------------------------------------------------
+
+# Finite values of every scale, the float edge cases, and plain ones.
+NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-3.0, 3.0),
+)
+
+
+def assert_exit_contract(code, stdout, err):
+    """0 with a report free of NaN, or 2/3 with a one-line message."""
+    if code == EXIT_OK:
+        def no_nan(constant):
+            assert constant != "NaN"
+            return float(constant)
+
+        json.loads(stdout, parse_constant=no_nan)
+    else:
+        assert code in (EXIT_USAGE, EXIT_NUMERIC)
+        prefix = "usage error: " if code == EXIT_USAGE else "numeric failure: "
+        assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    flags=st.fixed_dictionaries({}, optional={
+        "--tau": NUMBERS, "--hbar": NUMBERS, "--y-mean": NUMBERS,
+        "--sigma-min": NUMBERS, "--sigma-max": NUMBERS, "--kick-max": NUMBERS,
+        "--center": NUMBERS, "--kick-steps": st.integers(-2, 2),
+    }),
+    sigma_steps=st.integers(-1, 3),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_uncertainty_exit_code_contract(flags, sigma_steps, capsys):
+    argv = ["uncertainty", "--brute-force", "--sigma-steps", str(sigma_steps)]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value!r}")
+    assert_exit_contract(*run(argv, capsys))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    param=st.sampled_from(["tau", "theta"]),
+    flags=st.fixed_dictionaries({}, optional={
+        "--from": NUMBERS, "--to": NUMBERS, "--tau": NUMBERS, "--theta": NUMBERS,
+        "--mass": NUMBERS, "--cutoff": st.integers(-1, 5),
+    }),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sweep_exit_code_contract(param, flags, capsys):
+    argv = ["sweep", "--param", param, "--steps", "2", "--cutoff", "4", "--format", "json"]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value!r}")
+    assert_exit_contract(*run(argv, capsys))
+
+
+def test_float_overflow_is_a_numeric_failure(capsys):
+    # mass 5e-324 is positive and finite, but m^-1 overflows a float power.
+    code, _o, err = run(["spectrum", "--cutoff", "4", "--mass", "5e-324"], capsys)
+    assert code == EXIT_NUMERIC
+    assert err.startswith("numeric failure: OverflowError") and err.count("\n") == 1
+
+
+def test_uncertainty_rejects_bad_scan_flags(capsys):
+    base = ["uncertainty", "--tau", "0.04", "--brute-force", "--sigma-steps", "3"]
+    for flags, named in (
+        (["--sigma-min", "0"], "--sigma-min"),
+        (["--sigma-max=-1"], "--sigma-max"),
+        (["--sigma-min", "nan"], "--sigma-min"),
+        (["--kick-max", "inf"], "--kick-max"),
+        (["--center=-inf"], "--center"),
+        (["--kick-steps", "0"], "--kick-steps"),
+        (["--y-mean", "nan"], "--y-mean"),
+    ):
+        code, _o, err = run(base + flags, capsys)
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: " + named) and err.count("\n") == 1
+
+
+def test_sweep_checks_its_base_point_and_cutoff(capsys):
+    code, _o, err = run(["sweep", "--param", "theta", "--tau", "nan", "--steps", "2"], capsys)
+    assert (code, err) == (EXIT_USAGE, "usage error: tau must be finite\n")
+    code, _o, err = run(["sweep", "--param", "tau", "--cutoff", "2", "--steps", "2"], capsys)
+    spectrum_code, _o, spectrum_err = run(["spectrum", "--cutoff", "2"], capsys)
+    assert (code, err) == (spectrum_code, spectrum_err) == (EXIT_USAGE, spectrum_err)
+    assert "--cutoff" in err
+    code, _o, err = run(["sweep", "--param", "tau", "--to", "inf", "--steps", "2"], capsys)
+    assert (code, err) == (EXIT_USAGE, "usage error: --to must be finite\n")
 
 
 # -- config file, misc ------------------------------------------------------------------

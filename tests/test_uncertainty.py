@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from ncphase import uncertainty
+from ncphase.cli import EXIT_NUMERIC, main
 from ncphase.fock import ParameterPoint
 from ncphase.uncertainty import (
     Gaussian,
@@ -12,6 +14,7 @@ from ncphase.uncertainty import (
     brute_force_min_product,
     delta_y_solutions,
     expectation,
+    gaussian_moments,
     min_delta_x,
     min_delta_py,
     rho_inner,
@@ -104,6 +107,85 @@ def test_sector_expectations_are_real():
     for name in ("Y", "Py", "Y2", "Py2"):
         value = rho_inner(apply_operator(name, psi, p), psi, p.tau) / norm
         assert abs(value.imag) <= 1e-8
+
+
+# -- closed-form moments ------------------------------------------------------------
+
+MOMENT_NAMES = ("Y", "Y2", "Py", "Py2")
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-8, 1e-4, 0.005, 0.04, 0.5])
+def test_gaussian_moments_match_quadrature(tau):
+    # Both branches of the Faddeeva sums are reached: the asymptotic series
+    # for |zeta| >= 10 (tau = 0, 1e-8, 1e-4 and the narrow states at 0.005
+    # and 0.04), wofz itself below.  A first moment is compared relative to
+    # the root of its second moment, since it vanishes on centered states.
+    p = ParameterPoint(tau=tau)
+    for sigma in (0.2, 1.1, 5.0, 30.0):
+        for center in (0.0, 0.5, -1.0, 2.0):
+            for kick in (-1.0, 0.0, 0.5):
+                psi = Gaussian(center=center, sigma=sigma, kick=kick)
+                y, y2, py, py2 = gaussian_moments(psi, p)
+                want = [expectation(name, psi, p) for name in MOMENT_NAMES]
+                assert abs(y - want[0]) <= 1e-9 * math.sqrt(want[1])
+                assert y2 == pytest.approx(want[1], rel=1e-9, abs=0)
+                assert abs(py - want[2]) <= 1e-9 * math.sqrt(want[3])
+                assert py2 == pytest.approx(want[3], rel=1e-9, abs=0)
+
+
+def test_gaussian_moments_flat_limit_is_exact():
+    p = ParameterPoint(hbar=0.7, tau=0.0)
+    for center, sigma, kick in ((0.0, 1.0, 0.0), (-1.5, 0.3, 2.0), (4.0, 30.0, -0.5)):
+        got = gaussian_moments(Gaussian(center=center, sigma=sigma, kick=kick), p)
+        want = (center, center**2 + sigma**2 / 2, 0.7 * kick,
+                0.49 * (kick**2 + 1 / (2 * sigma**2)))
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+
+def test_gaussian_moments_stay_accurate_at_tiny_tau():
+    # (sigma sqrt(pi) - S0)/tau would lose about log10(1/(tau sigma^2))
+    # digits here.  To first order, <Y^2> = m2 - tau (m4 - m2^2) with the
+    # flat moments m2, m4 of a Gaussian of mean a and variance v = sigma^2/2.
+    a = 0.5
+    for sigma in (0.2, 3.0, 30.0):
+        v = sigma**2 / 2
+        m2, m4 = a**2 + v, a**4 + 6 * a**2 * v + 3 * v**2
+        for tau in (1e-8, 1e-12, 1e-300):
+            got = gaussian_moments(Gaussian(center=a, sigma=sigma), ParameterPoint(tau=tau))[1]
+            assert got == pytest.approx(m2 - tau * (m4 - m2**2), rel=1e-9, abs=0)
+
+
+def test_gaussian_moments_reject_negative_tau():
+    with pytest.raises(ValueError, match="nonnegative"):
+        gaussian_moments(Gaussian(), ParameterPoint(tau=-0.01))
+
+
+def _off_by(index):
+    """gaussian_moments with one moment off by 1e-6: a second moment
+    relative to itself, a first moment relative to the root of its second."""
+    exact = gaussian_moments
+
+    def wrong(psi, p):
+        moments = list(exact(psi, p))
+        if index % 2:
+            moments[index] *= 1 + 1e-6
+        else:
+            moments[index] += 1e-6 * math.sqrt(moments[index + 1])
+        return tuple(moments)
+
+    return wrong
+
+
+@pytest.mark.parametrize("index", range(4), ids=MOMENT_NAMES)
+def test_brute_force_cli_catches_a_wrong_closed_form(index, monkeypatch, capsys):
+    monkeypatch.setattr(uncertainty, "gaussian_moments", _off_by(index))
+    code = main(["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
+                 "--sigma-steps", "20", "--center", "0.5"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    field = ("y_mean", "delta_y", "py_mean", "delta_py")[index]
+    assert err.startswith("numeric failure: closed form and quadrature disagree")
+    assert f": {field} " in err and err.count("\n") == 1 and err.endswith("\n")
 
 
 # -- rho-Hermiticity ---------------------------------------------------------------
