@@ -21,7 +21,6 @@ from .algebra import (
     commutator,
     formal_adjoint,
     jacobi,
-    multiply,
     normal_order,
     powers_of,
     truncate,

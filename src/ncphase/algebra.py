@@ -188,8 +188,12 @@ class Expression:
         return Expression(alphabet, {})
 
     @staticmethod
-    def from_scalar(value: ScalarLike) -> "Expression":
+    def from_scalar(value: ScalarLike, **exponents: int) -> "Expression":
+        """``value`` times a parameter monomial, e.g.
+        ``Expression.from_scalar(GR_I, theta=1)`` for i*theta."""
         s = _as_scalar(value)
+        if exponents:
+            s = Scalar(s.value, _add_powers(s.powers, powers_of(**exponents)))
         return Expression(None, {((), s.powers): s.value})
 
     @staticmethod
@@ -374,25 +378,21 @@ class AlgebraTable:
         ]
 
 
-def _i_times(**exponents: int) -> Expression:
-    return Expression.from_scalar(Scalar(GR_I, powers_of(**exponents)))
-
-
 CANONICAL = AlgebraTable(
     "canonical",
     {
-        ("pi1", "q1"): -_i_times(hbar=1),
-        ("pi2", "q2"): -_i_times(hbar=1),
+        ("pi1", "q1"): Expression.from_scalar(-GR_I, hbar=1),
+        ("pi2", "q2"): Expression.from_scalar(-GR_I, hbar=1),
     },
 )
 
 NONCOMMUTATIVE = AlgebraTable(
     "noncommutative",
     {
-        ("y", "x"): -_i_times(theta=1),
-        ("px", "x"): -_i_times(hbar=1),
-        ("py", "y"): -_i_times(hbar=1),
-        ("py", "px"): -_i_times(eta=1),
+        ("y", "x"): Expression.from_scalar(-GR_I, theta=1),
+        ("px", "x"): Expression.from_scalar(-GR_I, hbar=1),
+        ("py", "y"): Expression.from_scalar(-GR_I, hbar=1),
+        ("py", "px"): Expression.from_scalar(-GR_I, eta=1),
     },
 )
 
@@ -402,11 +402,6 @@ TABLES = {"canonical": CANONICAL, "noncommutative": NONCOMMUTATIVE}
 # ---------------------------------------------------------------------------
 # Core operations
 # ---------------------------------------------------------------------------
-
-
-def multiply(a: Expression, b: Expression) -> Expression:
-    """Distributive word concatenation; no reordering is performed."""
-    return a * b
 
 
 def normal_order(e: Expression, table: AlgebraTable) -> Expression:
@@ -482,6 +477,17 @@ def formal_adjoint(e: Expression) -> Expression:
 # ---------------------------------------------------------------------------
 
 
+def _exponent_map(mapping, what: str) -> dict:
+    if not isinstance(mapping, Mapping):
+        raise AlgebraError(f"{what} must map parameter names to integers")
+    for pname, exp in mapping.items():
+        if pname not in _PARAM_INDEX:
+            raise AlgebraError(f"unknown parameter {pname!r} in {what}")
+        if isinstance(exp, bool) or not isinstance(exp, int):
+            raise AlgebraError(f"{what} must give {pname} an integer exponent")
+    return dict(mapping)
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Per-parameter exponent caps plus forbidden cross-monomial patterns.
@@ -497,8 +503,16 @@ class TruncationPolicy:
     @staticmethod
     def of(caps: Optional[Mapping[str, int]] = None,
            forbidden: Iterable[Mapping[str, int]] = ()) -> "TruncationPolicy":
-        patterns = tuple(powers_of(**pattern) for pattern in forbidden)
-        return TruncationPolicy(dict(caps or {}), patterns)
+        """Build a policy, checking that ``caps`` and every pattern map known
+        parameter names to integers and that ``forbidden`` is a list."""
+        if not isinstance(forbidden, (list, tuple)):
+            raise AlgebraError("forbidden must be a list of exponent patterns")
+        caps = _exponent_map(caps or {}, "caps")
+        patterns = tuple(
+            powers_of(**_exponent_map(pattern, "a forbidden pattern"))
+            for pattern in forbidden
+        )
+        return TruncationPolicy(caps, patterns)
 
     def keeps(self, powers: Powers) -> bool:
         for pname, cap in self.caps.items():

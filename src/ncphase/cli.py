@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
-from dataclasses import fields as dataclass_fields
 from fractions import Fraction
 from typing import Optional
 
@@ -32,21 +32,23 @@ from .algebra import (
     DEFAULT_POLICY,
     FIRST_ORDER_CROSS_POLICY,
     NONCOMMUTATIVE,
+    PARAMS,
     TruncationPolicy,
     UNDEFORMED_POLICY,
     Expression,
-    Scalar,
     commutator,
     formal_adjoint,
     jacobi,
     normal_order,
-    powers_of,
 )
 from .fock import (
+    LEVEL_COLUMNS,
     FockBasis,
     NumericError,
     ParameterPoint,
+    csv_text,
     diagonal_check,
+    level_fields,
     level_table_csv,
     level_table_json,
     spectrum,
@@ -69,197 +71,105 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _i_scalar(**exponents: int) -> Expression:
-    return Expression.from_scalar(Scalar(GaussianRational(0, 1), powers_of(**exponents)))
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
 
-def _flat_closure_checks(bopp: SubstitutionMap) -> list:
-    """The six flat commutators of the Bopp-shifted variables.
+def _verify_cases(bopp: SubstitutionMap, cutoff: int, point: ParameterPoint) -> list:
+    """Every verify check in report order, as (suite, name, value, expected,
+    status): the row takes ``status`` when value == expected, else "fail".
 
-    Four reproduce the flat table exactly; [x, px] and [y, py] carry the
-    documented second-order residue i theta eta / 4 hbar, reported with
-    status "known".
+    An identity compares two expressions and reports what is left of
+    value - expected.  A check made by another layer (algebra and PT
+    invariance, the diagonal identities) has the value (verdict, residual
+    text) and expects the passing verdict.
     """
-    x, y = substitute(parse("x"), bopp), substitute(parse("y"), bopp)
-    px, py = substitute(parse("px"), bopp), substitute(parse("py"), bopp)
-    residue = _i_scalar(theta=1, eta=1, hbar=-1) * Fraction(1, 4)
-    cases = [
-        ("[x, y]", x, y, _i_scalar(theta=1), "pass"),
-        ("[x, px]", x, px, _i_scalar(hbar=1) + residue, "known"),
-        ("[y, py]", y, py, _i_scalar(hbar=1) + residue, "known"),
-        ("[px, py]", px, py, _i_scalar(eta=1), "pass"),
-        ("[x, py]", x, py, Expression.zero(), "pass"),
-        ("[y, px]", y, px, Expression.zero(), "pass"),
-    ]
-    rows = []
-    for name, a, b, expected, status in cases:
-        got = commutator(a, b, CANONICAL)
-        ok = got == expected
-        rows.append(
-            {
-                "suite": "flat-closure",
-                "name": name,
-                "status": status if ok else "fail",
-                "residual": str(got - expected),
-            }
-        )
-    return rows
+    x, y, px, py = (substitute(parse(name), bopp) for name in ("x", "y", "px", "py"))
+    X, Y, Px, Py = (named_operator(name) for name in ("X", "Y", "Px", "Py"))
 
+    def nc(text: str) -> Expression:
+        return normal_order(parse(text), NONCOMMUTATIVE)
 
-def _deformed_closure_checks() -> list:
-    X, Y = named_operator("X"), named_operator("Y")
-    Px, Py = named_operator("Px"), named_operator("Py")
-    one_plus = parse("1 + tau*y^2")
-    mixed = normal_order(
-        _i_scalar(tau=1) * 2 * Expression.generator("y")
-        * (Py * Scalar(GaussianRational(1), powers_of(theta=1))
-           + X * Scalar(GaussianRational(1), powers_of(hbar=1))),
-        NONCOMMUTATIVE,
+    def adjoint(op: Expression) -> Expression:
+        return normal_order(formal_adjoint(op), NONCOMMUTATIVE)
+
+    # [x, px] and [y, py] keep the documented second-order residue
+    # i theta eta / 4 hbar, reported with status "known".
+    residue = Expression.from_scalar(
+        GaussianRational(0, Fraction(1, 4)), theta=1, eta=1, hbar=-1
     )
-    cases = [
-        ("[X, Y]", X, Y, normal_order(_i_scalar(theta=1) * one_plus, NONCOMMUTATIVE)),
-        ("[X, Px]", X, Px, normal_order(_i_scalar(hbar=1) * one_plus, NONCOMMUTATIVE)),
-        ("[Y, Py]", Y, Py, normal_order(_i_scalar(hbar=1) * one_plus, NONCOMMUTATIVE)),
-        ("[X, Py]", X, Py, mixed),
-        ("[Px, Py]", Px, Py, normal_order(_i_scalar(eta=1) * one_plus, NONCOMMUTATIVE)),
-        ("[Y, Px]", Y, Px, Expression.zero()),
-    ]
-    rows = []
-    for name, a, b, expected in cases:
-        got = commutator(a, b, NONCOMMUTATIVE)
-        rows.append(
-            {
-                "suite": "deformed-closure",
-                "name": name,
-                "status": "pass" if got == expected else "fail",
-                "residual": str(got - expected),
-            }
-        )
-    return rows
-
-
-def _jacobi_checks() -> list:
-    ops = {name: named_operator(name) for name in ("X", "Y", "Px", "Py")}
-    names = list(ops)
-    rows = []
-    for skip in range(4):
-        triple = [n for k, n in enumerate(names) if k != skip]
-        got = jacobi(ops[triple[0]], ops[triple[1]], ops[triple[2]], NONCOMMUTATIVE)
-        rows.append(
-            {
-                "suite": "jacobi",
-                "name": "(" + ", ".join(triple) + ")",
-                "status": "pass" if got.is_zero() else "fail",
-                "residual": str(got),
-            }
-        )
-    return rows
-
-
-def _adjoint_checks() -> list:
-    X, Y = named_operator("X"), named_operator("Y")
-    Px, Py = named_operator("Px"), named_operator("Py")
-    two_i_tau = _i_scalar(tau=1) * 2
-    cases = [
-        ("X^dag = X + 2 i tau theta Y",
-         X, X + two_i_tau * Scalar(GaussianRational(1), powers_of(theta=1)) * Y),
-        ("Y^dag = Y", Y, Y),
-        ("Px^dag = Px", Px, Px),
-        ("Py^dag = Py - 2 i tau hbar Y",
-         Py, Py - two_i_tau * Scalar(GaussianRational(1), powers_of(hbar=1)) * Y),
-    ]
-    rows = []
-    for name, op, expected in cases:
-        got = normal_order(formal_adjoint(op), NONCOMMUTATIVE)
-        want = normal_order(expected, NONCOMMUTATIVE)
-        rows.append(
-            {
-                "suite": "adjoint",
-                "name": name,
-                "status": "pass" if got == want else "fail",
-                "residual": str(got - want),
-            }
-        )
-    return rows
-
-
-def _truncation_check(bopp: SubstitutionMap) -> list:
-    built = build_hamiltonian(DEFAULT_POLICY, bopp=bopp)
-    expected = reference_hamiltonian()
-    return [
-        {
-            "suite": "hamiltonian",
-            "name": "default truncation equals the three named pieces",
-            "status": "pass" if built == expected else "fail",
-            "residual": str(built - expected),
-        }
-    ]
-
-
-def _symmetry_checks() -> list:
-    rows = []
-    for row in check_algebra_invariance(NONCOMMUTATIVE, P_THETA_ETA_T):
-        rows.append(
-            {
-                "suite": "symmetry",
-                "name": f"PthetaetaT preserves {row['relation']}",
-                "status": "pass" if row["preserved"] else "fail",
-                "residual": row["residual"],
-            }
-        )
+    zero = Expression.zero()
     full = reference_hamiltonian()
-    expectations = [
-        ("full Hamiltonian invariant under PthetaetaT",
-         is_invariant(full, P_THETA_ETA_T), True),
-        ("angular coupling anti-invariant under PT",
-         is_invariant(normal_order(h_theta_eta(), CANONICAL), PT), False),
-        ("tau correction invariant under PT",
-         is_invariant(normal_order(h_tau(), CANONICAL), PT), True),
+    cases = [
+        ("flat-closure", "[x, y]", commutator(x, y, CANONICAL), parse("i*theta"), "pass"),
+        ("flat-closure", "[x, px]", commutator(x, px, CANONICAL),
+         parse("i*hbar") + residue, "known"),
+        ("flat-closure", "[y, py]", commutator(y, py, CANONICAL),
+         parse("i*hbar") + residue, "known"),
+        ("flat-closure", "[px, py]", commutator(px, py, CANONICAL), parse("i*eta"), "pass"),
+        ("flat-closure", "[x, py]", commutator(x, py, CANONICAL), zero, "pass"),
+        ("flat-closure", "[y, px]", commutator(y, px, CANONICAL), zero, "pass"),
+        ("deformed-closure", "[X, Y]", commutator(X, Y, NONCOMMUTATIVE),
+         nc("i*theta*(1 + tau*y^2)"), "pass"),
+        ("deformed-closure", "[X, Px]", commutator(X, Px, NONCOMMUTATIVE),
+         nc("i*hbar*(1 + tau*y^2)"), "pass"),
+        ("deformed-closure", "[Y, Py]", commutator(Y, Py, NONCOMMUTATIVE),
+         nc("i*hbar*(1 + tau*y^2)"), "pass"),
+        ("deformed-closure", "[X, Py]", commutator(X, Py, NONCOMMUTATIVE),
+         nc("2*i*tau*y*(theta*Py + hbar*X)"), "pass"),
+        ("deformed-closure", "[Px, Py]", commutator(Px, Py, NONCOMMUTATIVE),
+         nc("i*eta*(1 + tau*y^2)"), "pass"),
+        ("deformed-closure", "[Y, Px]", commutator(Y, Px, NONCOMMUTATIVE), zero, "pass"),
     ]
-    for name, got, want in expectations:
-        rows.append(
-            {
-                "suite": "symmetry",
-                "name": name,
-                "status": "pass" if got is want else "fail",
-                "residual": f"is_invariant={got}",
-            }
+    ops = {"X": X, "Y": Y, "Px": Px, "Py": Py}
+    # The triples without X, Y, Px and Py in turn.
+    for triple in reversed(list(itertools.combinations(ops, 3))):
+        value = jacobi(*(ops[name] for name in triple), NONCOMMUTATIVE)
+        cases.append(("jacobi", f"({', '.join(triple)})", value, zero, "pass"))
+    cases += [
+        ("adjoint", "X^dag = X + 2 i tau theta Y", adjoint(X),
+         nc("X + 2*i*tau*theta*Y"), "pass"),
+        ("adjoint", "Y^dag = Y", adjoint(Y), nc("Y"), "pass"),
+        ("adjoint", "Px^dag = Px", adjoint(Px), nc("Px"), "pass"),
+        ("adjoint", "Py^dag = Py - 2 i tau hbar Y", adjoint(Py),
+         nc("Py - 2*i*tau*hbar*Y"), "pass"),
+        ("hamiltonian", "default truncation equals the three named pieces",
+         build_hamiltonian(DEFAULT_POLICY, bopp=bopp), full, "pass"),
+    ]
+    for row in check_algebra_invariance(NONCOMMUTATIVE, P_THETA_ETA_T):
+        cases.append(("symmetry", f"PthetaetaT preserves {row['relation']}",
+                      (row["preserved"], row["residual"]), True, "pass"))
+    for name, expression, variant, expected in (
+        ("full Hamiltonian invariant under PthetaetaT", full, P_THETA_ETA_T, True),
+        ("angular coupling anti-invariant under PT",
+         normal_order(h_theta_eta(), CANONICAL), PT, False),
+        ("tau correction invariant under PT", normal_order(h_tau(), CANONICAL), PT, True),
+    ):
+        verdict = is_invariant(expression, variant)
+        cases.append(
+            ("symmetry", name, (verdict, f"is_invariant={verdict}"), expected, "pass")
         )
-    return rows
-
-
-def _diagonal_checks(cutoff: int, point: ParameterPoint) -> list:
-    report = diagonal_check(FockBasis(cutoff), point)
-    rows = []
-    for row in report["identities"]:
-        rows.append(
-            {
-                "suite": "diagonal-identities",
-                "name": row["identity"],
-                "status": "pass" if row["pass"] else "fail",
-                "residual": f"max_rel_err={row['max_rel_err']:.12g}"
-                f" at {row['worst_state']}",
-            }
+    for row in diagonal_check(FockBasis(cutoff), point)["identities"]:
+        residual = f"max_rel_err={row['max_rel_err']:.12g} at {row['worst_state']}"
+        cases.append(
+            ("diagonal-identities", row["identity"], (row["pass"], residual), True, "pass")
         )
-    return rows
+    return cases
 
 
 def cmd_verify(args) -> int:
     bopp = flipped_bopp() if args.debug_flip_epsilon else BOPP
     point = _point_from_args(args)
     checks = []
-    checks.extend(_flat_closure_checks(bopp))
-    checks.extend(_deformed_closure_checks())
-    checks.extend(_jacobi_checks())
-    checks.extend(_adjoint_checks())
-    checks.extend(_truncation_check(bopp))
-    checks.extend(_symmetry_checks())
-    checks.extend(_diagonal_checks(args.cutoff, point))
+    for suite, name, value, expected, status in _verify_cases(bopp, args.cutoff, point):
+        if isinstance(value, Expression):
+            residual = str(value - expected)
+        else:
+            value, residual = value  # a verdict and its residual text
+        checks.append({"suite": suite, "name": name,
+                       "status": status if value == expected else "fail",
+                       "residual": residual})
     failures = [c for c in checks if c["status"] == "fail"]
     report = {
         "version": __version__,
@@ -294,8 +204,13 @@ def resolve_policy(text: str) -> TruncationPolicy:
         return keywords[text]
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not a policy keyword or JSON object: {text!r}") from exc
+    except json.JSONDecodeError:
+        data = None
+    if not isinstance(data, dict):
+        raise UsageError(f"not a policy keyword or JSON object: {text!r}")
+    unknown = sorted(set(data) - {"caps", "forbidden"})
+    if unknown:
+        raise UsageError(f"unknown policy key {unknown[0]!r}; use caps and forbidden")
     return TruncationPolicy.of(
         caps=data.get("caps", {}),
         forbidden=data.get("forbidden", []),
@@ -303,16 +218,9 @@ def resolve_policy(text: str) -> TruncationPolicy:
 
 
 def _point_from_args(args, **overrides) -> ParameterPoint:
-    kwargs = {
-        "hbar": args.hbar,
-        "m": args.mass,
-        "omega": args.omega,
-        "theta": args.theta,
-        "eta": args.eta,
-        "tau": args.tau,
-    }
-    kwargs.update(overrides)
-    return ParameterPoint(**kwargs)
+    # Every parameter has a flag of its own name except m, which is --mass.
+    kwargs = {name: getattr(args, "mass" if name == "m" else name) for name in PARAMS}
+    return ParameterPoint(**{**kwargs, **overrides})
 
 
 def _check_cutoff(cutoff: int) -> None:
@@ -341,12 +249,13 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-_SWEEPABLE = tuple(f.name for f in dataclass_fields(ParameterPoint))
+# A sweep row: the swept parameter's value, then these level columns.
+SWEEP_COLUMNS = LEVEL_COLUMNS[:6]
 
 
 def cmd_sweep(args) -> int:
-    if args.param not in _SWEEPABLE:
-        raise UsageError(f"--param must be one of {', '.join(_SWEEPABLE)}")
+    if args.param not in PARAMS:
+        raise UsageError(f"--param must be one of {', '.join(PARAMS)}")
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
     _check_cutoff(args.cutoff)
@@ -358,6 +267,7 @@ def cmd_sweep(args) -> int:
     policy = resolve_policy(args.policy)
     hamiltonian = build_hamiltonian(policy)
     values = np.linspace(args.sweep_from, args.sweep_to, args.steps)
+    columns = (args.param, *SWEEP_COLUMNS)
     rows, failures = [], []
     for value in values:
         try:
@@ -368,45 +278,14 @@ def cmd_sweep(args) -> int:
                              "error": str(exc)})
             continue
         for row in table.rows:
-            rows.append(
-                (float(value), row.n_plus, row.n_minus, row.e_analytic,
-                 row.e_numeric, abs(row.e_numeric - row.e_analytic))
-            )
+            fields = level_fields(row)
+            rows.append({args.param: float(value), **{c: fields[c] for c in SWEEP_COLUMNS}})
     if args.format == "csv":
-        lines = [
-            ",".join(
-                (args.param, "n_plus", "n_minus", "E_analytic",
-                 "E_numeric_re", "E_numeric_im", "abs_err")
-            )
-        ]
-        for value, n_plus, n_minus, analytic, numeric, err in rows:
-            lines.append(
-                ",".join(
-                    [f"{value:.12g}", str(n_plus), str(n_minus),
-                     f"{analytic:.12g}", f"{numeric.real:.12g}",
-                     f"{numeric.imag:.12g}", f"{err:.12g}"]
-                )
-            )
         for failure in failures:
             print(f"sweep point failed: {failure}", file=sys.stderr)
-        _write_output(args.out, "\n".join(lines) + "\n")
+        _write_output(args.out, csv_text(columns, rows))
     else:
-        payload = {
-            "param": args.param,
-            "rows": [
-                {
-                    args.param: value,
-                    "n_plus": n_plus,
-                    "n_minus": n_minus,
-                    "E_analytic": float(f"{analytic:.12g}"),
-                    "E_numeric_re": float(f"{numeric.real:.12g}"),
-                    "E_numeric_im": float(f"{numeric.imag:.12g}"),
-                    "abs_err": float(f"{err:.12g}"),
-                }
-                for value, n_plus, n_minus, analytic, numeric, err in rows
-            ],
-            "failures": failures,
-        }
+        payload = {"param": args.param, "rows": rows, "failures": failures}
         _write_output(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
@@ -497,10 +376,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float)
     parser.add_argument("--eta", type=float)
     parser.add_argument("--tau", type=float)
-    parser.add_argument("--cutoff", type=int)
-    parser.add_argument("--format", choices=("csv", "json"))
     parser.add_argument("--out", help="output path; '-' or omitted for stdout")
-    parser.add_argument("--policy", help="default | cross | undeformed | JSON")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="one-parameter scan of the spectrum")
     _add_common(p_sweep)
-    p_sweep.add_argument("--param", required=True, help=f"one of {', '.join(_SWEEPABLE)}")
+    p_sweep.add_argument("--param", required=True, help=f"one of {', '.join(PARAMS)}")
     p_sweep.add_argument("--from", dest="sweep_from", type=float)
     p_sweep.add_argument("--to", dest="sweep_to", type=float)
     p_sweep.add_argument("--steps", type=int)
@@ -539,6 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_unc.add_argument("--kick-max", dest="kick_max", type=float)
     p_unc.add_argument("--kick-steps", dest="kick_steps", type=int)
     p_unc.add_argument("--center", type=float)
+
+    # Each subcommand takes only the flags it reads.
+    for p in (p_verify, p_spec, p_sweep):
+        p.add_argument("--cutoff", type=int)
+    for p in (p_spec, p_sweep):
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--policy", help="default | cross | undeformed | JSON")
     return parser
 
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .algebra import Expression, MixedAlphabetError
+from .algebra import PARAMS, Expression, MixedAlphabetError, Scalar
 from .hamiltonian import h_core, h_tau, h_theta_eta
 
 
@@ -35,8 +35,8 @@ class ParameterPoint:
     """Numeric values of the physical parameters.
 
     All six must be finite and hbar, m, omega positive; the deformation
-    parameters theta, eta, tau are meant to be small.  Derived quantities
-    are recomputed on access, never stored.
+    parameters theta, eta, tau are meant to be small.  The fields follow
+    the parameter order of ``algebra.PARAMS``.
     """
 
     hbar: float = 1.0
@@ -54,33 +54,8 @@ class ParameterPoint:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
-    @property
-    def kappa(self) -> float:
-        return math.sqrt(
-            1 + self.m**2 * self.omega**2 * self.theta**2 / (4 * self.hbar**2)
-        )
-
-    @property
-    def omega_r(self) -> float:
-        return self.omega * math.sqrt(
-            1 + self.eta**2 / (4 * self.m**2 * self.omega**2 * self.hbar**2)
-        )
-
-    @property
-    def m_r(self) -> float:
-        # Taken verbatim from the source coefficient table; its dimensional
-        # status is dubious but nothing downstream consumes it.
-        return 1.0 / (1.0 / self.m + self.m * self.omega**2 * self.theta**2 / (2 * self.hbar))
-
     def values(self) -> dict:
-        return {
-            "hbar": self.hbar,
-            "m": self.m,
-            "omega": self.omega,
-            "theta": self.theta,
-            "eta": self.eta,
-            "tau": self.tau,
-        }
+        return {name: getattr(self, name) for name in PARAMS}
 
 
 class FockBasis:
@@ -156,26 +131,27 @@ def evaluate(e: Expression, basis: FockBasis, p: ParameterPoint) -> np.ndarray:
     Each word becomes the corresponding chain of sparse matrix products;
     scalars are evaluated at the parameter point, and the sum is densified
     once at the end.  Noncommutative-alphabet input is rejected: push it
-    through the Bopp shift first.
+    through the Bopp shift first.  A parameter point that overflows a
+    matrix entry raises NumericError.
     """
     if e.alphabet == "noncommutative":
         raise MixedAlphabetError(
             "cannot evaluate a noncommutative-alphabet expression; "
             "substitute through the Bopp shift first"
         )
-    mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, p)))
     values = p.values()
     d = basis.dimension
     out = scipy.sparse.csr_matrix((d, d), dtype=complex)
-    for (word, powers), coef in e.sorted_terms():
-        prod = scipy.sparse.identity(d, dtype=complex, format="csr")
-        for g in word:
-            prod = prod @ mats[g]
-        scalar = complex(coef)
-        for name, exp in zip(("hbar", "m", "omega", "theta", "eta", "tau"), powers):
-            if exp:
-                scalar *= values[name] ** exp
-        out = out + scalar * prod
+    # Overflowing entries are caught below, so numpy need not warn of them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, p)))
+        for (word, powers), coef in e.sorted_terms():
+            prod = scipy.sparse.identity(d, dtype=complex, format="csr")
+            for g in word:
+                prod = prod @ mats[g]
+            out = out + Scalar(coef, powers).evaluate(values) * prod
+    if not np.isfinite(out.data).all():
+        raise NumericError("matrix entries overflow at this parameter point")
     return out.toarray()
 
 
@@ -321,10 +297,6 @@ def spectrum(p: ParameterPoint, cutoff: int, hamiltonian: Expression) -> LevelTa
     return classify(diagonalize(matrix), basis, p)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 LEVEL_COLUMNS = (
     "n_plus",
     "n_minus",
@@ -337,40 +309,40 @@ LEVEL_COLUMNS = (
 )
 
 
-def level_table_csv(table: LevelTable) -> str:
-    lines = [",".join(LEVEL_COLUMNS)]
-    for row in table.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n_plus),
-                    str(row.n_minus),
-                    _fmt(row.e_analytic),
-                    _fmt(row.e_numeric.real),
-                    _fmt(row.e_numeric.imag),
-                    _fmt(abs(row.e_numeric - row.e_analytic)),
-                    _fmt(row.residual),
-                    _fmt(row.overlap),
-                ]
-            )
-        )
+def level_fields(row: LevelRow) -> dict:
+    """One row's LEVEL_COLUMNS: the two labels, then every number rounded to
+    the wire precision of 12 significant digits.
+
+    The JSON formats print these values as they are and the CSV formats
+    print each with ``.12g``, which gives back the rounded text exactly.
+    """
+    numbers = (
+        row.e_analytic,
+        row.e_numeric.real,
+        row.e_numeric.imag,
+        abs(row.e_numeric - row.e_analytic),
+        row.residual,
+        row.overlap,
+    )
+    return dict(
+        zip(LEVEL_COLUMNS, (row.n_plus, row.n_minus, *(float(f"{x:.12g}") for x in numbers)))
+    )
+
+
+def csv_text(columns: Sequence[str], records: Iterable[dict]) -> str:
+    """A header line of ``columns``, then one line per record: its values in
+    that order, each printed with ``.12g``."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(f"{record[c]:.12g}" for c in columns) for record in records)
     return "\n".join(lines) + "\n"
 
 
+def level_table_csv(table: LevelTable) -> str:
+    return csv_text(LEVEL_COLUMNS, map(level_fields, table.rows))
+
+
 def level_table_json(table: LevelTable) -> list:
-    return [
-        {
-            "n_plus": row.n_plus,
-            "n_minus": row.n_minus,
-            "E_analytic": float(_fmt(row.e_analytic)),
-            "E_numeric_re": float(_fmt(row.e_numeric.real)),
-            "E_numeric_im": float(_fmt(row.e_numeric.imag)),
-            "abs_err": float(_fmt(abs(row.e_numeric - row.e_analytic))),
-            "residual": float(_fmt(row.residual)),
-            "overlap": float(_fmt(row.overlap)),
-        }
-        for row in table.rows
-    ]
+    return [level_fields(row) for row in table.rows]
 
 
 # ---------------------------------------------------------------------------

@@ -19,30 +19,20 @@ from .algebra import (
     CANONICAL,
     DEFAULT_POLICY,
     Expression,
-    Scalar,
     TruncationPolicy,
     normal_order,
-    powers_of,
     truncate,
 )
 from .maps import BOPP, SubstitutionMap, named_operator, substitute
-from .rationals import GaussianRational
-
-
-def _scalar(value, **exponents: int) -> Scalar:
-    if isinstance(value, tuple):
-        value = GaussianRational(*value)
-    else:
-        value = GaussianRational(value)
-    return Scalar(value, powers_of(**exponents))
+from .rationals import GR_I
 
 
 def h_core() -> Expression:
     """The undeformed isotropic oscillator."""
     q1, q2 = Expression.generator("q1"), Expression.generator("q2")
     pi1, pi2 = Expression.generator("pi1"), Expression.generator("pi2")
-    kinetic = (pi1 * pi1 + pi2 * pi2) * _scalar(Fraction(1, 2), m=-1)
-    potential = (q1 * q1 + q2 * q2) * _scalar(Fraction(1, 2), m=1, omega=2)
+    kinetic = (pi1 * pi1 + pi2 * pi2) * Expression.from_scalar(Fraction(1, 2), m=-1)
+    potential = (q1 * q1 + q2 * q2) * Expression.from_scalar(Fraction(1, 2), m=1, omega=2)
     return kinetic + potential
 
 
@@ -51,9 +41,10 @@ def h_theta_eta() -> Expression:
     q1, q2 = Expression.generator("q1"), Expression.generator("q2")
     pi1, pi2 = Expression.generator("pi1"), Expression.generator("pi2")
     angular = q2 * pi1 - q1 * pi2
-    coefficient = Expression.from_scalar(
-        _scalar(Fraction(1, 2), eta=1, m=-1, hbar=-1)
-    ) + Expression.from_scalar(_scalar(Fraction(1, 2), m=1, omega=2, theta=1, hbar=-1))
+    half = Fraction(1, 2)
+    coefficient = Expression.from_scalar(half, eta=1, m=-1, hbar=-1) + Expression.from_scalar(
+        half, m=1, omega=2, theta=1, hbar=-1
+    )
     return coefficient * angular
 
 
@@ -61,9 +52,9 @@ def h_tau() -> Expression:
     """The first-order position-dependent (non-Hermitian) correction."""
     q1, q2 = Expression.generator("q1"), Expression.generator("q2")
     pi2 = Expression.generator("pi2")
-    quartic = (q2 * q2 * q1 * q1) * _scalar(1, tau=1, m=1, omega=2)
-    linear = (q2 * pi2) * _scalar((0, -1), tau=1, hbar=1, m=-1)
-    squared = (q2 * q2 * pi2 * pi2) * _scalar(1, tau=1, m=-1)
+    quartic = (q2 * q2 * q1 * q1) * Expression.from_scalar(1, tau=1, m=1, omega=2)
+    linear = (q2 * pi2) * Expression.from_scalar(-GR_I, tau=1, hbar=1, m=-1)
+    squared = (q2 * q2 * pi2 * pi2) * Expression.from_scalar(1, tau=1, m=-1)
     return quartic + linear + squared
 
 
@@ -80,8 +71,8 @@ def build_hamiltonian(
     """
     X, Y = named_operator("X"), named_operator("Y")
     Px, Py = named_operator("Px"), named_operator("Py")
-    kinetic = (Px * Px + Py * Py) * _scalar(Fraction(1, 2), m=-1)
-    potential = (X * X + Y * Y) * _scalar(Fraction(1, 2), m=1, omega=2)
+    kinetic = (Px * Px + Py * Py) * Expression.from_scalar(Fraction(1, 2), m=-1)
+    potential = (X * X + Y * Y) * Expression.from_scalar(Fraction(1, 2), m=1, omega=2)
     canonical = substitute(kinetic + potential, bopp)
     return truncate(canonical, policy)
 

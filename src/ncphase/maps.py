@@ -26,9 +26,7 @@ from .algebra import (
     Scalar,
     TABLES,
     normal_order,
-    powers_of,
 )
-from .rationals import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -57,17 +55,13 @@ def substitute(e: Expression, mapping: SubstitutionMap) -> Expression:
     return normal_order(out, table)
 
 
-def _half(**exponents: int) -> Scalar:
-    return Scalar(GaussianRational(Fraction(1, 2)), powers_of(**exponents))
-
-
 def _make_bopp(sign: int = 1) -> SubstitutionMap:
     q1 = Expression.generator("q1")
     q2 = Expression.generator("q2")
     pi1 = Expression.generator("pi1")
     pi2 = Expression.generator("pi2")
-    theta_over_2hbar = _half(theta=1, hbar=-1)
-    eta_over_2hbar = _half(eta=1, hbar=-1)
+    theta_over_2hbar = Expression.from_scalar(Fraction(1, 2), theta=1, hbar=-1)
+    eta_over_2hbar = Expression.from_scalar(Fraction(1, 2), eta=1, hbar=-1)
     return SubstitutionMap(
         name="bopp" if sign == 1 else "bopp-flipped",
         target="canonical",
@@ -93,8 +87,7 @@ def _make_capital_map() -> SubstitutionMap:
     y = Expression.generator("y")
     px = Expression.generator("px")
     py = Expression.generator("py")
-    tau = Scalar(GaussianRational(1), powers_of(tau=1))
-    deformation = Expression.from_scalar(1) + (y * y) * tau
+    deformation = Expression.from_scalar(1) + (y * y) * Expression.from_scalar(1, tau=1)
     return SubstitutionMap(
         name="capitals",
         target="noncommutative",

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Expression, Scalar, powers_of
-from .rationals import GR_I, GaussianRational
+from .algebra import PARAMS, Expression
+from .rationals import GR_I
 
 _GENERATORS = ("q1", "q2", "pi1", "pi2", "x", "y", "px", "py")
-_PARAMETERS = ("hbar", "m", "omega", "theta", "eta", "tau")
 _NAMED = ("X", "Y", "Px", "Py")
 
 
@@ -184,8 +183,8 @@ class _Parser:
             return Expression.generator(name)
         if name == "i":
             return Expression.from_scalar(GR_I)
-        if name in _PARAMETERS:
-            return Expression.from_scalar(Scalar(GaussianRational(1), powers_of(**{name: 1})))
+        if name in PARAMS:
+            return Expression.from_scalar(1, **{name: 1})
         if name in _NAMED:
             return self.named_operators[name]
         raise UnknownSymbolError(name, tok.pos)

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,6 +40,58 @@ def test_verify_reports_and_exit_code(tmp_path, capsys):
     assert [c["status"] for c in diag] == ["fail", "pass", "fail", "fail"]
     assert code == EXIT_VERIFY_FAILED
     assert "first failing identity" in stderr
+
+
+# The whole symbolic and symmetry part of `verify --cutoff 8`, in report order.
+PINNED_VERIFY_ROWS = [
+    ("flat-closure", "[x, y]", "pass", "0"),
+    ("flat-closure", "[x, px]", "known", "0"),
+    ("flat-closure", "[y, py]", "known", "0"),
+    ("flat-closure", "[px, py]", "pass", "0"),
+    ("flat-closure", "[x, py]", "pass", "0"),
+    ("flat-closure", "[y, px]", "pass", "0"),
+    ("deformed-closure", "[X, Y]", "pass", "0"),
+    ("deformed-closure", "[X, Px]", "pass", "0"),
+    ("deformed-closure", "[Y, Py]", "pass", "0"),
+    ("deformed-closure", "[X, Py]", "pass", "0"),
+    ("deformed-closure", "[Px, Py]", "pass", "0"),
+    ("deformed-closure", "[Y, Px]", "pass", "0"),
+    ("jacobi", "(Y, Px, Py)", "pass", "0"),
+    ("jacobi", "(X, Px, Py)", "pass", "0"),
+    ("jacobi", "(X, Y, Py)", "pass", "0"),
+    ("jacobi", "(X, Y, Px)", "pass", "0"),
+    ("adjoint", "X^dag = X + 2 i tau theta Y", "pass", "0"),
+    ("adjoint", "Y^dag = Y", "pass", "0"),
+    ("adjoint", "Px^dag = Px", "pass", "0"),
+    ("adjoint", "Py^dag = Py - 2 i tau hbar Y", "pass", "0"),
+    ("hamiltonian", "default truncation equals the three named pieces", "pass", "0"),
+    ("symmetry", "PthetaetaT preserves [x, y]", "pass", "0"),
+    ("symmetry", "PthetaetaT preserves [x, px]", "pass", "0"),
+    ("symmetry", "PthetaetaT preserves [x, py]", "pass", "0"),
+    ("symmetry", "PthetaetaT preserves [y, px]", "pass", "0"),
+    ("symmetry", "PthetaetaT preserves [y, py]", "pass", "0"),
+    ("symmetry", "PthetaetaT preserves [px, py]", "pass", "0"),
+    ("symmetry", "full Hamiltonian invariant under PthetaetaT", "pass", "is_invariant=True"),
+    ("symmetry", "angular coupling anti-invariant under PT", "pass", "is_invariant=False"),
+    ("symmetry", "tau correction invariant under PT", "pass", "is_invariant=True"),
+]
+
+
+def test_verify_report_is_pinned(capsys):
+    code, stdout, _e = run(["verify", "--cutoff", "8"], capsys)
+    assert code == EXIT_VERIFY_FAILED
+    report = json.loads(stdout)
+    assert all(list(c) == ["suite", "name", "status", "residual"] for c in report["checks"])
+    rows = [tuple(c.values()) for c in report["checks"]]
+    assert rows[:30] == PINNED_VERIFY_ROWS
+    # The diagonal residuals are roundoff-level measurements: name and status only.
+    assert [row[:3] for row in rows[30:]] == [
+        ("diagonal-identities", "diag(m omega^2 q2^2 q1^2)", "fail"),
+        ("diagonal-identities", "diag(-(i hbar/m) q2 pi2)", "pass"),
+        ("diagonal-identities", "diag((1/m) q2^2 pi2^2)", "fail"),
+        ("diagonal-identities", "diag sum vs closed-form level shift", "fail"),
+    ]
+    assert (report["passed"], report["failed"], report["all_pass"]) == (31, 3, False)
 
 
 def test_verify_fault_drill_flips_the_closure(tmp_path, capsys):
@@ -300,9 +353,22 @@ def test_sweep_exit_code_contract(param, flags, capsys):
 
 def test_float_overflow_is_a_numeric_failure(capsys):
     # mass 5e-324 is positive and finite, but m^-1 overflows a float power.
-    code, _o, err = run(["spectrum", "--cutoff", "4", "--mass", "5e-324"], capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _o, err = run(["spectrum", "--cutoff", "4", "--mass", "5e-324"], capsys)
     assert code == EXIT_NUMERIC
     assert err.startswith("numeric failure: OverflowError") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+
+
+def test_overflowing_matrix_is_a_numeric_failure(capsys):
+    # hbar 1e300 overflows the ladder products without a float power error.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _o, err = run(["spectrum", "--cutoff", "4", "--hbar", "1e300"], capsys)
+    assert code == EXIT_NUMERIC
+    assert err == "numeric failure: matrix entries overflow at this parameter point\n"
+    assert [str(w.message) for w in caught] == []
 
 
 def test_uncertainty_rejects_bad_scan_flags(capsys):
@@ -413,6 +479,42 @@ def test_policy_keyword_and_json(capsys):
 def test_bad_policy_is_usage_error(capsys):
     code, _o, err = run(["spectrum", "--policy", "nonsense"], capsys)
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", [["spectrum"], ["sweep", "--param", "tau", "--steps", "2"]])
+@pytest.mark.parametrize("policy", [
+    "5",
+    "[1]",
+    '"default"',
+    '{"caps": 3}',
+    '{"caps": {"theta": "x"}}',
+    '{"caps": {"theta": 1.5}}',
+    '{"caps": {"theta": true}}',
+    '{"caps": {"bogus": 1}}',
+    '{"forbidden": {"theta": 1}}',
+    '{"forbidden": [3]}',
+    '{"forbidden": [{"bogus": 1}]}',
+    '{"forbidden": [{"tau": "1"}]}',
+    '{"cap": {"theta": 1}}',
+])
+def test_malformed_policy_is_usage_error(command, policy, capsys):
+    code, _o, err = run(command + ["--cutoff", "4", "--policy", policy], capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--format", "json"],
+    ["verify", "--policy", "cross"],
+    ["uncertainty", "--format", "csv"],
+    ["uncertainty", "--policy", "cross"],
+    ["uncertainty", "--cutoff", "8"],
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_argparse_usage_exit_code():

@@ -18,7 +18,6 @@ from ncphase.algebra import (
     TruncationPolicy,
     UNDEFORMED_POLICY,
     formal_adjoint,
-    multiply,
     normal_order,
     powers_of,
     truncate,
@@ -43,13 +42,13 @@ def test_like_terms_collect_and_zeros_vanish():
 
 def test_multiply_concatenates_words():
     q1, pi1 = Expression.generator("q1"), Expression.generator("pi1")
-    prod = multiply(q1, pi1)
+    prod = q1 * pi1
     assert prod.terms == {(("q1", "pi1"), powers_of()): GaussianRational(1)}
 
 
 def test_multiply_distributes():
     x, y = Expression.generator("x"), Expression.generator("y")
-    prod = multiply(x + y, x)
+    prod = (x + y) * x
     assert prod == Expression.word(("x", "x")) + Expression.word(("y", "x"))
 
 
@@ -57,19 +56,31 @@ def test_coefficient_exponents_add():
     y = Expression.generator("y")
     theta_y = y * Scalar(GaussianRational(1), powers_of(theta=1))
     tau_y = y * Scalar(GaussianRational(1), powers_of(tau=1))
-    prod = multiply(theta_y, tau_y)
+    prod = theta_y * tau_y
     assert prod.terms == {(("y", "y"), powers_of(theta=1, tau=1)): GaussianRational(1)}
 
 
 def test_mixed_alphabet_rejected():
     with pytest.raises(MixedAlphabetError):
-        multiply(Expression.generator("q1"), Expression.generator("x"))
+        Expression.generator("q1") * Expression.generator("x")
 
 
 def test_negative_exponents_only_for_dimensional_parameters():
     Scalar(GaussianRational(1), powers_of(hbar=-2, m=-1, omega=-1))  # fine
     with pytest.raises(AlgebraError):
         Scalar(GaussianRational(1), powers_of(theta=-1))
+
+
+def test_from_scalar_takes_a_parameter_monomial():
+    assert Expression.from_scalar(GR_I, theta=1) == i_times(theta=1)
+    assert Expression.from_scalar(Fraction(1, 2), m=1, omega=2) == parse("1/2*m*omega^2")
+    # the exponents multiply into a scalar that already carries a monomial
+    tau = Scalar(GaussianRational(3), powers_of(tau=1))
+    assert Expression.from_scalar(tau, tau=1, hbar=-1) == Expression.from_scalar(
+        Scalar(GaussianRational(3), powers_of(tau=2, hbar=-1))
+    )
+    with pytest.raises(AlgebraError):
+        Expression.from_scalar(1, theta=-1)
 
 
 def test_power_operator():
@@ -148,8 +159,8 @@ def test_associativity_survives_reduction(alphabet):
         a = _random_expression(rng, alphabet, max_terms=2, max_len=3)
         b = _random_expression(rng, alphabet, max_terms=2, max_len=3)
         c = _random_expression(rng, alphabet, max_terms=2, max_len=3)
-        left = normal_order(multiply(multiply(a, b), c), table)
-        right = normal_order(multiply(a, multiply(b, c)), table)
+        left = normal_order((a * b) * c, table)
+        right = normal_order(a * (b * c), table)
         assert left == right
 
 
@@ -170,9 +181,7 @@ def test_adjoint_involution_and_antihomomorphism():
             a = _random_expression(rng, alphabet, max_terms=3, max_len=3)
             b = _random_expression(rng, alphabet, max_terms=3, max_len=3)
             assert formal_adjoint(formal_adjoint(a)) == a
-            assert formal_adjoint(multiply(a, b)) == multiply(
-                formal_adjoint(b), formal_adjoint(a)
-            )
+            assert formal_adjoint(a * b) == formal_adjoint(b) * formal_adjoint(a)
 
 
 def test_generators_self_adjoint():

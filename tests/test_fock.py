@@ -7,6 +7,7 @@ Gaussian vacuum moments) and are frozen here; they are what the truncated
 realization actually produces on interior states.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from ncphase.algebra import CANONICAL, commutator, normal_order
+from ncphase.algebra import CANONICAL, PARAMS, commutator, normal_order
 from ncphase.fock import (
     FockBasis,
     ParameterPoint,
@@ -27,6 +28,7 @@ from ncphase.fock import (
     diagonalize,
     evaluate,
     level_table_csv,
+    level_table_json,
     spectrum,
 )
 from ncphase.hamiltonian import build_hamiltonian, h_core, h_tau, h_theta_eta
@@ -46,13 +48,6 @@ def test_parameter_validation():
         ParameterPoint(theta=float("nan"))
     with pytest.raises(ValueError, match="hbar must be finite"):
         ParameterPoint(hbar=float("inf"))
-
-
-def test_derived_parameters():
-    p = ParameterPoint(hbar=2.0, m=3.0, omega=1.5, theta=0.1, eta=0.2)
-    assert p.kappa == pytest.approx(math.sqrt(1 + 9 * 2.25 * 0.01 / 16))
-    assert p.omega_r == pytest.approx(1.5 * math.sqrt(1 + 0.04 / (4 * 9 * 2.25 * 4)))
-    assert p.m_r == pytest.approx(1 / (1 / 3 + 3 * 2.25 * 0.01 / 4))
 
 
 # -- basis ----------------------------------------------------------------------
@@ -374,6 +369,26 @@ def test_level_table_csv_format():
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
     assert float(first[2]) == pytest.approx(1.005)
+
+
+
+def test_level_table_csv_and_json_carry_the_same_fields():
+    # Both formats come from one row formatter: the CSV text is each JSON
+    # value printed to 12 significant digits.
+    p = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
+    table = spectrum(p, 6, build_hamiltonian())
+    lines = level_table_csv(table).strip().split("\n")
+    records = level_table_json(table)
+    assert len(lines) == len(records) + 1
+    for line, record in zip(lines[1:], records):
+        assert list(record) == lines[0].split(",")
+        assert line == ",".join(f"{value:.12g}" for value in record.values())
+        assert isinstance(record["n_plus"], int) and isinstance(record["overlap"], float)
+
+
+def test_parameter_point_fields_follow_the_parameter_order():
+    assert tuple(f.name for f in dataclasses.fields(ParameterPoint)) == PARAMS
+    assert tuple(ParameterPoint().values()) == PARAMS
 
 
 # -- exact diagonals of the tau-sector pieces (oracle-frozen closed forms) ----------
