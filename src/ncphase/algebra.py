@@ -12,9 +12,11 @@ Two generator alphabets exist and never mix inside a word:
   [x, y] = i*theta, [x, px] = [y, py] = i*hbar, [px, py] = i*eta,
   [x, py] = [y, px] = 0
 
-Normal ordering rewrites every word to nondecreasing generator rank using
-the rule  g_i g_j -> g_j g_i + [g_i, g_j]  (rank g_i > rank g_j), which
-terminates because all commutators are central.
+Normal ordering brings every word to nondecreasing generator rank by
+building it letter by letter from a product that is already ordered: a new
+letter goes into its sorted place, and passing each higher-ranked letter s
+leaves the central [s, g] times the word without s, which is still sorted.
+Words that share a prefix share its ordered product.
 """
 
 from __future__ import annotations
@@ -404,43 +406,99 @@ TABLES = {"canonical": CANONICAL, "noncommutative": NONCOMMUTATIVE}
 # ---------------------------------------------------------------------------
 
 
-def normal_order(e: Expression, table: AlgebraTable) -> Expression:
-    """Rewrite every word to nondecreasing generator rank.
+def _accumulate(out: dict, key, coef: GaussianRational) -> None:
+    acc = out.get(key)
+    out[key] = coef if acc is None else acc + coef
 
-    Fixed point of g_i g_j -> g_j g_i + [g_i, g_j] for rank(g_i) > rank(g_j).
-    Total on valid input: each swap removes an inversion and each commutator
-    branch shortens the word.
+
+def _add_scaled(out: dict, form: dict, coef: GaussianRational, powers: Powers) -> None:
+    """Add coef * (parameter monomial) * form into ``out``, word by word."""
+    if coef == GR_ONE and powers == ZERO_POWERS:  # e.g. the q1 of x = q1 - ...
+        for key, c in form.items():
+            _accumulate(out, key, c)
+        return
+    for (word, p), c in form.items():
+        _accumulate(out, (word, _add_powers(p, powers)), c * coef)
+
+
+def _append(form: dict, g: str, table: AlgebraTable) -> dict:
+    """The normal-ordered product form * g, for a normal-ordered ``form``.
+
+    g goes into its sorted place in each word u = s_1...s_k.  Moving it left
+    past each letter s_i of higher rank leaves the central [s_i, g] times u
+    without s_i, a word that is still sorted, so no term needs re-sorting.
     """
-    if e.alphabet is not None and e.alphabet != table.name:
+    r = _RANK[g]
+    out: dict = {}
+    for (word, powers), coef in form.items():
+        j = len(word)
+        while j and _RANK[word[j - 1]] > r:
+            j -= 1
+        _accumulate(out, (word[:j] + (g,) + word[j:], powers), coef)
+        for i in range(j, len(word)):
+            comm = table.entries.get((word[i], g))
+            if comm is not None:
+                rest = word[:i] + word[i + 1 :]
+                for (_scalar, p), c in comm.terms.items():
+                    _accumulate(out, (rest, _add_powers(powers, p)), coef * c)
+    return out
+
+
+def _times_image(form: dict, image: Expression, table: AlgebraTable) -> dict:
+    """The normal-ordered product form * image, one image word at a time."""
+    out: dict = {}
+    for (word, powers), coef in image.terms.items():
+        part = form
+        for g in word:
+            part = _append(part, g, table)
+        _add_scaled(out, part, coef, powers)
+    return out
+
+
+def _image_of(images: Mapping[str, Expression], g: str, table: AlgebraTable) -> Expression:
+    image = images.get(g)
+    if image is None:
+        raise MissingImageError(f"no image for generator {g!r}")
+    if image.alphabet not in (None, table.name):
+        raise MixedAlphabetError(
+            f"image of {g!r} over {image.alphabet!r} cannot be ordered by the "
+            f"{table.name!r} table"
+        )
+    return image
+
+
+def normal_order(e: Expression, table: AlgebraTable,
+                 images: Optional[Mapping[str, Expression]] = None) -> Expression:
+    """Rewrite every word to nondecreasing generator rank, after replacing
+    each generator g by ``images[g]`` when a mapping is given.
+
+    The words are walked in sorted order as a prefix trie: forms[k] is the
+    normal-ordered product of the first k letters (or their images) of the
+    current word, shared by every word with that prefix, and each letter is
+    appended by ``_append``, which keeps the product ordered.  A word ends
+    by adding its form times the term's coefficient and parameter powers.
+    """
+    if images is None and e.alphabet not in (None, table.name):
         raise MixedAlphabetError(
             f"expression over {e.alphabet!r} cannot be ordered by the "
             f"{table.name!r} table"
         )
     out: dict = {}
-    stack = list(e.terms.items())
-    while stack:
-        (word, powers), coef = stack.pop()
-        swap = None
-        for i in range(len(word) - 1):
-            if rank(word[i]) > rank(word[i + 1]):
-                swap = i
-                break
-        if swap is None:
-            acc = out.get((word, powers))
-            total = coef if acc is None else acc + coef
-            if total.is_zero():
-                out.pop((word, powers), None)
+    forms = [{((), ZERO_POWERS): GR_ONE}]
+    previous: Word = ()
+    for (word, powers), coef in sorted(e.terms.items(), key=lambda item: item[0][0]):
+        k = 0
+        while k < len(word) and k < len(previous) and word[k] == previous[k]:
+            k += 1
+        del forms[k + 1 :]
+        for g in word[k:]:
+            if images is None:
+                forms.append(_append(forms[-1], g, table))
             else:
-                out[(word, powers)] = total
-            continue
-        a, b = word[swap], word[swap + 1]
-        stack.append(((word[:swap] + (b, a) + word[swap + 2 :], powers), coef))
-        comm = table.commutator_of(a, b)
-        if not comm.is_zero():
-            rest = word[:swap] + word[swap + 2 :]
-            for (w2, p2), c2 in comm.terms.items():
-                stack.append(((rest + w2, _add_powers(powers, p2)), coef * c2))
-    return Expression(e.alphabet, out)
+                forms.append(_times_image(forms[-1], _image_of(images, g, table), table))
+        _add_scaled(out, forms[-1], coef, powers)
+        previous = word
+    return Expression(table.name, out)
 
 
 def commutator(a: Expression, b: Expression, table: AlgebraTable) -> Expression:

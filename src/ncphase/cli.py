@@ -159,6 +159,7 @@ def _verify_cases(bopp: SubstitutionMap, cutoff: int, point: ParameterPoint) -> 
 
 
 def cmd_verify(args) -> int:
+    _check_cutoff(args.cutoff)
     bopp = flipped_bopp() if args.debug_flip_epsilon else BOPP
     point = _point_from_args(args)
     checks = []
@@ -429,8 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
 _CONFIG_KINDS = {float: "a number", int: "an integer", str: "a string"}
 
 
-def _read_config(path: str) -> dict:
-    """Load a JSON config object, checking every key and the type of its value."""
+def _read_config(path: str, args: argparse.Namespace) -> dict:
+    """Load a JSON config object, checking that the subcommand reads every key
+    and the type of each value."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
@@ -444,6 +446,8 @@ def _read_config(path: str) -> dict:
         name = key.replace("-", "_")
         if name not in _DEFAULTS:
             raise UsageError(f"unknown config key {key!r}")
+        if not hasattr(args, name):
+            raise UsageError(f"{args.command} does not read config key {key!r}")
         kind = type(_DEFAULTS[name]) if _DEFAULTS[name] is not None else str
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
@@ -453,7 +457,7 @@ def _read_config(path: str) -> dict:
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset flags from the optional JSON config, then from defaults."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
+    config = _read_config(args.config, args) if getattr(args, "config", None) else {}
     for key, default in _DEFAULTS.items():
         if not hasattr(args, key):
             continue

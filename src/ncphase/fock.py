@@ -187,13 +187,17 @@ def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
     back at full length.
 
     Every returned pair satisfies ||H v - lambda v|| <= residual_factor
-    times ||H||; a violation (or LAPACK non-convergence) raises
-    NumericError.
+    times ||H||; a violation, a non-finite norm or residual, or LAPACK
+    non-convergence raises NumericError.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
     d = h.shape[0]
-    bound = residual_factor * max(np.linalg.norm(h), 1.0)
+    # An overflowing norm or residual is reported below, not by numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = residual_factor * max(np.linalg.norm(h), 1.0)
+    if not math.isfinite(bound):
+        raise NumericError("matrix norm overflows at this parameter point")
     # csgraph would copy a dense input as float, dropping imaginary parts.
     n_blocks, labels = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(h != 0), directed=False
@@ -209,9 +213,10 @@ def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
             raise NumericError(f"eigensolver did not converge: {exc}") from exc
         vectors = vectors / np.linalg.norm(vectors, axis=0)
-        residuals = np.linalg.norm(block @ vectors - vectors * values, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = np.linalg.norm(block @ vectors - vectors * values, axis=0)
         worst = float(residuals.max())
-        if worst > bound:
+        if not worst <= bound:  # a NaN residual fails too
             raise NumericError(
                 f"eigenpair residual {worst:.3e} exceeds "
                 f"{residual_factor:.1e} * ||H||"
@@ -361,11 +366,13 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
     products are truncation-exact.  The fourth row checks that the three
     diagonals sum to the closed-form level shift.
     """
-    q1, q2, pi1, pi2 = build_phase_space(basis, p)
     hbar, m, omega = p.hbar, p.m, p.omega
-    quartic = m * omega**2 * (q2 @ q2 @ q1 @ q1)
-    linear = -(1j * hbar / m) * (q2 @ pi2)
-    squared = (1 / m) * (q2 @ q2 @ pi2 @ pi2)
+    # Overflowing entries are caught below, so numpy need not warn of them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, q2, pi1, pi2 = build_phase_space(basis, p)
+        quartic = m * omega**2 * (q2 @ q2 @ q1 @ q1)
+        linear = -(1j * hbar / m) * (q2 @ pi2)
+        squared = (1 / m) * (q2 @ q2 @ pi2 @ pi2)
     interior = basis.interior(4)
     states = [s for s, keep in zip(basis.states, interior) if keep]
     idx = np.flatnonzero(interior)
@@ -403,6 +410,8 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
         for state, k in zip(states, idx):
             expected = formula(*state)
             err = abs(diag[k] - expected) / max(abs(expected), 1e-300)
+            if not math.isfinite(err):
+                raise NumericError(f"{name} overflows at this parameter point")
             if err > worst:
                 worst, worst_state = err, state
         rows.append(

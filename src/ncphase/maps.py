@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import (
-    Expression,
-    MissingImageError,
-    Scalar,
-    TABLES,
-    normal_order,
-)
+from .algebra import Expression, MissingImageError, TABLES, normal_order
 
 
 @dataclass(frozen=True)
@@ -39,20 +33,12 @@ class SubstitutionMap:
 
 
 def substitute(e: Expression, mapping: SubstitutionMap) -> Expression:
-    """Homomorphic replacement followed by normal ordering in the target."""
-    table = TABLES[mapping.target]
-    out = Expression.zero()
-    for (word, powers), coef in e.terms.items():
-        factor = Expression.from_scalar(Scalar(coef, powers))
-        for g in word:
-            image = mapping.images.get(g)
-            if image is None:
-                raise MissingImageError(
-                    f"map {mapping.name!r} has no image for generator {g!r}"
-                )
-            factor = factor * image
-        out = out + factor
-    return normal_order(out, table)
+    """Homomorphic replacement followed by normal ordering in the target.
+
+    The images are multiplied in word by word while the product is kept
+    normal-ordered, so the unordered expansion is never built.
+    """
+    return normal_order(e, TABLES[mapping.target], mapping.images)
 
 
 def _make_bopp(sign: int = 1) -> SubstitutionMap:

@@ -106,6 +106,27 @@ def test_verify_fault_drill_flips_the_closure(tmp_path, capsys):
     assert flat["[px, py]"] == "fail"
 
 
+def test_verify_checks_its_cutoff(tmp_path, capsys):
+    # Below cutoff 4 no state is interior, so the diagonal rows would pass vacuously.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"cutoff": 3}))
+    for argv in (["verify", "--cutoff", "3"], ["verify", "--config", str(config)]):
+        code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (EXIT_USAGE, "")
+        assert err == "usage error: --cutoff must be at least 4\n"
+
+
+def test_overflowing_diagonal_is_a_numeric_failure(capsys):
+    # 1/m overflows, so the measured diagonals are not finite: no vacuous pass.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run(["verify", "--cutoff", "5", "--mass", "5e-324"], capsys)
+    assert (code, stdout) == (EXIT_NUMERIC, "")
+    assert err == ("numeric failure: diag(m omega^2 q2^2 q1^2) overflows "
+                   "at this parameter point\n")
+    assert [str(w.message) for w in caught] == []
+
+
 # -- spectrum ----------------------------------------------------------------------
 
 
@@ -302,9 +323,12 @@ NUMBERS = st.one_of(
 )
 
 
-def assert_exit_contract(code, stdout, err):
-    """0 with a report free of NaN, or 2/3 with a one-line message."""
-    if code == EXIT_OK:
+def assert_exit_contract(code, stdout, err, verdict=False):
+    """0 with a report free of NaN, or 2/3 with a one-line message.  With
+    ``verdict``, also 1 with a NaN-free report and its one-line verdict."""
+    if verdict and code == EXIT_VERIFY_FAILED:
+        assert err.startswith("first failing identity: ") and err.count("\n") == 1
+    if code == EXIT_OK or (verdict and code == EXIT_VERIFY_FAILED):
         def no_nan(constant):
             assert constant != "NaN"
             return float(constant)
@@ -351,6 +375,42 @@ def test_sweep_exit_code_contract(param, flags, capsys):
     assert_exit_contract(*run(argv, capsys))
 
 
+# Every parameter flag, each drawn from the edge values, and a cutoff around 4.
+PARAMETER_FLAGS = st.fixed_dictionaries({}, optional={
+    "--hbar": NUMBERS, "--mass": NUMBERS, "--omega": NUMBERS, "--theta": NUMBERS,
+    "--eta": NUMBERS, "--tau": NUMBERS, "--cutoff": st.integers(-1, 6),
+})
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=PARAMETER_FLAGS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spectrum_exit_code_contract(flags, capsys):
+    argv = ["spectrum", "--cutoff", "4", "--format", "json"]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value!r}")
+    assert_exit_contract(*run(argv, capsys))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=PARAMETER_FLAGS)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_exit_code_contract(flags, capsys):
+    argv = ["verify", "--cutoff", "4"]
+    for flag, value in flags.items():
+        argv.append(f"{flag}={value!r}")
+    code, stdout, err = run(argv, capsys)
+    assert_exit_contract(code, stdout, err, verdict=True)
+    if code in (EXIT_OK, EXIT_VERIFY_FAILED):
+        # The diagonal residuals are text: each must be a finite measurement.
+        for check in json.loads(stdout)["checks"]:
+            if check["suite"] == "diagonal-identities":
+                value = check["residual"].split()[0].removeprefix("max_rel_err=")
+                assert math.isfinite(float(value)), check
+
+
 def test_float_overflow_is_a_numeric_failure(capsys):
     # mass 5e-324 is positive and finite, but m^-1 overflows a float power.
     with warnings.catch_warnings(record=True) as caught:
@@ -368,6 +428,16 @@ def test_overflowing_matrix_is_a_numeric_failure(capsys):
         code, _o, err = run(["spectrum", "--cutoff", "4", "--hbar", "1e300"], capsys)
     assert code == EXIT_NUMERIC
     assert err == "numeric failure: matrix entries overflow at this parameter point\n"
+    assert [str(w.message) for w in caught] == []
+
+
+def test_overflowing_residual_bound_is_a_numeric_failure(capsys):
+    # tau 1e300 leaves every entry finite, but ||H||_F and the residuals overflow.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run(["spectrum", "--cutoff", "4", "--tau", "1e300"], capsys)
+    assert (code, stdout) == (EXIT_NUMERIC, "")
+    assert err == "numeric failure: matrix norm overflows at this parameter point\n"
     assert [str(w.message) for w in caught] == []
 
 
@@ -432,6 +502,23 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     code, _o, err = run(["spectrum", "--config", str(config)], capsys)
     assert code == EXIT_USAGE
     assert "thtea" in err
+
+
+@pytest.mark.parametrize("command,config,key", [
+    (["uncertainty"], {"format": "csv", "policy": "cross"}, "format"),
+    (["uncertainty"], {"cutoff": 8}, "cutoff"),
+    (["verify"], {"policy": "cross"}, "policy"),
+    (["spectrum"], {"sigma-min": 0.5}, "sigma-min"),
+    (["sweep", "--param", "tau"], {"y_mean": 0.5}, "y_mean"),
+])
+def test_config_keys_the_subcommand_does_not_read_are_usage_errors(
+        command, config, key, tmp_path, capsys):
+    # The same keys as flags are argparse errors; from a file they are not ignored.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, stdout, err = run(command + ["--config", str(path)], capsys)
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == f"usage error: {command[0]} does not read config key {key!r}\n"
 
 
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
