@@ -107,28 +107,12 @@ class Scalar:
     def __post_init__(self):
         _validate_powers(self.powers)
 
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.value * other.value, _add_powers(self.powers, other.powers))
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.value, self.powers)
-
-    def conjugate(self) -> "Scalar":
-        """Complex conjugation; the parameters are real and stay fixed."""
-        return Scalar(self.value.conjugate(), self.powers)
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
     def evaluate(self, values: Mapping[str, float]) -> complex:
         out = complex(self.value)
         for pname, exp in zip(PARAMS, self.powers):
             if exp:
                 out *= values[pname] ** exp
         return out
-
-    def __str__(self) -> str:
-        return _format_term(self.value, self.powers, ())
 
 
 ScalarLike = Union[int, Fraction, GaussianRational, Scalar]
@@ -217,10 +201,6 @@ class Expression:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def scalar_terms(self) -> list:
-        """The (powers, coefficient) pairs of the identity-word part."""
-        return [(p, c) for (w, p), c in self.terms.items() if not w]
 
     def max_word_length(self) -> int:
         return max((len(w) for (w, _p) in self.terms), default=0)

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -219,8 +220,7 @@ def resolve_policy(text: str) -> TruncationPolicy:
 
 
 def _point_from_args(args, **overrides) -> ParameterPoint:
-    # Every parameter has a flag of its own name except m, which is --mass.
-    kwargs = {name: getattr(args, "mass" if name == "m" else name) for name in PARAMS}
+    kwargs = {name: getattr(args, name) for name in PARAMS}
     return ParameterPoint(**{**kwargs, **overrides})
 
 
@@ -345,39 +345,47 @@ def _write_output(path: Optional[str], text: str) -> None:
             handle.write(text)
 
 
-_DEFAULTS = {
-    "hbar": 1.0,
-    "mass": 1.0,
-    "omega": 1.0,
-    "theta": 0.0,
-    "eta": 0.0,
-    "tau": 0.0,
-    "cutoff": 12,
-    "format": "csv",
-    "out": None,
-    "policy": "default",
-    "y_mean": 0.0,
-    "sigma_min": 0.2,
-    "sigma_max": 30.0,
-    "sigma_steps": 200,
-    "kick_max": 0.0,
-    "kick_steps": 1,
-    "center": 0.0,
-    "steps": 11,
-    "sweep_from": 0.0,
-    "sweep_to": 0.01,
-}
+@dataclass
+class _Flag:
+    """A value flag, declared once: the parser, the defaults and the config
+    file checks all read it.  Its config key is the flag without "--"."""
+
+    flag: str
+    kind: type  # float, int or str
+    default: object
+    commands: tuple  # the subcommands that read it
+    dest: str = ""  # if empty, argparse's: the flag without "--", "-" as "_"
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+    def __post_init__(self):
+        self.dest = self.dest or self.flag[2:].replace("-", "_")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file mirroring the flags; flags win")
-    parser.add_argument("--hbar", type=float)
-    parser.add_argument("--mass", type=float)
-    parser.add_argument("--omega", type=float)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--tau", type=float)
-    parser.add_argument("--out", help="output path; '-' or omitted for stdout")
+_ALL = ("verify", "spectrum", "sweep", "uncertainty")
+_FLAGS = {f.flag: f for f in (
+    _Flag("--hbar", float, 1.0, _ALL),
+    _Flag("--mass", float, 1.0, _ALL, dest="m"),
+    _Flag("--omega", float, 1.0, _ALL),
+    _Flag("--theta", float, 0.0, _ALL),
+    _Flag("--eta", float, 0.0, _ALL),
+    _Flag("--tau", float, 0.0, _ALL),
+    _Flag("--out", str, None, _ALL, help="output path; '-' or omitted for stdout"),
+    _Flag("--cutoff", int, 12, ("verify", "spectrum", "sweep")),
+    _Flag("--format", str, "csv", ("spectrum", "sweep"), choices=("csv", "json")),
+    _Flag("--policy", str, "default", ("spectrum", "sweep"),
+          help="default | cross | undeformed | JSON"),
+    _Flag("--from", float, 0.0, ("sweep",), dest="sweep_from"),
+    _Flag("--to", float, 0.01, ("sweep",), dest="sweep_to"),
+    _Flag("--steps", int, 11, ("sweep",)),
+    _Flag("--y-mean", float, 0.0, ("uncertainty",)),
+    _Flag("--sigma-min", float, 0.2, ("uncertainty",)),
+    _Flag("--sigma-max", float, 30.0, ("uncertainty",)),
+    _Flag("--sigma-steps", int, 200, ("uncertainty",)),
+    _Flag("--kick-max", float, 0.0, ("uncertainty",)),
+    _Flag("--kick-steps", int, 1, ("uncertainty",)),
+    _Flag("--center", float, 0.0, ("uncertainty",)),
+)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,52 +395,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ncphase {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run the identity suites")
-    _add_common(p_verify)
-    p_verify.add_argument(
+    commands = {
+        "verify": sub.add_parser("verify", help="run the identity suites"),
+        "spectrum": sub.add_parser("spectrum", help="classified level table"),
+        "sweep": sub.add_parser("sweep", help="one-parameter scan of the spectrum"),
+        "uncertainty": sub.add_parser("uncertainty", help="closed-form bounds report"),
+    }
+    for p in commands.values():
+        p.add_argument("--config", help="JSON file mirroring the flags; flags win")
+    # Each subcommand takes only the flags it reads.
+    for f in _FLAGS.values():
+        for command in f.commands:
+            commands[command].add_argument(
+                f.flag, dest=f.dest, type=f.kind, choices=f.choices, help=f.help
+            )
+    commands["verify"].add_argument(
         "--debug-flip-epsilon",
         action="store_true",
         help="fault drill: flip the Bopp sign convention and watch it fail",
     )
-
-    p_spec = sub.add_parser("spectrum", help="classified level table")
-    _add_common(p_spec)
-
-    p_sweep = sub.add_parser("sweep", help="one-parameter scan of the spectrum")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--param", required=True, help=f"one of {', '.join(PARAMS)}")
-    p_sweep.add_argument("--from", dest="sweep_from", type=float)
-    p_sweep.add_argument("--to", dest="sweep_to", type=float)
-    p_sweep.add_argument("--steps", type=int)
-
-    p_unc = sub.add_parser("uncertainty", help="closed-form bounds report")
-    _add_common(p_unc)
-    p_unc.add_argument("--y-mean", dest="y_mean", type=float)
-    p_unc.add_argument("--brute-force", action="store_true")
-    p_unc.add_argument("--sigma-min", dest="sigma_min", type=float)
-    p_unc.add_argument("--sigma-max", dest="sigma_max", type=float)
-    p_unc.add_argument("--sigma-steps", dest="sigma_steps", type=int)
-    p_unc.add_argument("--kick-max", dest="kick_max", type=float)
-    p_unc.add_argument("--kick-steps", dest="kick_steps", type=int)
-    p_unc.add_argument("--center", type=float)
-
-    # Each subcommand takes only the flags it reads.
-    for p in (p_verify, p_spec, p_sweep):
-        p.add_argument("--cutoff", type=int)
-    for p in (p_spec, p_sweep):
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--policy", help="default | cross | undeformed | JSON")
+    commands["sweep"].add_argument(
+        "--param", required=True, help=f"one of {', '.join(PARAMS)}"
+    )
+    commands["uncertainty"].add_argument("--brute-force", action="store_true")
     return parser
 
 
-# What a config value must be, by the type of its default ("out" is a path).
-_CONFIG_KINDS = {float: "a number", int: "an integer", str: "a string"}
+# The JSON values each flag type accepts, and how a usage error names them.
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+}
 
 
-def _read_config(path: str, args: argparse.Namespace) -> dict:
-    """Load a JSON config object, checking that the subcommand reads every key
-    and the type of each value."""
+def _read_config(path: str, command: str) -> dict:
+    """Load a JSON config object and check each key and value as its flag's;
+    returns the values by flag."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
@@ -442,33 +441,28 @@ def _read_config(path: str, args: argparse.Namespace) -> dict:
         raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path!r} must hold a JSON object")
+    values = {}
     for key, value in config.items():
-        name = key.replace("-", "_")
-        if name not in _DEFAULTS:
+        flag = _FLAGS.get("--" + key.replace("_", "-"))
+        if flag is None:
             raise UsageError(f"unknown config key {key!r}")
-        if not hasattr(args, name):
-            raise UsageError(f"{args.command} does not read config key {key!r}")
-        kind = type(_DEFAULTS[name]) if _DEFAULTS[name] is not None else str
-        accepted = (int, float) if kind is float else kind
+        if command not in flag.commands:
+            raise UsageError(f"{command} does not read config key {key!r}")
+        accepted, kind = _JSON_TYPES[flag.kind]
         if isinstance(value, bool) or not isinstance(value, accepted):
-            raise UsageError(f"config key {key!r} must be {_CONFIG_KINDS[kind]}")
-    return config
+            raise UsageError(f"config key {key!r} must be {kind}")
+        if flag.choices and value not in flag.choices:
+            raise UsageError(f"config key {key!r} must be one of {', '.join(flag.choices)}")
+        values[flag.flag] = value
+    return values
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the optional JSON config, then from defaults."""
-    config = _read_config(args.config, args) if getattr(args, "config", None) else {}
-    for key, default in _DEFAULTS.items():
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None:
-            json_key = key.replace("_", "-")
-            if key in config:
-                setattr(args, key, config[key])
-            elif json_key in config:
-                setattr(args, key, config[json_key])
-            else:
-                setattr(args, key, default)
+    """Fill each unset flag from the optional JSON config, else from its default."""
+    config = _read_config(args.config, args.command) if args.config else {}
+    for f in _FLAGS.values():
+        if args.command in f.commands and getattr(args, f.dest) is None:
+            setattr(args, f.dest, config.get(f.flag, f.default))
     return args
 
 

@@ -195,7 +195,7 @@ def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
     d = h.shape[0]
     # An overflowing norm or residual is reported below, not by numpy.
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = residual_factor * max(np.linalg.norm(h), 1.0)
+        bound = residual_factor * np.linalg.norm(h)
     if not math.isfinite(bound):
         raise NumericError("matrix norm overflows at this parameter point")
     # csgraph would copy a dense input as float, dropping imaginary parts.
@@ -409,7 +409,10 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
         worst_state = None
         for state, k in zip(states, idx):
             expected = formula(*state)
-            err = abs(diag[k] - expected) / max(abs(expected), 1e-300)
+            # Every closed form is positive in exact arithmetic: 0 is underflow.
+            if expected == 0:
+                raise NumericError(f"{name} underflows at this parameter point")
+            err = abs(diag[k] - expected) / abs(expected)
             if not math.isfinite(err):
                 raise NumericError(f"{name} overflows at this parameter point")
             if err > worst:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import PARAMS, Expression
+from .maps import NAMED_OPERATORS
 from .rationals import GR_I
 
 _GENERATORS = ("q1", "q2", "pi1", "pi2", "x", "y", "px", "py")
@@ -95,10 +96,9 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, text: str, named_operators):
+    def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.named_operators = named_operators
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -186,14 +186,10 @@ class _Parser:
         if name in PARAMS:
             return Expression.from_scalar(1, **{name: 1})
         if name in _NAMED:
-            return self.named_operators[name]
+            return NAMED_OPERATORS[name]
         raise UnknownSymbolError(name, tok.pos)
 
 
 def parse(text: str) -> Expression:
     """Parse an expression string into an unreduced Expression."""
-    # Imported here to avoid an import cycle: the named operators are
-    # themselves expressions built from this module's grammar primitives.
-    from .maps import NAMED_OPERATORS
-
-    return _Parser(text, NAMED_OPERATORS).parse()
+    return _Parser(text).parse()

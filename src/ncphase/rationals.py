@@ -30,9 +30,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "GaussianRational":
@@ -127,6 +124,5 @@ def _coerce(value) -> "GaussianRational":
     return NotImplemented
 
 
-GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)

@@ -156,19 +156,13 @@ def verify_rho_hermiticity(name: str, pairs: Sequence, p) -> dict:
 
 
 class _YTimes:
-    """y * psi, with the derivatives the sector operators need."""
+    """y * psi, as far as P_y reads it: its derivative."""
 
     def __init__(self, psi):
         self.psi = psi
 
-    def __call__(self, y):
-        return y * self.psi(y)
-
     def derivative(self, y):
         return self.psi(y) + y * self.psi.derivative(y)
-
-    def second_derivative(self, y):
-        return 2 * self.psi.derivative(y) + y * self.psi.second_derivative(y)
 
 
 def robertson_lower_bound(psi, p) -> float:

@@ -441,6 +441,22 @@ def test_overflowing_residual_bound_is_a_numeric_failure(capsys):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    # ||H||_F underflows to 0, and LAPACK's eigenpairs are off by 1e-139.
+    (["spectrum", "--cutoff", "6", "--hbar", "1e-300"], "numeric failure: eigenpair residual "),
+    # hbar^2 underflows, so every closed form is 0 and would match vacuously.
+    (["verify", "--cutoff", "6", "--hbar", "1e-300"],
+     "numeric failure: diag(m omega^2 q2^2 q1^2) underflows at this parameter point\n"),
+], ids=["spectrum", "verify"])
+def test_underflowing_scale_is_a_numeric_failure(argv, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (EXIT_NUMERIC, "")
+    assert err.startswith(message) and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
+
+
 def test_uncertainty_rejects_bad_scan_flags(capsys):
     base = ["uncertainty", "--tau", "0.04", "--brute-force", "--sigma-steps", "3"]
     for flags, named in (
@@ -496,6 +512,20 @@ def test_flags_win_over_config(tmp_path, capsys):
     assert report["theta"] == 0.1  # config filled the unset flag
 
 
+def test_config_keys_are_flag_names(tmp_path, capsys):
+    # The keys of --from, --to and --mass, not their argparse dests.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"from": 0, "to": 0.01, "steps": 3, "mass": 2}))
+    sweep = ["sweep", "--param", "tau", "--cutoff", "6"]
+    from_config = run(sweep + ["--config", str(config)], capsys)
+    from_flags = run(sweep + ["--from", "0", "--to", "0.01", "--steps", "3", "--mass", "2"],
+                     capsys)
+    assert from_config == from_flags and from_config[0] == EXIT_OK
+    config.write_text(json.dumps({"sweep_from": 0}))
+    assert run(sweep + ["--config", str(config)], capsys) == (
+        EXIT_USAGE, "", "usage error: unknown config key 'sweep_from'\n")
+
+
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"thtea": 0.1}))
@@ -531,7 +561,8 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config,key",
-    [({"cutoff": "16"}, "cutoff"), ({"tau": True}, "tau"), ({"policy": {}}, "policy")],
+    [({"cutoff": "16"}, "cutoff"), ({"tau": True}, "tau"), ({"policy": {}}, "policy"),
+     ({"format": "xml"}, "format")],
 )
 def test_wrongly_typed_config_value_is_usage_error(config, key, tmp_path, capsys):
     path = tmp_path / "run.json"
