@@ -31,11 +31,13 @@ from .fock import (
     LevelTable,
     NumericError,
     ParameterPoint,
+    Plan,
     analytic_energy,
     build_ladder,
     build_phase_space,
     classify,
     commuting_check,
+    compile_plan,
     diagonal_check,
     diagonalize,
     evaluate,

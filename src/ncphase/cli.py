@@ -47,6 +47,7 @@ from .fock import (
     FockBasis,
     NumericError,
     ParameterPoint,
+    compile_plan,
     csv_text,
     diagonal_check,
     level_fields,
@@ -262,6 +263,8 @@ def cmd_sweep(args) -> int:
     _check_cutoff(args.cutoff)
     _check_finite("--from", args.sweep_from)
     _check_finite("--to", args.sweep_to)
+    # A width that overflows would make the swept values inf and NaN.
+    _check_finite("--to minus --from", args.sweep_to - args.sweep_from)
     # The unswept parameters are checked once here; a bad swept value fails
     # only its own point.
     _point_from_args(args, **{args.param: getattr(ParameterPoint(), args.param)})
@@ -270,10 +273,16 @@ def cmd_sweep(args) -> int:
     values = np.linspace(args.sweep_from, args.sweep_to, args.steps)
     columns = (args.param, *SWEEP_COLUMNS)
     rows, failures = [], []
+    # The word matrices depend only on the cutoff and (hbar, m, omega): a
+    # theta, eta or tau sweep compiles once, an hbar, m or omega sweep once
+    # per point.
+    plan = None
     for value in values:
         try:
             point = _point_from_args(args, **{args.param: float(value)})
-            table = spectrum(point, args.cutoff, hamiltonian)
+            if plan is None or not plan.admits(point):
+                plan = compile_plan(hamiltonian, FockBasis(args.cutoff), point)
+            table = spectrum(point, args.cutoff, plan)
         except (NumericError, ValueError, ArithmeticError) as exc:
             failures.append({"param": args.param, "value": float(value),
                              "error": str(exc)})
@@ -441,11 +450,14 @@ def _read_config(path: str, command: str) -> dict:
         raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise UsageError(f"config file {path!r} must hold a JSON object")
-    values = {}
+    values, keys = {}, {}
     for key, value in config.items():
         flag = _FLAGS.get("--" + key.replace("_", "-"))
         if flag is None:
             raise UsageError(f"unknown config key {key!r}")
+        if flag.flag in keys:
+            raise UsageError(f"config keys {keys[flag.flag]!r} and {key!r} both set {flag.flag}")
+        keys[flag.flag] = key
         if command not in flag.commands:
             raise UsageError(f"{command} does not read config key {key!r}")
         accepted, kind = _JSON_TYPES[flag.kind]

@@ -125,34 +125,82 @@ def build_phase_space(basis: FockBasis, p: ParameterPoint):
     return q1, q2, pi1, pi2
 
 
-def evaluate(e: Expression, basis: FockBasis, p: ParameterPoint) -> np.ndarray:
-    """Realize a canonical-alphabet Expression as a dense matrix.
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """An Expression compiled over a basis at one (hbar, m, omega).
 
-    Each word becomes the corresponding chain of sparse matrix products;
-    scalars are evaluated at the parameter point, and the sum is densified
-    once at the end.  Noncommutative-alphabet input is rejected: push it
-    through the Bopp shift first.  A parameter point that overflows a
-    matrix entry raises NumericError.
+    ``terms`` pairs each term's Scalar with its word matrix (sparse COO), in
+    ``Expression.sorted_terms`` order.  The word matrices depend only on the
+    basis and on the scales (hbar, m, omega), so one plan serves every point
+    that shares them: ``matrix(p)`` only evaluates the scalars and sums.
+    """
+
+    basis: FockBasis
+    scales: tuple  # (hbar, m, omega) the word matrices were built at
+    terms: tuple
+
+    def admits(self, p: ParameterPoint) -> bool:
+        return (p.hbar, p.m, p.omega) == self.scales
+
+    def matrix(self, p: ParameterPoint) -> np.ndarray:
+        """The dense matrix at ``p``, which must share the plan's scales.
+
+        Terms are added in order, entry by entry, so the result equals the
+        sparse sum of the scaled word matrices bit for bit.  An overflowing
+        entry raises NumericError.
+        """
+        if not self.admits(p):
+            raise ValueError(
+                "plan was compiled at (hbar, m, omega) = "
+                f"{self.scales}, not {(p.hbar, p.m, p.omega)}"
+            )
+        values = p.values()
+        d = self.basis.dimension
+        out = np.zeros((d, d), dtype=complex)
+        # Overflowing entries are caught below, so numpy need not warn of them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for scalar, word in self.terms:
+                out[word.row, word.col] += word.data * scalar.evaluate(values)
+        if not np.isfinite(out).all():
+            raise NumericError("matrix entries overflow at this parameter point")
+        return out
+
+
+def compile_plan(e: Expression, basis: FockBasis, p: ParameterPoint) -> Plan:
+    """Compile a canonical-alphabet Expression over ``basis`` at the scales of ``p``.
+
+    Each word becomes the chain of sparse phase-space matrix products from
+    the left, starting at the identity; words that share a prefix share its
+    product, which is formed once.  Noncommutative-alphabet input is
+    rejected: push it through the Bopp shift first.
     """
     if e.alphabet == "noncommutative":
         raise MixedAlphabetError(
             "cannot evaluate a noncommutative-alphabet expression; "
             "substitute through the Bopp shift first"
         )
-    values = p.values()
-    d = basis.dimension
-    out = scipy.sparse.csr_matrix((d, d), dtype=complex)
-    # Overflowing entries are caught below, so numpy need not warn of them.
+    # Overflowing entries are caught by Plan.matrix, so numpy need not warn of them.
     with np.errstate(over="ignore", invalid="ignore"):
         mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, p)))
+        products = {(): scipy.sparse.identity(basis.dimension, dtype=complex, format="csr")}
+        terms = []
         for (word, powers), coef in e.sorted_terms():
-            prod = scipy.sparse.identity(d, dtype=complex, format="csr")
-            for g in word:
-                prod = prod @ mats[g]
-            out = out + Scalar(coef, powers).evaluate(values) * prod
-    if not np.isfinite(out.data).all():
-        raise NumericError("matrix entries overflow at this parameter point")
-    return out.toarray()
+            for k in range(1, len(word) + 1):
+                if word[:k] not in products:
+                    products[word[:k]] = products[word[: k - 1]] @ mats[word[k - 1]]
+            terms.append((Scalar(coef, powers), products[word].tocoo(copy=False)))
+    return Plan(basis, (p.hbar, p.m, p.omega), tuple(terms))
+
+
+def evaluate(e: Expression | Plan, basis: FockBasis, p: ParameterPoint) -> np.ndarray:
+    """Realize an Expression, or a Plan compiled over ``basis``, as a dense
+    matrix at ``p``: compile an Expression, then evaluate the plan."""
+    plan = e if isinstance(e, Plan) else compile_plan(e, basis, p)
+    if plan.basis.cutoff != basis.cutoff:
+        raise ValueError(
+            f"plan was compiled at cutoff {plan.basis.cutoff}, not {basis.cutoff}"
+        )
+    return plan.matrix(p)
 
 
 def analytic_energy(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
@@ -295,8 +343,9 @@ def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) ->
     return LevelTable(rows=rows, unclassified=unclassified)
 
 
-def spectrum(p: ParameterPoint, cutoff: int, hamiltonian: Expression) -> LevelTable:
-    """Evaluate, diagonalize and classify in one step."""
+def spectrum(p: ParameterPoint, cutoff: int, hamiltonian: Expression | Plan) -> LevelTable:
+    """Evaluate, diagonalize and classify in one step.  ``hamiltonian`` is an
+    Expression or a Plan compiled at this cutoff."""
     basis = FockBasis(cutoff)
     matrix = evaluate(hamiltonian, basis, p)
     return classify(diagonalize(matrix), basis, p)
@@ -409,9 +458,11 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
         worst_state = None
         for state, k in zip(states, idx):
             expected = formula(*state)
-            # Every closed form is positive in exact arithmetic: 0 is underflow.
+            # Every closed form is positive in exact arithmetic, so 0 comes
+            # from its divisor 2m or 4m overflowing (4m first), else underflow.
             if expected == 0:
-                raise NumericError(f"{name} underflows at this parameter point")
+                kind = "overflows" if math.isinf(4 * m) else "underflows"
+                raise NumericError(f"{name} {kind} at this parameter point")
             err = abs(diag[k] - expected) / abs(expected)
             if not math.isfinite(err):
                 raise NumericError(f"{name} overflows at this parameter point")

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ncphase.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from ncphase.cli import (
+    EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, SWEEP_COLUMNS, main,
+)
 
 
 def run(args, capsys):
@@ -125,6 +127,14 @@ def test_overflowing_diagonal_is_a_numeric_failure(capsys):
     assert err == ("numeric failure: diag(m omega^2 q2^2 q1^2) overflows "
                    "at this parameter point\n")
     assert [str(w.message) for w in caught] == []
+
+
+def test_overflowing_closed_form_divisor_is_not_an_underflow(capsys):
+    # 4 m overflows, so hbar^2 / (4 m) is 0 although its exact value is a float.
+    code, stdout, err = run(["verify", "--cutoff", "6", "--mass", "1e308"], capsys)
+    assert (code, stdout) == (EXIT_NUMERIC, "")
+    assert err == ("numeric failure: diag(m omega^2 q2^2 q1^2) overflows "
+                   "at this parameter point\n")
 
 
 # -- spectrum ----------------------------------------------------------------------
@@ -247,6 +257,45 @@ def test_sweep_json_records_failures(capsys):
     assert len(payload["failures"]) == 1
     assert payload["failures"][0]["value"] == 0.0
     assert payload["rows"]
+
+
+@pytest.mark.parametrize("param,lo,hi", [
+    ("tau", "0", "0.01"), ("theta", "-0.02", "0.04"), ("eta", "0", "0.03"), ("m", "0.5", "2"),
+])
+def test_sweep_rows_equal_spectrum_at_each_point(param, lo, hi, capsys):
+    # A theta, eta or tau sweep compiles the Hamiltonian once, an m sweep
+    # once per point; either way each row is the spectrum's at its point.
+    base = ["--theta", "0.02", "--eta", "0.03", "--tau", "0.005", "--cutoff", "6",
+            "--format", "json"]
+    code, stdout, err = run(["sweep", *base, "--param", param, "--from", lo, "--to", hi,
+                             "--steps", "3"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(stdout)
+    assert payload["failures"] == []
+    values = sorted({row[param] for row in payload["rows"]})
+    assert len(values) == 3
+    flag = "--mass" if param == "m" else f"--{param}"
+    for value in values:
+        code, stdout, _e = run(["spectrum", *base, flag, repr(value)], capsys)
+        assert code == EXIT_OK
+        expected = [{param: value, **{c: level[c] for c in SWEEP_COLUMNS}}
+                    for level in json.loads(stdout)["levels"]]
+        assert [row for row in payload["rows"] if row[param] == value] == expected
+
+
+def test_sweep_point_that_overflows_fails_alone(capsys):
+    sweep = ["sweep", "--param", "theta", "--from", "0", "--to", "1e300", "--steps", "2",
+             "--cutoff", "6", "--format", "json"]
+    code, stdout, _e = run(sweep, capsys)
+    assert code == EXIT_OK
+    payload = json.loads(stdout)
+    spectrum_code, _o, spectrum_err = run(["spectrum", "--cutoff", "6", "--theta", "1e300"],
+                                          capsys)
+    assert (spectrum_code, spectrum_err) == (
+        EXIT_NUMERIC, "numeric failure: matrix norm overflows at this parameter point\n")
+    assert payload["failures"] == [{"param": "theta", "value": 1e300,
+                                    "error": "matrix norm overflows at this parameter point"}]
+    assert payload["rows"] and {row["theta"] for row in payload["rows"]} == {0.0}
 
 
 # -- uncertainty ---------------------------------------------------------------------
@@ -482,6 +531,9 @@ def test_sweep_checks_its_base_point_and_cutoff(capsys):
     assert "--cutoff" in err
     code, _o, err = run(["sweep", "--param", "tau", "--to", "inf", "--steps", "2"], capsys)
     assert (code, err) == (EXIT_USAGE, "usage error: --to must be finite\n")
+    code, _o, err = run(["sweep", "--param", "tau", "--from=-1.7976931348623157e+308",
+                         "--to", "1e292", "--steps", "2"], capsys)
+    assert (code, err) == (EXIT_USAGE, "usage error: --to minus --from must be finite\n")
 
 
 # -- config file, misc ------------------------------------------------------------------
@@ -524,6 +576,14 @@ def test_config_keys_are_flag_names(tmp_path, capsys):
     config.write_text(json.dumps({"sweep_from": 0}))
     assert run(sweep + ["--config", str(config)], capsys) == (
         EXIT_USAGE, "", "usage error: unknown config key 'sweep_from'\n")
+
+
+def test_config_key_repeated_under_both_spellings_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text('{"y_mean": 0.5, "y-mean": 0.25}')
+    code, stdout, err = run(["uncertainty", "--tau", "0.04", "--config", str(config)], capsys)
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == "usage error: config keys 'y_mean' and 'y-mean' both set --y-mean\n"
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
