@@ -241,7 +241,7 @@ def cmd_spectrum(args) -> int:
     _check_cutoff(args.cutoff)
     point = _point_from_args(args)
     policy = resolve_policy(args.policy)
-    table = spectrum(point, args.cutoff, build_hamiltonian(policy))
+    table = spectrum(point, compile_plan(build_hamiltonian(policy), FockBasis(args.cutoff)))
     if args.format == "csv":
         _write_output(args.out, level_table_csv(table))
     else:
@@ -268,21 +268,14 @@ def cmd_sweep(args) -> int:
     # The unswept parameters are checked once here; a bad swept value fails
     # only its own point.
     _point_from_args(args, **{args.param: getattr(ParameterPoint(), args.param)})
-    policy = resolve_policy(args.policy)
-    hamiltonian = build_hamiltonian(policy)
+    plan = compile_plan(build_hamiltonian(resolve_policy(args.policy)), FockBasis(args.cutoff))
     values = np.linspace(args.sweep_from, args.sweep_to, args.steps)
     columns = (args.param, *SWEEP_COLUMNS)
     rows, failures = [], []
-    # The word matrices depend only on the cutoff and (hbar, m, omega): a
-    # theta, eta or tau sweep compiles once, an hbar, m or omega sweep once
-    # per point.
-    plan = None
     for value in values:
         try:
             point = _point_from_args(args, **{args.param: float(value)})
-            if plan is None or not plan.admits(point):
-                plan = compile_plan(hamiltonian, FockBasis(args.cutoff), point)
-            table = spectrum(point, args.cutoff, plan)
+            table = spectrum(point, plan)
         except (NumericError, ValueError, ArithmeticError) as exc:
             failures.append({"param": args.param, "value": float(value),
                              "error": str(exc)})

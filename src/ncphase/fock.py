@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .algebra import PARAMS, Expression, MixedAlphabetError, Scalar
+from .algebra import PARAMS, POSITION_GENERATORS, Expression, MixedAlphabetError, Scalar
 from .hamiltonian import h_core, h_tau, h_theta_eta
 
 
@@ -107,100 +107,96 @@ def build_ladder(basis: FockBasis):
     return a_plus, a_minus, a_plus.conj().T.tocsr(), a_minus.conj().T.tocsr()
 
 
+def phase_space_scales(p: ParameterPoint) -> tuple:
+    """(l_q, l_p) = (sqrt(hbar/(m omega)), sqrt(hbar m omega)): each q_i is l_q
+    times its matrix at unit scales and each pi_i is l_p times its own."""
+    return math.sqrt(p.hbar / (p.m * p.omega)), math.sqrt(p.hbar * p.m * p.omega)
+
+
 def build_phase_space(basis: FockBasis, p: ParameterPoint):
-    """Canonical phase-space matrices (q1, q2, pi1, pi2) over the basis, sparse."""
+    """Canonical phase-space matrices (q1, q2, pi1, pi2) over the basis, sparse:
+    the matrices at hbar = m = omega = 1 times ``phase_space_scales(p)``."""
     a_plus, a_minus, a_plus_dag, a_minus_dag = build_ladder(basis)
-    q1 = math.sqrt(p.hbar / (4 * p.m * p.omega)) * (
-        a_plus + a_minus + a_plus_dag + a_minus_dag
+    ell_q, ell_p = phase_space_scales(p)
+    return (
+        ell_q * (0.5 * (a_plus + a_minus + a_plus_dag + a_minus_dag)),
+        ell_q * ((1 / 2j) * (a_plus - a_minus - a_plus_dag + a_minus_dag)),
+        ell_p * ((1 / 2j) * (a_plus + a_minus - a_plus_dag - a_minus_dag)),
+        ell_p * (-0.5 * (a_plus - a_minus + a_plus_dag - a_minus_dag)),
     )
-    q2 = (1 / 2j) * math.sqrt(p.hbar / (p.m * p.omega)) * (
-        a_plus - a_minus - a_plus_dag + a_minus_dag
-    )
-    pi1 = (math.sqrt(p.hbar * p.m * p.omega) / 2j) * (
-        a_plus + a_minus - a_plus_dag - a_minus_dag
-    )
-    pi2 = -(math.sqrt(p.hbar * p.m * p.omega) / 2) * (
-        a_plus - a_minus + a_plus_dag - a_minus_dag
-    )
-    return q1, q2, pi1, pi2
 
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """An Expression compiled over a basis at one (hbar, m, omega).
+    """An Expression compiled over a basis.
 
-    ``terms`` pairs each term's Scalar with its word matrix (sparse COO), in
-    ``Expression.sorted_terms`` order.  The word matrices depend only on the
-    basis and on the scales (hbar, m, omega), so one plan serves every point
-    that shares them: ``matrix(p)`` only evaluates the scalars and sums.
+    ``terms`` holds, in ``Expression.sorted_terms`` order, each term's
+    Scalar, its numbers of q and pi letters, and its word matrix at unit
+    scales (sparse COO).  The word matrices depend only on the basis, so one
+    plan serves every parameter point: ``matrix(p)`` only evaluates and
+    scales the scalars and sums.
     """
 
     basis: FockBasis
-    scales: tuple  # (hbar, m, omega) the word matrices were built at
     terms: tuple
 
-    def admits(self, p: ParameterPoint) -> bool:
-        return (p.hbar, p.m, p.omega) == self.scales
-
     def matrix(self, p: ParameterPoint) -> np.ndarray:
-        """The dense matrix at ``p``, which must share the plan's scales.
+        """The dense matrix at ``p``.
 
-        Terms are added in order, entry by entry, so the result equals the
-        sparse sum of the scaled word matrices bit for bit.  An overflowing
-        entry raises NumericError.
+        Each scalar is multiplied by l_q once per q letter and by l_p once
+        per pi letter (``phase_space_scales``), so a zero scalar stays zero
+        however large the scales.  Terms are added in order, entry by entry,
+        so the result equals the sparse sum of the scaled word matrices bit
+        for bit.  An overflowing entry raises NumericError.
         """
-        if not self.admits(p):
-            raise ValueError(
-                "plan was compiled at (hbar, m, omega) = "
-                f"{self.scales}, not {(p.hbar, p.m, p.omega)}"
-            )
         values = p.values()
+        ell_q, ell_p = phase_space_scales(p)
         d = self.basis.dimension
         out = np.zeros((d, d), dtype=complex)
         # Overflowing entries are caught below, so numpy need not warn of them.
         with np.errstate(over="ignore", invalid="ignore"):
-            for scalar, word in self.terms:
-                out[word.row, word.col] += word.data * scalar.evaluate(values)
+            for scalar, n_q, n_pi, word in self.terms:
+                coef = scalar.evaluate(values)
+                for ell in (ell_q,) * n_q + (ell_p,) * n_pi:
+                    coef *= ell
+                out[word.row, word.col] += word.data * coef
         if not np.isfinite(out).all():
             raise NumericError("matrix entries overflow at this parameter point")
         return out
 
 
-def compile_plan(e: Expression, basis: FockBasis, p: ParameterPoint) -> Plan:
-    """Compile a canonical-alphabet Expression over ``basis`` at the scales of ``p``.
+def compile_plan(e: Expression, basis: FockBasis) -> Plan:
+    """Compile a canonical-alphabet Expression over ``basis``.
 
-    Each word becomes the chain of sparse phase-space matrix products from
-    the left, starting at the identity; words that share a prefix share its
-    product, which is formed once.  Noncommutative-alphabet input is
-    rejected: push it through the Bopp shift first.
+    Each word becomes the chain of sparse products of the unit-scale
+    phase-space matrices from the left, starting at the identity; words that
+    share a prefix share its product, which is formed once.
+    Noncommutative-alphabet input is rejected: push it through the Bopp
+    shift first.
     """
     if e.alphabet == "noncommutative":
         raise MixedAlphabetError(
             "cannot evaluate a noncommutative-alphabet expression; "
             "substitute through the Bopp shift first"
         )
-    # Overflowing entries are caught by Plan.matrix, so numpy need not warn of them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, p)))
-        products = {(): scipy.sparse.identity(basis.dimension, dtype=complex, format="csr")}
-        terms = []
-        for (word, powers), coef in e.sorted_terms():
-            for k in range(1, len(word) + 1):
-                if word[:k] not in products:
-                    products[word[:k]] = products[word[: k - 1]] @ mats[word[k - 1]]
-            terms.append((Scalar(coef, powers), products[word].tocoo(copy=False)))
-    return Plan(basis, (p.hbar, p.m, p.omega), tuple(terms))
-
-
-def evaluate(e: Expression | Plan, basis: FockBasis, p: ParameterPoint) -> np.ndarray:
-    """Realize an Expression, or a Plan compiled over ``basis``, as a dense
-    matrix at ``p``: compile an Expression, then evaluate the plan."""
-    plan = e if isinstance(e, Plan) else compile_plan(e, basis, p)
-    if plan.basis.cutoff != basis.cutoff:
-        raise ValueError(
-            f"plan was compiled at cutoff {plan.basis.cutoff}, not {basis.cutoff}"
+    mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, ParameterPoint())))
+    products = {(): scipy.sparse.identity(basis.dimension, dtype=complex, format="csr")}
+    terms = []
+    for (word, powers), coef in e.sorted_terms():
+        for k in range(1, len(word) + 1):
+            if word[:k] not in products:
+                products[word[:k]] = products[word[: k - 1]] @ mats[word[k - 1]]
+        n_q = sum(letter in POSITION_GENERATORS for letter in word)
+        terms.append(
+            (Scalar(coef, powers), n_q, len(word) - n_q, products[word].tocoo(copy=False))
         )
-    return plan.matrix(p)
+    return Plan(basis, tuple(terms))
+
+
+def evaluate(e: Expression, basis: FockBasis, p: ParameterPoint) -> np.ndarray:
+    """Realize an Expression as a dense matrix over ``basis`` at ``p``:
+    compile, then evaluate the plan."""
+    return compile_plan(e, basis).matrix(p)
 
 
 def analytic_energy(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
@@ -211,10 +207,12 @@ def analytic_energy(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
         * (p.eta / (2 * p.m) + p.m * p.omega**2 * p.theta / 2)
         * (n_plus - n_minus)
     )
-    tau_shift = (p.tau * p.hbar**2 / (2 * p.m)) * (
-        2 * n_plus * n_minus + n_plus + n_minus + 2
-    )
-    return core + angular + tau_shift
+    return core + angular + p.tau * _tau_level_shift(n_plus, n_minus, p)
+
+
+def _tau_level_shift(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
+    """The closed-form first-order level shift per unit tau."""
+    return (p.hbar**2 / (2 * p.m)) * (2 * n_plus * n_minus + n_plus + n_minus + 2)
 
 
 @dataclass
@@ -343,12 +341,9 @@ def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) ->
     return LevelTable(rows=rows, unclassified=unclassified)
 
 
-def spectrum(p: ParameterPoint, cutoff: int, hamiltonian: Expression | Plan) -> LevelTable:
-    """Evaluate, diagonalize and classify in one step.  ``hamiltonian`` is an
-    Expression or a Plan compiled at this cutoff."""
-    basis = FockBasis(cutoff)
-    matrix = evaluate(hamiltonian, basis, p)
-    return classify(diagonalize(matrix), basis, p)
+def spectrum(p: ParameterPoint, plan: Plan) -> LevelTable:
+    """Evaluate, diagonalize and classify in one step, over the plan's basis."""
+    return classify(diagonalize(plan.matrix(p)), plan.basis, p)
 
 
 LEVEL_COLUMNS = (
@@ -439,9 +434,6 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
             2 * n_plus * n_minus + n_plus + n_minus + 0.5
         )
 
-    def closed_form_sum(n_plus, n_minus):
-        return (hbar**2 / (2 * m)) * (2 * n_plus * n_minus + n_plus + n_minus + 2)
-
     checks = [
         ("diag(m omega^2 q2^2 q1^2)", quartic.diagonal(), closed_form_quartic),
         ("diag(-(i hbar/m) q2 pi2)", linear.diagonal(), closed_form_linear),
@@ -449,7 +441,7 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
         (
             "diag sum vs closed-form level shift",
             (quartic + linear + squared).diagonal(),
-            closed_form_sum,
+            lambda n_plus, n_minus: _tau_level_shift(n_plus, n_minus, p),
         ),
     ]
     rows = []

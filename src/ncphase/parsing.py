@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import PARAMS, Expression
+from .algebra import ALPHABETS, PARAMS, Expression
 from .maps import NAMED_OPERATORS
 from .rationals import GR_I
 
-_GENERATORS = ("q1", "q2", "pi1", "pi2", "x", "y", "px", "py")
-_NAMED = ("X", "Y", "Px", "Py")
+_GENERATORS = frozenset(name for names in ALPHABETS.values() for name in names)
 
 
 class ParseError(ValueError):
@@ -185,7 +184,7 @@ class _Parser:
             return Expression.from_scalar(GR_I)
         if name in PARAMS:
             return Expression.from_scalar(1, **{name: 1})
-        if name in _NAMED:
+        if name in NAMED_OPERATORS:
             return NAMED_OPERATORS[name]
         raise UnknownSymbolError(name, tok.pos)
 

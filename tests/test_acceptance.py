@@ -27,6 +27,7 @@ from ncphase.algebra import (
 from ncphase.fock import (
     FockBasis,
     ParameterPoint,
+    compile_plan,
     diagonal_check,
     spectrum,
 )
@@ -158,7 +159,7 @@ def test_criterion_4_spectrum_reproduction():
     stated; fails honestly.
     """
     start = time.perf_counter()
-    table = spectrum(ACCEPTANCE_POINT, 16, build_hamiltonian())
+    table = spectrum(ACCEPTANCE_POINT, compile_plan(build_hamiltonian(), FockBasis(16)))
     elapsed = time.perf_counter() - start
     rows = [row for row in table.rows if row.n_plus + row.n_minus <= 6]
     lucky = table.row(1, 0)
@@ -191,7 +192,7 @@ def test_criterion_5_second_order_scaling():
     errors = []
     for tau in taus:
         point = ParameterPoint(tau=tau)
-        table = spectrum(point, 16, build_hamiltonian())
+        table = spectrum(point, compile_plan(build_hamiltonian(), FockBasis(16)))
         rows = [row for row in table.rows if row.n_plus + row.n_minus <= 6]
         errors.append(max(abs(row.e_numeric - row.e_analytic) for row in rows))
     slope = np.polyfit(np.log(taus), np.log(errors), 1)[0]

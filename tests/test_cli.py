@@ -11,9 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ncphase.cli
 from ncphase.cli import (
     EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, SWEEP_COLUMNS, main,
 )
+from ncphase.fock import compile_plan
 
 
 def run(args, capsys):
@@ -261,10 +263,11 @@ def test_sweep_json_records_failures(capsys):
 
 @pytest.mark.parametrize("param,lo,hi", [
     ("tau", "0", "0.01"), ("theta", "-0.02", "0.04"), ("eta", "0", "0.03"), ("m", "0.5", "2"),
+    ("hbar", "0.5", "2"), ("omega", "0.5", "3"),
 ])
 def test_sweep_rows_equal_spectrum_at_each_point(param, lo, hi, capsys):
-    # A theta, eta or tau sweep compiles the Hamiltonian once, an m sweep
-    # once per point; either way each row is the spectrum's at its point.
+    # A sweep compiles the Hamiltonian once, whatever it sweeps, and scales
+    # the plan at each point; each row is the spectrum's at its point.
     base = ["--theta", "0.02", "--eta", "0.03", "--tau", "0.005", "--cutoff", "6",
             "--format", "json"]
     code, stdout, err = run(["sweep", *base, "--param", param, "--from", lo, "--to", hi,
@@ -281,6 +284,20 @@ def test_sweep_rows_equal_spectrum_at_each_point(param, lo, hi, capsys):
         expected = [{param: value, **{c: level[c] for c in SWEEP_COLUMNS}}
                     for level in json.loads(stdout)["levels"]]
         assert [row for row in payload["rows"] if row[param] == value] == expected
+
+
+@pytest.mark.parametrize("param", ["hbar", "m", "omega", "theta", "eta", "tau"])
+def test_sweep_compiles_the_hamiltonian_once(param, monkeypatch, capsys):
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args)
+        return compile_plan(*args)
+
+    monkeypatch.setattr(ncphase.cli, "compile_plan", counting)
+    code, _o, err = run(["sweep", "--param", param, "--from", "0.5", "--to", "1",
+                         "--steps", "3", "--cutoff", "4"], capsys)
+    assert (code, err, len(compiled)) == (EXIT_OK, "", 1)
 
 
 def test_sweep_point_that_overflows_fails_alone(capsys):
@@ -471,23 +488,26 @@ def test_float_overflow_is_a_numeric_failure(capsys):
 
 
 def test_overflowing_matrix_is_a_numeric_failure(capsys):
-    # hbar 1e300 overflows the ladder products without a float power error.
+    # At hbar 1e308 the entries hbar omega (n+ + n- + 1) overflow without a
+    # float power error.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, _o, err = run(["spectrum", "--cutoff", "4", "--hbar", "1e300"], capsys)
+        code, _o, err = run(["spectrum", "--cutoff", "4", "--hbar", "1e308"], capsys)
     assert code == EXIT_NUMERIC
     assert err == "numeric failure: matrix entries overflow at this parameter point\n"
     assert [str(w.message) for w in caught] == []
 
 
 def test_overflowing_residual_bound_is_a_numeric_failure(capsys):
-    # tau 1e300 leaves every entry finite, but ||H||_F and the residuals overflow.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, stdout, err = run(["spectrum", "--cutoff", "4", "--tau", "1e300"], capsys)
-    assert (code, stdout) == (EXIT_NUMERIC, "")
-    assert err == "numeric failure: matrix norm overflows at this parameter point\n"
-    assert [str(w.message) for w in caught] == []
+    # tau 1e300, or hbar 1e300 at tau 0, leaves every entry finite, but
+    # ||H||_F and the residuals overflow.
+    for flag in ("--tau", "--hbar"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(["spectrum", "--cutoff", "4", flag, "1e300"], capsys)
+        assert (code, stdout) == (EXIT_NUMERIC, "")
+        assert err == "numeric failure: matrix norm overflows at this parameter point\n"
+        assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("argv,message", [

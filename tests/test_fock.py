@@ -24,6 +24,7 @@ from ncphase.fock import (
     build_phase_space,
     classify,
     commuting_check,
+    compile_plan,
     diagonal_check,
     diagonalize,
     evaluate,
@@ -284,7 +285,7 @@ def test_hamiltonian_matrix_is_exactly_real(point):
 
 def test_classify_undeformed_is_perfect():
     p = ParameterPoint()
-    table = spectrum(p, 8, build_hamiltonian())
+    table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(8)))
     for row in table.rows:
         assert row.overlap == pytest.approx(1.0)
         assert abs(row.e_numeric - row.e_analytic) <= 1e-8 or (
@@ -294,7 +295,7 @@ def test_classify_undeformed_is_perfect():
 
 def test_classify_assigns_each_label_once():
     p = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
-    table = spectrum(p, 8, build_hamiltonian())
+    table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(8)))
     labels = [(row.n_plus, row.n_minus) for row in table.rows]
     assert len(labels) == len(set(labels))
 
@@ -302,7 +303,7 @@ def test_classify_assigns_each_label_once():
 def test_lucky_level_matches_closed_form():
     # (1, 0) is the level whose closed-form first-order shift is exact.
     p = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
-    table = spectrum(p, 12, build_hamiltonian())
+    table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(12)))
     row = table.row(1, 0)
     assert row is not None
     assert abs(row.e_numeric - 2.0325) <= 1e-3
@@ -311,7 +312,7 @@ def test_lucky_level_matches_closed_form():
 
 def test_angular_splitting_at_tau_zero():
     p = ParameterPoint(theta=0.02, eta=0.03, tau=0.0)
-    table = spectrum(p, 8, build_hamiltonian())
+    table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(8)))
     split = table.row(1, 0).e_numeric.real - table.row(0, 1).e_numeric.real
     assert split == pytest.approx(0.05, abs=1e-10)
 
@@ -338,7 +339,7 @@ def test_spectrum_reality_in_parameter_box(theta, eta, tau):
     # coefficient vanishes exactly, degenerate mixtures legitimately fail
     # to classify, so only the classified rows are constrained.
     p = ParameterPoint(theta=theta, eta=eta, tau=tau)
-    table = spectrum(p, 10, build_hamiltonian())
+    table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(10)))
     checked = 0
     for row in table.rows:
         if row.n_plus + row.n_minus <= 10 - 4:
@@ -352,7 +353,7 @@ def test_interior_classification_coverage_at_generic_point():
     # mixing induced by the quartic correction grows with the grade, so the
     # overlap floor tightens toward the bottom of the spectrum.
     p = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
-    table = spectrum(p, 12, build_hamiltonian())
+    table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(12)))
     low = [row for row in table.rows if row.n_plus + row.n_minus <= 4]
     assert len(low) == 15
     assert all(row.overlap > 0.8 for row in low)
@@ -362,7 +363,7 @@ def test_interior_classification_coverage_at_generic_point():
 
 def test_level_table_csv_format():
     p = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
-    table = spectrum(p, 6, build_hamiltonian())
+    table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(6)))
     text = level_table_csv(table)
     lines = text.strip().split("\n")
     assert lines[0] == "n_plus,n_minus,E_analytic,E_numeric_re,E_numeric_im,abs_err,residual,overlap"
@@ -376,7 +377,7 @@ def test_level_table_csv_and_json_carry_the_same_fields():
     # Both formats come from one row formatter: the CSV text is each JSON
     # value printed to 12 significant digits.
     p = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
-    table = spectrum(p, 6, build_hamiltonian())
+    table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(6)))
     lines = level_table_csv(table).strip().split("\n")
     records = level_table_json(table)
     assert len(lines) == len(records) + 1

@@ -1,11 +1,16 @@
-"""The compiled plan of ``fock.evaluate`` against the per-term loop it replaced.
+"""The compiled plan of ``fock.evaluate`` against two per-term references.
 
-``reference_evaluate`` below is the earlier implementation: every term
-rebuilds its word as a chain of sparse products from the identity, and the
-scaled products are summed as sparse matrices, densified once at the end.
-The plan forms each prefix once and sums into a dense array, but it forms
-the same products and adds them in the same order, so the matrices must be
-equal bit for bit, not merely close.
+``reference_evaluate`` below rebuilds every term's word as a chain of
+sparse products of the unit-scale matrices from the identity, scales the
+term's scalar by l_q once per q letter and l_p once per pi letter, and sums
+the scaled products as sparse matrices, densified once at the end.  The
+plan forms each prefix once and sums into a dense array, but it forms the
+same products, scales the same scalars and adds them in the same order, so
+the matrices must be equal bit for bit, not merely close.
+
+``scaled_products`` is the independent check of the scales: it multiplies
+the phase-space matrices of ``build_phase_space(basis, p)`` at the point's
+own (hbar, m, omega) and must agree with the plan to rounding.
 """
 
 import numpy as np
@@ -25,9 +30,9 @@ from ncphase.fock import (
     build_phase_space,
     compile_plan,
     evaluate,
-    spectrum,
+    phase_space_scales,
 )
-from ncphase.hamiltonian import build_hamiltonian, h_tau
+from ncphase.hamiltonian import build_hamiltonian
 
 POLICIES = {
     "default": DEFAULT_POLICY,
@@ -35,36 +40,58 @@ POLICIES = {
     "undeformed": UNDEFORMED_POLICY,
 }
 
-# Points grouped by their scales (hbar, m, omega): one plan serves a group.
-POINT_GROUPS = [
-    [
-        ParameterPoint(theta=0.02, eta=0.03, tau=0.005),
-        ParameterPoint(theta=0.02, eta=0.03, tau=0.0),
-        ParameterPoint(tau=0.01),
-        ParameterPoint(theta=-0.1, eta=0.05, tau=-0.02),
-    ],
-    [
-        ParameterPoint(hbar=0.7, m=1.9, omega=1.3, theta=0.05, eta=-0.04, tau=0.03),
-        ParameterPoint(hbar=0.7, m=1.9, omega=1.3),
-    ],
+# Points at unit scales, then points at other (hbar, m, omega).
+UNIT_POINTS = [
+    ParameterPoint(theta=0.02, eta=0.03, tau=0.005),
+    ParameterPoint(theta=0.02, eta=0.03, tau=0.0),
+    ParameterPoint(tau=0.01),
+    ParameterPoint(theta=-0.1, eta=0.05, tau=-0.02),
+]
+SCALED_POINTS = [
+    ParameterPoint(hbar=0.7, m=1.9, omega=1.3, theta=0.05, eta=-0.04, tau=0.03),
+    ParameterPoint(hbar=0.7, m=1.9, omega=1.3),
+    ParameterPoint(hbar=2.0, m=0.5, omega=3.0, theta=0.02, eta=0.03, tau=0.005),
 ]
 
 
+def _matrices(basis, p):
+    return dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, p)))
+
+
+def _word_product(mats, word, d):
+    prod = scipy.sparse.identity(d, dtype=complex, format="csr")
+    for g in word:
+        prod = prod @ mats[g]
+    return prod
+
+
 def reference_evaluate(e, basis, p):
-    """Each term's word product from scratch, summed as sparse matrices."""
+    """Each term's unit-scale word from scratch, times its scaled scalar,
+    summed as sparse matrices."""
     values = p.values()
+    ell_q, ell_p = phase_space_scales(p)
     d = basis.dimension
     out = scipy.sparse.csr_matrix((d, d), dtype=complex)
+    mats = _matrices(basis, ParameterPoint())
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, p)))
         for (word, powers), coef in e.sorted_terms():
-            prod = scipy.sparse.identity(d, dtype=complex, format="csr")
+            value = Scalar(coef, powers).evaluate(values)
             for g in word:
-                prod = prod @ mats[g]
-            out = out + Scalar(coef, powers).evaluate(values) * prod
+                value *= ell_q if g.startswith("q") else ell_p
+            out = out + value * _word_product(mats, word, d)
     if not np.isfinite(out.data).all():
         raise NumericError("matrix entries overflow at this parameter point")
     return out.toarray()
+
+
+def scaled_products(e, basis, p):
+    """Each term's word as products of the phase-space matrices at ``p``."""
+    values = p.values()
+    mats = _matrices(basis, p)
+    return sum(
+        Scalar(coef, powers).evaluate(values) * _word_product(mats, word, basis.dimension)
+        for (word, powers), coef in e.sorted_terms()
+    ).toarray()
 
 
 @pytest.fixture(scope="module")
@@ -77,12 +104,23 @@ def hamiltonians():
 def test_plan_matrix_equals_the_per_term_loop_bitwise(policy, cutoff, hamiltonians):
     h = hamiltonians[policy]
     basis = FockBasis(cutoff)
-    for group in POINT_GROUPS:
-        plan = compile_plan(h, basis, group[0])
-        for p in group:
-            assert np.array_equal(plan.matrix(p), reference_evaluate(h, basis, p))
-        # evaluate is compile, then matrix
-        assert np.array_equal(evaluate(h, basis, group[-1]), plan.matrix(group[-1]))
+    # One plan serves every point, at unit scales or not.
+    plan = compile_plan(h, basis)
+    for p in UNIT_POINTS + SCALED_POINTS:
+        assert np.array_equal(plan.matrix(p), reference_evaluate(h, basis, p))
+    # evaluate is compile, then matrix
+    assert np.array_equal(evaluate(h, basis, SCALED_POINTS[0]), plan.matrix(SCALED_POINTS[0]))
+
+
+@pytest.mark.parametrize("cutoff", (4, 9, 16))
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_plan_scales_agree_with_products_at_the_point(policy, cutoff, hamiltonians):
+    h = hamiltonians[policy]
+    basis = FockBasis(cutoff)
+    plan = compile_plan(h, basis)
+    for p in SCALED_POINTS:
+        got, want = plan.matrix(p), scaled_products(h, basis, p)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_plan_pairs_scalars_with_words_formed_once(hamiltonians):
@@ -90,35 +128,26 @@ def test_plan_pairs_scalars_with_words_formed_once(hamiltonians):
     words = [word for (word, _powers), _coef in h.sorted_terms()]
     assert (len(words), sum(map(len, words))) == (11, 26)
     assert len({word[:k] for word in words for k in range(1, len(word) + 1)}) == 15
-    plan = compile_plan(h, FockBasis(6), ParameterPoint())
-    assert [scalar for scalar, _word in plan.terms] == [
-        Scalar(coef, powers) for (_word, powers), coef in h.sorted_terms()
+    plan = compile_plan(h, FockBasis(6))
+    assert [term[:3] for term in plan.terms] == [
+        (Scalar(coef, powers), sum(g.startswith("q") for g in word),
+         sum(g.startswith("pi") for g in word))
+        for (word, powers), coef in h.sorted_terms()
     ]
     # Terms with one word (q1 pi2 and q2 pi1 appear twice) share its product.
     for i, j in ((1, 2), (4, 5)):
         assert words[i] == words[j]
-        assert np.shares_memory(plan.terms[i][1].data, plan.terms[j][1].data)
+        assert np.shares_memory(plan.terms[i][3].data, plan.terms[j][3].data)
 
 
-def test_plan_rejects_points_it_was_not_compiled_for(hamiltonians):
+def test_plan_keeps_the_overflow_check(hamiltonians):
+    # At hbar 1e308 hbar omega (n+ + n- + 1) overflows on every grade above 0,
+    # whether the scales sit in the word matrices or in the scalars; the
+    # summed matrix is what is checked, and the check raises NumericError.
     h = hamiltonians["default"]
-    plan = compile_plan(h, FockBasis(6), ParameterPoint(tau=0.01))
-    for other in (ParameterPoint(hbar=2.0), ParameterPoint(m=0.5), ParameterPoint(omega=3.0)):
-        assert not plan.admits(other)
-        with pytest.raises(ValueError, match="hbar, m, omega"):
-            plan.matrix(other)
-        with pytest.raises(ValueError, match="hbar, m, omega"):
-            spectrum(other, 6, plan)
-    with pytest.raises(ValueError, match="cutoff 6, not 8"):
-        spectrum(ParameterPoint(tau=0.01), 8, plan)
-
-
-def test_plan_keeps_the_overflow_check():
-    # hbar 1e300 already overflows the word matrices; as before, the summed
-    # matrix is what is checked, and the check raises NumericError.
     basis = FockBasis(4)
-    p = ParameterPoint(hbar=1e300)
-    plan = compile_plan(h_tau(), basis, p)
-    for call in (lambda: plan.matrix(p), lambda: reference_evaluate(h_tau(), basis, p)):
+    p = ParameterPoint(hbar=1e308)
+    plan = compile_plan(h, basis)
+    for call in (lambda: plan.matrix(p), lambda: reference_evaluate(h, basis, p)):
         with pytest.raises(NumericError, match="matrix entries overflow"):
             call()
