@@ -133,36 +133,12 @@ class Plan:
     ``terms`` holds, in ``Expression.sorted_terms`` order, each term's
     Scalar, its numbers of q and pi letters, and its word matrix at unit
     scales (sparse COO).  The word matrices depend only on the basis, so one
-    plan serves every parameter point: ``matrix(p)`` only evaluates and
-    scales the scalars and sums.
+    plan serves every parameter point: ``evaluate(plan, p)`` only evaluates
+    and scales the scalars and sums.
     """
 
     basis: FockBasis
     terms: tuple
-
-    def matrix(self, p: ParameterPoint) -> np.ndarray:
-        """The dense matrix at ``p``.
-
-        Each scalar is multiplied by l_q once per q letter and by l_p once
-        per pi letter (``phase_space_scales``), so a zero scalar stays zero
-        however large the scales.  Terms are added in order, entry by entry,
-        so the result equals the sparse sum of the scaled word matrices bit
-        for bit.  An overflowing entry raises NumericError.
-        """
-        values = p.values()
-        ell_q, ell_p = phase_space_scales(p)
-        d = self.basis.dimension
-        out = np.zeros((d, d), dtype=complex)
-        # Overflowing entries are caught below, so numpy need not warn of them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for scalar, n_q, n_pi, word in self.terms:
-                coef = scalar.evaluate(values)
-                for ell in (ell_q,) * n_q + (ell_p,) * n_pi:
-                    coef *= ell
-                out[word.row, word.col] += word.data * coef
-        if not np.isfinite(out).all():
-            raise NumericError("matrix entries overflow at this parameter point")
-        return out
 
 
 def compile_plan(e: Expression, basis: FockBasis) -> Plan:
@@ -193,10 +169,30 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
     return Plan(basis, tuple(terms))
 
 
-def evaluate(e: Expression, basis: FockBasis, p: ParameterPoint) -> np.ndarray:
-    """Realize an Expression as a dense matrix over ``basis`` at ``p``:
-    compile, then evaluate the plan."""
-    return compile_plan(e, basis).matrix(p)
+def evaluate(plan: Plan, p: ParameterPoint) -> np.ndarray:
+    """The dense matrix of a compiled plan at ``p``.
+
+    Each scalar is multiplied by l_q once per q letter and by l_p once per
+    pi letter (``phase_space_scales``), so a zero scalar stays zero for any
+    finite scales.  Terms are added in order, entry by entry, so the result
+    equals the sparse sum of the unit-scale word matrices times the scaled
+    scalars bit for bit.  An overflowing entry raises NumericError.  An
+    Expression is realized as ``evaluate(compile_plan(e, basis), p)``.
+    """
+    values = p.values()
+    ell_q, ell_p = phase_space_scales(p)
+    d = plan.basis.dimension
+    out = np.zeros((d, d), dtype=complex)
+    # Overflowing entries are caught below, so numpy need not warn of them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scalar, n_q, n_pi, word in plan.terms:
+            coef = scalar.evaluate(values)
+            for ell in (ell_q,) * n_q + (ell_p,) * n_pi:
+                coef *= ell
+            out[word.row, word.col] += word.data * coef
+    if not np.isfinite(out).all():
+        raise NumericError("matrix entries overflow at this parameter point")
+    return out
 
 
 def analytic_energy(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
@@ -343,7 +339,7 @@ def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) ->
 
 def spectrum(p: ParameterPoint, plan: Plan) -> LevelTable:
     """Evaluate, diagonalize and classify in one step, over the plan's basis."""
-    return classify(diagonalize(plan.matrix(p)), plan.basis, p)
+    return classify(diagonalize(evaluate(plan, p)), plan.basis, p)
 
 
 LEVEL_COLUMNS = (
@@ -484,9 +480,9 @@ def commuting_check(basis: FockBasis, p: ParameterPoint) -> dict:
     recorded as observed.
     """
     pieces = {
-        "h_core": (evaluate(h_core(), basis, p), 2),
-        "h_theta_eta": (evaluate(h_theta_eta(), basis, p), 2),
-        "h_tau": (evaluate(h_tau(), basis, p), 4),
+        "h_core": (evaluate(compile_plan(h_core(), basis), p), 2),
+        "h_theta_eta": (evaluate(compile_plan(h_theta_eta(), basis), p), 2),
+        "h_tau": (evaluate(compile_plan(h_tau(), basis), p), 4),
     }
     combos = [
         ("h_core", "h_theta_eta", True),

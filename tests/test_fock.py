@@ -127,7 +127,7 @@ def test_vacuum_position_variance():
 def test_evaluate_core_hamiltonian_diagonal():
     basis = FockBasis(9)
     p = ParameterPoint(hbar=1.3, m=2.0, omega=0.7)
-    h = evaluate(h_core(), basis, p)
+    h = evaluate(compile_plan(h_core(), basis), p)
     keep = basis.interior(2)
     diag = np.real(np.diag(h))
     for state, on, value in zip(basis.states, keep, diag):
@@ -139,14 +139,14 @@ def test_evaluate_core_hamiltonian_diagonal():
 def test_evaluate_scalar_is_identity_multiple():
     basis = FockBasis(4)
     p = ParameterPoint(hbar=0.9)
-    got = evaluate(parse("i*hbar"), basis, p)
+    got = evaluate(compile_plan(parse("i*hbar"), basis), p)
     assert np.allclose(got, 0.9j * np.eye(basis.dimension))
 
 
 def test_evaluate_angular_momentum_diagonal():
     basis = FockBasis(10)
     p = ParameterPoint(hbar=1.9)
-    got = evaluate(parse("q2*pi1 - q1*pi2"), basis, p)
+    got = evaluate(compile_plan(parse("q2*pi1 - q1*pi2"), basis), p)
     keep = basis.interior(2)
     for state, on, value in zip(basis.states, keep, np.diag(got)):
         if on:
@@ -158,7 +158,7 @@ def test_evaluate_angular_momentum_diagonal():
 def test_evaluate_rejects_noncommutative_alphabet():
     basis = FockBasis(4)
     with pytest.raises(Exception) as info:
-        evaluate(parse("x*y"), basis, ParameterPoint())
+        compile_plan(parse("x*y"), basis)
     assert "Bopp" in str(info.value)
 
 
@@ -166,7 +166,7 @@ def test_evaluate_accepts_bopp_image():
     basis = FockBasis(6)
     p = ParameterPoint(theta=0.05, eta=0.02)
     e = substitute(parse("[x, y]"), BOPP)
-    got = evaluate(e, basis, p)
+    got = evaluate(compile_plan(e, basis), p)
     assert np.allclose(got, 1j * p.theta * np.eye(basis.dimension))
 
 
@@ -175,8 +175,8 @@ def test_truncation_locality():
     p = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
     h = build_hamiltonian()
     small, large = FockBasis(8), FockBasis(12)
-    m_small = evaluate(h, small, p)
-    m_large = evaluate(h, large, p)
+    m_small = evaluate(compile_plan(h, small), p)
+    m_large = evaluate(compile_plan(h, large), p)
     degree = 4
     keep_small = [
         i for i, s in enumerate(small.states) if s[0] + s[1] <= small.cutoff - degree
@@ -205,7 +205,7 @@ def test_analytic_energy_values():
 def test_diagonalize_core_spectrum():
     basis = FockBasis(6)
     p = ParameterPoint()
-    h = evaluate(h_core(), basis, p)
+    h = evaluate(compile_plan(h_core(), basis), p)
     pairs = diagonalize(h)
     # the matrix is diagonal; interior labels carry the exact ladder values
     table = classify(pairs, basis, p)
@@ -219,7 +219,7 @@ def test_diagonalize_core_spectrum():
 
 def test_diagonalize_sorts_by_real_part():
     basis = FockBasis(5)
-    pairs = diagonalize(evaluate(h_core(), basis, ParameterPoint()))
+    pairs = diagonalize(evaluate(compile_plan(h_core(), basis), ParameterPoint()))
     reals = [pair.value.real for pair in pairs]
     assert reals == sorted(reals)
 
@@ -275,7 +275,7 @@ def test_diagonalize_matches_whole_matrix_eig(sizes, complex_entries):
 def test_hamiltonian_matrix_is_exactly_real(point):
     # In the helicity basis the Hamiltonian is exactly real at every real
     # parameter point; diagonalize relies on it to use real arithmetic.
-    h = evaluate(build_hamiltonian(), FockBasis(12), point)
+    h = evaluate(compile_plan(build_hamiltonian(), FockBasis(12)), point)
     assert isinstance(h, np.ndarray)
     assert not h.imag.any()
 
@@ -320,7 +320,7 @@ def test_angular_splitting_at_tau_zero():
 def test_hermitian_limit():
     p = ParameterPoint(theta=0.04, eta=0.05, tau=0.0)
     basis = FockBasis(10)
-    h = evaluate(build_hamiltonian(), basis, p)
+    h = evaluate(compile_plan(build_hamiltonian(), basis), p)
     assert np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(h)
     table = classify(diagonalize(h), basis, p)
     for row in table.rows:
@@ -511,8 +511,8 @@ def test_evaluate_commutes_with_normal_ordering():
         if not terms:
             continue
         e = Expression("canonical", terms)
-        raw = evaluate(e, basis, p)
-        ordered = evaluate(normal_order(e, CANONICAL), basis, p)
+        raw = evaluate(compile_plan(e, basis), p)
+        ordered = evaluate(compile_plan(normal_order(e, CANONICAL), basis), p)
         keep = basis.interior(max_len)
         assert np.allclose(
             raw[np.ix_(keep, keep)], ordered[np.ix_(keep, keep)], atol=1e-10

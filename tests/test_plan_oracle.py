@@ -1,4 +1,4 @@
-"""The compiled plan of ``fock.evaluate`` against two per-term references.
+"""``fock.evaluate`` of a compiled plan against two per-term references.
 
 ``reference_evaluate`` below rebuilds every term's word as a chain of
 sparse products of the unit-scale matrices from the identity, scales the
@@ -107,9 +107,7 @@ def test_plan_matrix_equals_the_per_term_loop_bitwise(policy, cutoff, hamiltonia
     # One plan serves every point, at unit scales or not.
     plan = compile_plan(h, basis)
     for p in UNIT_POINTS + SCALED_POINTS:
-        assert np.array_equal(plan.matrix(p), reference_evaluate(h, basis, p))
-    # evaluate is compile, then matrix
-    assert np.array_equal(evaluate(h, basis, SCALED_POINTS[0]), plan.matrix(SCALED_POINTS[0]))
+        assert np.array_equal(evaluate(plan, p), reference_evaluate(h, basis, p))
 
 
 @pytest.mark.parametrize("cutoff", (4, 9, 16))
@@ -119,7 +117,7 @@ def test_plan_scales_agree_with_products_at_the_point(policy, cutoff, hamiltonia
     basis = FockBasis(cutoff)
     plan = compile_plan(h, basis)
     for p in SCALED_POINTS:
-        got, want = plan.matrix(p), scaled_products(h, basis, p)
+        got, want = evaluate(plan, p), scaled_products(h, basis, p)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -148,6 +146,6 @@ def test_plan_keeps_the_overflow_check(hamiltonians):
     basis = FockBasis(4)
     p = ParameterPoint(hbar=1e308)
     plan = compile_plan(h, basis)
-    for call in (lambda: plan.matrix(p), lambda: reference_evaluate(h, basis, p)):
+    for call in (lambda: evaluate(plan, p), lambda: reference_evaluate(h, basis, p)):
         with pytest.raises(NumericError, match="matrix entries overflow"):
             call()
