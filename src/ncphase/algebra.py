@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Optional, Union
 
 from .rationals import GR_I, GR_ONE, GaussianRational
@@ -86,7 +87,7 @@ def powers_of(**exponents: int) -> Powers:
 
 
 def _add_powers(a: Powers, b: Powers) -> Powers:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _validate_powers(powers: Powers) -> None:
@@ -166,6 +167,9 @@ class Expression:
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
+
+    def __reduce__(self):
+        return Expression, (self.alphabet, self.terms)
 
     # -- constructors --------------------------------------------------------
 

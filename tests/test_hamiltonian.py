@@ -1,5 +1,7 @@
 """The symbolic Hamiltonian pipeline: capitals -> Bopp shift -> truncation."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 from ncphase.algebra import (
@@ -128,3 +130,10 @@ def test_injected_bopp_map_changes_the_result():
     from ncphase.maps import flipped_bopp
 
     assert build_hamiltonian(DEFAULT_POLICY, bopp=flipped_bopp()) != reference_hamiltonian()
+
+
+def test_hamiltonian_survives_pickle_and_deepcopy():
+    h = build_hamiltonian()
+    for back in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+        assert back == h and back.alphabet == h.alphabet
+        assert str(back) == str(h)

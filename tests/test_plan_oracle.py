@@ -13,6 +13,8 @@ the phase-space matrices of ``build_phase_space(basis, p)`` at the point's
 own (hbar, m, omega) and must agree with the plan to rounding.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -149,3 +151,13 @@ def test_plan_keeps_the_overflow_check(hamiltonians):
     for call in (lambda: evaluate(plan, p), lambda: reference_evaluate(h, basis, p)):
         with pytest.raises(NumericError, match="matrix entries overflow"):
             call()
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_pickled_plan_evaluates_bitwise(policy, hamiltonians):
+    # A plan can be sent to a worker process and gives the same matrices there.
+    plan = compile_plan(hamiltonians[policy], FockBasis(8))
+    back = pickle.loads(pickle.dumps(plan))
+    assert [term[:3] for term in back.terms] == [term[:3] for term in plan.terms]
+    for p in UNIT_POINTS + SCALED_POINTS:
+        assert evaluate(back, p).tobytes() == evaluate(plan, p).tobytes()
