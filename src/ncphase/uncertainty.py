@@ -4,9 +4,9 @@ The deformed inner product is
 
     <phi | psi>_rho = integral dy/(1 + tau y^2)  conj(psi)(y) phi(y),
 
-linear in the first argument, conjugating the second.  Quadrature uses the
-compactifying substitution y = tan(u) with adaptive refinement; the weight
-decays too slowly for naive interval truncation.
+linear in the first argument, conjugating the second.  Quadrature is the
+trapezoid rule in y = tan(u), on arrays of nodes; the weight decays too
+slowly for naive interval truncation.
 
 The Gaussian test family is
 
@@ -21,12 +21,10 @@ The grid scan takes its moments from the Faddeeva function in closed form
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.special import wofz
 
 
@@ -65,40 +63,41 @@ class Gaussian:
         return (g * g - 1.0 / self.sigma**2) * self(y)
 
 
-def _integrate(f: Callable[[float], complex]) -> complex:
-    """integral of f over the real line via y = tan(u).
+_FIRST_NODES = 64
+_MAX_NODES = 2**16
 
-    Converges to 1e-10 absolute for unit-scale integrands; for integrals of
-    large magnitude the acceptance threshold scales with the value (the
-    error estimate is then limited by the relative machine accuracy of the
-    adaptive rule, not by refinement).
+
+def _integrate(f: Callable[[np.ndarray], np.ndarray]) -> complex:
+    """integral of f over the real line by the trapezoid rule in y = tan(u).
+
+    Nodes u_j = -pi/2 + j pi/n; the summand f(y)(1 + y^2) is smooth and
+    pi-periodic in u, so the rule converges exponentially (Trefethen &
+    Weideman, SIAM Review 56 (2014) 385).  n doubles from 64 (from 16, both
+    first levels miss a packet of width 0.05 at 8), f called once per level
+    on the new midpoints, until two sums agree to 1e-12 max(1, |I|).  At
+    2^16 nodes a change above QUAD_TOLERANCE max(1, |I|) raises, as does,
+    with estimate inf, a non-finite summand.
     """
-
-    def real_part(u):
-        t = math.tan(u)
-        return (f(t) * (1 + t * t)).real
-
-    def imag_part(u):
-        t = math.tan(u)
-        return (f(t) * (1 + t * t)).imag
-
-    half_pi = math.pi / 2
-    value = 0.0j
-    for part, picker in ((real_part, 1.0), (imag_part, 1.0j)):
-        # The estimate decides acceptance below; scipy's warning only repeats it.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            integral, estimate = quad(
-                part, -half_pi, half_pi, epsabs=1e-12, epsrel=1e-12, limit=400
-            )
-        if estimate > QUAD_TOLERANCE * max(1.0, abs(integral)):
-            raise QuadratureError("quadrature did not converge", estimate)
-        value += picker * integral
+    n, new = _FIRST_NODES, np.arange(_FIRST_NODES)  # indices j of the new nodes
+    total, value = 0j, math.inf
+    while n <= _MAX_NODES:
+        y = np.tan(-math.pi / 2 + (math.pi / n) * new)
+        with np.errstate(all="ignore"):
+            total += complex(np.sum(f(y) * (1 + y * y)))
+        if not np.isfinite(total):
+            raise QuadratureError("integrand not finite at a node", math.inf)
+        previous, value = value, total * math.pi / n
+        change = abs(value - previous)
+        if change <= 1e-12 * max(1.0, abs(value)):
+            return value
+        n, new = 2 * n, 2 * np.arange(n) + 1
+    if change > QUAD_TOLERANCE * max(1.0, abs(value)):
+        raise QuadratureError("quadrature did not converge", change)
     return value
 
 
 def rho_inner(phi, psi, tau: float) -> complex:
-    """<phi | psi>_rho; linear in phi, conjugating psi."""
+    """<phi | psi>_rho; linear in phi, conjugating psi, both elementwise on arrays."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     return _integrate(lambda y: np.conj(psi(y)) * phi(y) / (1 + tau * y * y))
@@ -111,7 +110,7 @@ def rho_norm(psi, tau: float) -> float:
 # -- sector operators in the y-representation --------------------------------
 
 
-def apply_operator(name: str, psi, p) -> Callable[[float], complex]:
+def apply_operator(name: str, psi, p) -> Callable[[np.ndarray], np.ndarray]:
     """Apply one of Y, P_y, Y^2, P_y^2 (or the bare d/dy detector) to psi.
 
     P_y acts as (1 + tau y^2)(-i hbar d/dy); psi must expose derivative()
@@ -137,12 +136,17 @@ def apply_operator(name: str, psi, p) -> Callable[[float], complex]:
     raise ValueError(f"unknown sector operator {name!r}")
 
 
+def _normalized(o_psi, psi, tau: float) -> complex:
+    """<psi | o_psi>_rho / <psi | psi>_rho, the norm checked before dividing."""
+    norm = rho_inner(psi, psi, tau).real
+    if not 0 < norm < math.inf:
+        raise QuadratureError(f"weighted norm {norm!r} is not positive and finite", math.inf)
+    return rho_inner(o_psi, psi, tau) / norm
+
+
 def expectation(name: str, psi, p) -> float:
     """<psi | O psi>_rho / <psi | psi>_rho, returned as a real number."""
-    tau = p.tau
-    norm = rho_inner(psi, psi, tau).real
-    value = rho_inner(apply_operator(name, psi, p), psi, tau) / norm
-    return value.real
+    return _normalized(apply_operator(name, psi, p), psi, p.tau).real
 
 
 def verify_rho_hermiticity(name: str, pairs: Sequence, p) -> dict:
@@ -171,14 +175,9 @@ def robertson_lower_bound(psi, p) -> float:
     No closed form is substituted for the commutator: both operator orders
     are applied to the state and integrated.
     """
-    tau = p.tau
-    norm = rho_inner(psi, psi, tau).real
     py_psi = apply_operator("Py", psi, p)
     py_y_psi = apply_operator("Py", _YTimes(psi), p)
-    commutator = rho_inner(
-        lambda y: y * py_psi(y) - py_y_psi(y), psi, tau
-    ) / norm
-    return 0.5 * abs(commutator)
+    return 0.5 * abs(_normalized(lambda y: y * py_psi(y) - py_y_psi(y), psi, p.tau))
 
 
 # -- closed-form bounds -------------------------------------------------------

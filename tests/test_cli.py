@@ -351,6 +351,19 @@ def test_uncertainty_brute_force_block(capsys):
     assert block["states"] == 40
 
 
+def test_uncertainty_brute_force_narrow_off_center_state(capsys):
+    # The argmin packet (width 0.06 at 8) is narrow in the compactified
+    # variable; its quadrature check must resolve it, not report a mismatch.
+    code, stdout, err = run(
+        ["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
+         "--center", "8", "--sigma-min", "0.05", "--sigma-max", "0.06",
+         "--sigma-steps", "2"],
+        capsys,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(stdout)["brute_force"]["argmin"]["y_mean"] == pytest.approx(8.0, abs=1e-3)
+
+
 def test_uncertainty_domain_error(capsys):
     code, _o, err = run(["uncertainty", "--tau", "1.0", "--hbar", "2.5"], capsys)
     assert code == EXIT_USAGE
@@ -365,11 +378,11 @@ def test_uncertainty_rejects_empty_sigma_grid(capsys):
     assert err.startswith("usage error:") and "--sigma-steps" in err
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error")
 def test_numeric_failure_exit_code(capsys):
     # Absurdly wide packets concentrate all mass at the edge of the
     # compactified interval; the quadrature gives up and the failure
-    # surfaces as exit code 3, with one line and no warning from scipy.
+    # surfaces as exit code 3, with one line and no warning.
     code, _o, err = run(
         ["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
          "--sigma-min", "1000000", "--sigma-max", "10000000", "--sigma-steps", "2"],

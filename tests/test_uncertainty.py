@@ -72,13 +72,19 @@ def test_linear_in_first_argument():
     )
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_quadrature_error_reported_with_estimate():
     # A wildly oscillatory non-decaying integrand cannot reach the
     # tolerance; the failure must carry the achieved error estimate.
     with pytest.raises(QuadratureError) as info:
-        rho_inner(lambda y: math.cos(50 * y * y), lambda y: 1.0, 0.0)
+        rho_inner(lambda y: np.cos(50 * y * y), lambda y: 1.0, 0.0)
     assert info.value.estimate > 0
+
+
+def test_non_finite_integrand_is_a_quadrature_error():
+    # exp(y^2) overflows at the outer nodes: an infinite estimate, never NaN.
+    with pytest.raises(QuadratureError) as info:
+        rho_inner(lambda y: np.exp(y * y), lambda y: 1.0, 0.1)
+    assert info.value.estimate == math.inf
 
 
 # -- expectations -----------------------------------------------------------------
@@ -96,6 +102,13 @@ def test_flat_second_moment_convention():
     for sigma in (0.7, 1.0, 1.9):
         got = expectation("Y2", Gaussian(sigma=sigma), p)
         assert got == pytest.approx(sigma**2 / 2, rel=1e-10)
+
+
+def test_unresolved_norm_is_a_quadrature_error():
+    # The packet sits 1e-6 from the end of the compactified interval, between
+    # the nodes of every level, so its weighted norm integrates to 0.
+    with pytest.raises(QuadratureError, match="weighted norm 0.0"):
+        expectation("Y", Gaussian(center=1e6, sigma=1.0), ParameterPoint(tau=0.0))
 
 
 def test_sector_expectations_are_real():
