@@ -13,12 +13,14 @@ assertions rely on that margin.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
@@ -203,7 +205,9 @@ def analytic_energy(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
         * (p.eta / (2 * p.m) + p.m * p.omega**2 * p.theta / 2)
         * (n_plus - n_minus)
     )
-    return core + angular + p.tau * _tau_level_shift(n_plus, n_minus, p)
+    # At tau = 0 the shift is absent, also where its prefactor overflows.
+    shift = p.tau * _tau_level_shift(n_plus, n_minus, p) if p.tau else 0.0
+    return core + angular + shift
 
 
 def _tau_level_shift(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
@@ -213,9 +217,66 @@ def _tau_level_shift(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
 
 @dataclass
 class EigenPair:
+    """One eigenpair of a matrix of order ``dimension``.
+
+    The eigenvector is kept on its block only: ``local`` holds its entries at
+    the basis indices ``support`` (ascending), and every other entry is
+    exactly zero.
+    """
+
     value: complex
-    vector: np.ndarray
+    local: np.ndarray
+    support: np.ndarray
+    dimension: int
     residual: float
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The eigenvector at full length."""
+        vector = np.zeros(self.dimension, dtype=complex)
+        vector[self.support] = self.local
+        return vector
+
+
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """Threads for every block but the first, which the caller solves: one
+    fewer than the usable CPUs, and at least one."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=max(1, cpus - 1))
+
+
+def _solve_block(h: np.ndarray, idx: np.ndarray, bound: float, residual_factor: float) -> tuple:
+    """Eigenvalues, unit eigenvectors (columns) and residuals of the block of
+    ``h`` on the indices ``idx``.
+
+    It runs on pool threads, so it calls no public ncphase function: the
+    tracer in perfbench keeps a single span stack.  ``numpy.linalg.eig``
+    releases the GIL while LAPACK runs, where ``scipy.linalg.eig`` holds it.
+    """
+    # A real block is gathered from h.real, at half the memory of a complex one.
+    rows = np.ix_(idx, idx)
+    block = h[rows] if h.imag[rows].any() else h.real[rows]
+    try:
+        values, vectors = np.linalg.eig(block)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+    # As scipy.linalg.eig returns them: complex values and Fortran-ordered
+    # vectors, so the products below round as they did with scipy.
+    values = values.astype(complex)
+    vectors = np.asfortranarray(vectors)
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = np.linalg.norm(block @ vectors - vectors * values, axis=0)
+    worst = float(residuals.max())
+    if not worst <= bound:  # a NaN residual fails too
+        raise NumericError(
+            f"eigenpair residual {worst:.3e} exceeds {residual_factor:.1e} * ||H||"
+        )
+    return values, vectors, residuals
 
 
 def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
@@ -224,51 +285,43 @@ def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
     The matrix splits into the connected components of its exact nonzero
     pattern (for the Hamiltonian: the even-grade and odd-grade blocks).
     Off-block entries are exactly zero, so the union of the block spectra is
-    the spectrum of the whole matrix.  A block whose imaginary part is
-    exactly zero is solved in real arithmetic.  Eigenvectors are embedded
-    back at full length.
+    the spectrum of the whole matrix.  The calling thread solves the first
+    block while a shared thread pool solves the others.  A block whose
+    imaginary part is exactly zero is solved in real arithmetic.  Each
+    eigenvector is kept on its block (``EigenPair.local``).
 
     Every returned pair satisfies ||H v - lambda v|| <= residual_factor
-    times ||H||; a violation, a non-finite norm or residual, or LAPACK
-    non-convergence raises NumericError.
+    times ||H||; a violation, a non-finite or underflowing norm, a
+    non-finite residual, or LAPACK non-convergence raises NumericError.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
-    d = h.shape[0]
     # An overflowing norm or residual is reported below, not by numpy.
     with np.errstate(over="ignore", invalid="ignore"):
-        bound = residual_factor * np.linalg.norm(h)
+        norm = np.linalg.norm(h)
+        bound = residual_factor * norm
     if not math.isfinite(bound):
         raise NumericError("matrix norm overflows at this parameter point")
+    # Else every residual would underflow to 0 too and pass the bound.
+    if norm == 0 and h.any():
+        raise NumericError("matrix norm underflows at this parameter point")
     # csgraph would copy a dense input as float, dropping imaginary parts.
     n_blocks, labels = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(h != 0), directed=False
     )
-    pairs = []
-    for label in range(n_blocks):
-        idx = np.flatnonzero(labels == label)
-        block = h[np.ix_(idx, idx)]
-        if not block.imag.any():
-            block = block.real
-        try:
-            values, vectors = scipy.linalg.eig(block)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-            raise NumericError(f"eigensolver did not converge: {exc}") from exc
-        vectors = vectors / np.linalg.norm(vectors, axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            residuals = np.linalg.norm(block @ vectors - vectors * values, axis=0)
-        worst = float(residuals.max())
-        if not worst <= bound:  # a NaN residual fails too
-            raise NumericError(
-                f"eigenpair residual {worst:.3e} exceeds "
-                f"{residual_factor:.1e} * ||H||"
-            )
-        embedded = np.zeros((len(idx), d), dtype=complex)
-        embedded[:, idx] = vectors.T
-        pairs.extend(
-            EigenPair(complex(value), vector, float(residual))
-            for value, vector, residual in zip(values, embedded, residuals)
-        )
+    blocks = [np.flatnonzero(labels == label) for label in range(n_blocks)]
+    futures = [_pool().submit(_solve_block, h, idx, bound, residual_factor) for idx in blocks[1:]]
+    try:
+        solved = [_solve_block(h, idx, bound, residual_factor) for idx in blocks[:1]]
+    finally:
+        # No pooled solve outlives the call, also when the first block fails.
+        wait(futures)
+    solved.extend(future.result() for future in futures)
+    pairs = [
+        EigenPair(complex(value), vector, idx, h.shape[0], float(residual))
+        for idx, (values, vectors, residuals) in zip(blocks, solved)
+        for value, vector, residual in zip(values, vectors.T, residuals)
+    ]
     pairs.sort(key=lambda pair: (pair.value.real, pair.value.imag))
     return pairs
 
@@ -306,14 +359,14 @@ def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) ->
 
     Assignment is greedy by descending overlap so that each label is claimed
     at most once; argmax ties resolve to the lower (grade, n+) label because
-    that is the basis enumeration order.  Pairs with best overlap below
-    OVERLAP_FLOOR are reported as unclassified.
+    that is the basis enumeration order, which each support ascends in.
+    Pairs with best overlap below OVERLAP_FLOOR are reported as unclassified.
     """
     claims = []
     for pair in pairs:
-        weights = np.abs(pair.vector) ** 2
+        weights = np.abs(pair.local) ** 2
         best = int(np.argmax(weights))
-        claims.append((float(weights[best]), best, pair))
+        claims.append((float(weights[best]), int(pair.support[best]), pair))
     claims.sort(key=lambda item: -item[0])
     taken = set()
     rows, unclassified = [], []
@@ -323,11 +376,15 @@ def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) ->
             continue
         taken.add(best)
         n_plus, n_minus = basis.states[best]
+        e_analytic = analytic_energy(n_plus, n_minus, p)
+        # The level table prints both energies and their distance.
+        if not math.isfinite(abs(pair.value - e_analytic)):
+            raise NumericError("level energies overflow at this parameter point")
         rows.append(
             LevelRow(
                 n_plus=n_plus,
                 n_minus=n_minus,
-                e_analytic=analytic_energy(n_plus, n_minus, p),
+                e_analytic=e_analytic,
                 e_numeric=pair.value,
                 residual=pair.residual,
                 overlap=overlap,

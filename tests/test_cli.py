@@ -8,7 +8,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ncphase.cli
@@ -437,6 +437,11 @@ def test_uncertainty_exit_code_contract(flags, sigma_steps, capsys):
     assert_exit_contract(*run(argv, capsys))
 
 
+# hbar^2/(2m) overflows at this mass, so the closed-form tau shift is inf;
+# at tau = 0 no level may print 0 * inf = NaN.
+TINY_MASS = 1.1125369292536007e-308
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -446,6 +451,7 @@ def test_uncertainty_exit_code_contract(flags, sigma_steps, capsys):
         "--mass": NUMBERS, "--cutoff": st.integers(-1, 5),
     }),
 )
+@example(param="theta", flags={"--mass": TINY_MASS})
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sweep_exit_code_contract(param, flags, capsys):
     argv = ["sweep", "--param", param, "--steps", "2", "--cutoff", "4", "--format", "json"]
@@ -464,6 +470,7 @@ PARAMETER_FLAGS = st.fixed_dictionaries({}, optional={
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(flags=PARAMETER_FLAGS)
+@example(flags={"--mass": TINY_MASS})
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_exit_code_contract(flags, capsys):
     argv = ["spectrum", "--cutoff", "4", "--format", "json"]
@@ -524,8 +531,9 @@ def test_overflowing_residual_bound_is_a_numeric_failure(capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    # ||H||_F underflows to 0, and LAPACK's eigenpairs are off by 1e-139.
-    (["spectrum", "--cutoff", "6", "--hbar", "1e-300"], "numeric failure: eigenpair residual "),
+    # ||H||_F underflows to 0, and so would every residual.
+    (["spectrum", "--cutoff", "6", "--hbar", "1e-300"],
+     "numeric failure: matrix norm underflows at this parameter point\n"),
     # hbar^2 underflows, so every closed form is 0 and would match vacuously.
     (["verify", "--cutoff", "6", "--hbar", "1e-300"],
      "numeric failure: diag(m omega^2 q2^2 q1^2) underflows at this parameter point\n"),
@@ -537,6 +545,24 @@ def test_underflowing_scale_is_a_numeric_failure(argv, message, capsys):
     assert (code, stdout) == (EXIT_NUMERIC, "")
     assert err.startswith(message) and err.count("\n") == 1
     assert [str(w.message) for w in caught] == []
+
+
+def test_tiny_scale_is_solved_not_rejected(capsys):
+    # At hbar = 1e-140 every matrix entry is 1e-140 times its hbar = 1 value,
+    # so the energies must scale with it rather than fail the residual check.
+    levels = {}
+    for hbar in ("1", "1e-140"):
+        code, stdout, err = run(
+            ["spectrum", "--cutoff", "6", "--hbar", hbar, "--format", "json"], capsys
+        )
+        assert (code, err) == (EXIT_OK, "")
+        levels[hbar] = json.loads(stdout)["levels"]
+    assert [(r["n_plus"], r["n_minus"]) for r in levels["1e-140"]] == [
+        (r["n_plus"], r["n_minus"]) for r in levels["1"]
+    ]
+    for tiny, unit in zip(levels["1e-140"], levels["1"]):
+        assert tiny["E_numeric_re"] == pytest.approx(1e-140 * unit["E_numeric_re"], rel=1e-10)
+        assert tiny["E_analytic"] == pytest.approx(1e-140 * unit["E_analytic"], rel=1e-10)
 
 
 def test_uncertainty_rejects_bad_scan_flags(capsys):

@@ -8,16 +8,25 @@ realization actually produces on interior states.
 """
 
 import dataclasses
+import inspect
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
+import scipy.sparse.csgraph
 
+import ncphase.fock
 from ncphase.algebra import CANONICAL, PARAMS, commutator, normal_order
 from ncphase.fock import (
+    EigenPair,
     FockBasis,
+    NumericError,
     ParameterPoint,
     analytic_energy,
     build_ladder,
@@ -263,6 +272,151 @@ def test_diagonalize_matches_whole_matrix_eig(sizes, complex_entries):
         assert pair.vector.shape == (h.shape[0],)
         residual = np.linalg.norm(h @ pair.vector - pair.value * pair.vector)
         assert residual <= 1e-10 * np.linalg.norm(h)
+
+
+def _scipy_block_pairs(h):
+    """The oracle: one scipy.linalg.eig call per connected block, one after
+    the other, each eigenvector embedded at full length."""
+    d = h.shape[0]
+    everywhere = np.arange(d)
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(h != 0), directed=False
+    )
+    pairs = []
+    for label in range(n_blocks):
+        idx = np.flatnonzero(labels == label)
+        block = h[np.ix_(idx, idx)]
+        if not block.imag.any():
+            block = block.real
+        values, vectors = scipy.linalg.eig(block)
+        vectors = vectors / np.linalg.norm(vectors, axis=0)
+        residuals = np.linalg.norm(block @ vectors - vectors * values, axis=0)
+        embedded = np.zeros((len(idx), d), dtype=complex)
+        embedded[:, idx] = vectors.T
+        pairs.extend(
+            EigenPair(complex(value), vector, everywhere, d, float(residual))
+            for value, vector, residual in zip(values, embedded, residuals)
+        )
+    pairs.sort(key=lambda pair: (pair.value.real, pair.value.imag))
+    return pairs
+
+
+ACCEPTANCE_POINT = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
+
+
+def _oracle_case(name):
+    """(matrix, basis) of an oracle case.  A random matrix is labelled by the
+    first states of a basis at least as large: classify reads labels only."""
+    if name == "acceptance-16":
+        basis = FockBasis(16)
+        return evaluate(compile_plan(build_hamiltonian(), basis), ACCEPTANCE_POINT), basis
+    sizes = (20,) if name.startswith("coupled") else (7, 1, 12, 5)
+    complex_entries = name.endswith("complex")
+    rng = np.random.default_rng(len(sizes) + 2 * complex_entries)
+    return _permuted_blocks(rng, sizes, complex_entries), FockBasis(6)
+
+
+@pytest.mark.parametrize("case", [
+    "acceptance-16", "blocks-real", "blocks-complex", "coupled-real", "coupled-complex",
+])
+def test_diagonalize_matches_scipy_block_oracle(case):
+    h, basis = _oracle_case(case)
+    got, expected = diagonalize(h), _scipy_block_pairs(h)
+    tolerance = 1e-12 * np.linalg.norm(h)
+    distance = np.abs(
+        np.array([p.value for p in got])[:, None] - np.array([p.value for p in expected])[None, :]
+    )
+    rows, cols = scipy.optimize.linear_sum_assignment(distance)
+    assert len(got) == len(expected) == h.shape[0]
+    assert distance[rows, cols].max() <= tolerance
+    # The oracle's pairs carry full-length vectors, so this also checks that
+    # classify maps a block-local argmax back to the same basis label.
+    table, oracle = classify(got, basis, ACCEPTANCE_POINT), classify(expected, basis, ACCEPTANCE_POINT)
+    assert [(r.n_plus, r.n_minus) for r in table.rows] == [
+        (r.n_plus, r.n_minus) for r in oracle.rows
+    ]
+    assert len(table.unclassified) == len(oracle.unclassified)
+    # The two wrappers may link different LAPACK builds, so the overlaps are
+    # compared to roundoff rather than bit for bit.
+    assert [r.overlap for r in table.rows] == pytest.approx(
+        [r.overlap for r in oracle.rows], abs=1e-12
+    )
+    for row, reference in zip(table.rows, oracle.rows):
+        assert abs(row.e_numeric - reference.e_numeric) <= tolerance
+
+
+def test_diagonalize_repeats_bit_for_bit():
+    h, _basis = _oracle_case("acceptance-16")
+    first = diagonalize(h)
+    for _ in range(19):
+        again = diagonalize(h)
+        assert np.array_equal([p.value for p in again], [p.value for p in first])
+        assert np.array_equal([p.vector for p in again], [p.vector for p in first])
+        assert np.array_equal([p.residual for p in again], [p.residual for p in first])
+
+
+def test_pooled_block_failure_reaches_the_caller():
+    # The caller solves the block of index 0, a 1x1 block with residual
+    # exactly 0; the two random blocks go to the pool, where roundoff leaves
+    # a residual above a bound of 0.
+    rng = np.random.default_rng(3)
+    h = np.zeros((13, 13))
+    h[0, 0] = 2.0
+    h[1:7, 1:7] = rng.standard_normal((6, 6))
+    h[7:, 7:] = rng.standard_normal((6, 6))
+    assert diagonalize(h[:1, :1], residual_factor=0)[0].residual == 0
+    with pytest.raises(NumericError, match=r"^eigenpair residual \S+ exceeds 0\.0e\+00 \* \|\|H\|\|$"):
+        diagonalize(h, residual_factor=0)
+    # The pool serves the next call as before.
+    assert len(diagonalize(h)) == 13
+
+
+def test_concurrent_callers_share_the_pool():
+    # More calling threads than CPUs, each with its own matrix, all queueing
+    # blocks on the one pool: each gets exactly its serial result.
+    matrices = [
+        _permuted_blocks(np.random.default_rng(seed), (7, 1, 12, 5), seed % 2 == 0)
+        for seed in range(6)
+    ]
+    serial = [diagonalize(h) for h in matrices]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(matrices)) as callers:
+            futures = [callers.submit(diagonalize, h) for h in matrices for _ in range(5)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, pairs in enumerate(results):
+        expected = serial[k // 5]
+        assert np.array_equal([p.value for p in pairs], [p.value for p in expected])
+        assert np.array_equal([p.vector for p in pairs], [p.vector for p in expected])
+
+
+def test_pool_threads_call_no_public_function(monkeypatch):
+    # perfbench's tracer wraps every public ncphase function and keeps one
+    # span stack, so only the calling thread may enter them.
+    calls = []
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name != "ncphase" and not module_name.startswith("ncphase."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if (inspect.isfunction(value) and value.__module__.startswith("ncphase")
+                    and not attr.startswith("_")):
+                monkeypatch.setattr(module, attr, recorded(f"{value.__module__}.{attr}", value))
+    monkeypatch.setattr(ncphase.fock, "_solve_block",
+                        recorded("_solve_block", ncphase.fock._solve_block))
+    h = _permuted_blocks(np.random.default_rng(5), (7, 1, 12, 5), True)
+    ncphase.fock.diagonalize(h)
+    assert ("ncphase.fock.diagonalize", True) in calls
+    assert [name for name, on_main in calls if not on_main] == ["_solve_block"] * 3
 
 
 @pytest.mark.parametrize(
