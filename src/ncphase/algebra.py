@@ -147,7 +147,9 @@ class Expression:
 
     __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: Optional[str], terms: Mapping):
+    # Built in __new__, with no __init__, so that an existing expression
+    # cannot be re-initialised.
+    def __new__(cls, alphabet: Optional[str], terms: Mapping):
         clean = {}
         for (word, powers), coef in terms.items():
             if coef.is_zero():
@@ -162,8 +164,10 @@ class Expression:
         # A purely scalar expression is alphabet-agnostic.
         if not any(word for (word, _p) in clean):
             alphabet = None
+        self = object.__new__(cls)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "terms", clean)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")

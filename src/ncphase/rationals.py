@@ -23,14 +23,14 @@ class GaussianRational:
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
+    # Built in __new__, with no __init__, so that calling __init__ again on a
+    # shared constant such as GR_ONE cannot rewrite it.
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0):
         re, im = Fraction(re), Fraction(im)
         p, q = re.denominator, im.denominator
         d = p // gcd(p, q) * q
         # Over the lcm of two reduced denominators the triple is reduced.
-        _set_a(self, re.numerator * (d // p))
-        _set_b(self, im.numerator * (d // q))
-        _set_d(self, d)
+        return _triple(re.numerator * (d // p), im.numerator * (d // q), d)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("GaussianRational is immutable")

@@ -55,49 +55,61 @@ class Gaussian:
         z = (y - self.center) / self.sigma
         return np.exp(-0.5 * z * z + 1j * self.kick * y)
 
-    def derivative(self, y):
-        return (1j * self.kick - (y - self.center) / self.sigma**2) * self(y)
-
-    def second_derivative(self, y):
+    def jet(self, y):
+        """(psi, psi', psi'') at y, from one exp: psi' = g psi with
+        g = i k - (y - a)/sigma^2, and psi'' = (g^2 - 1/sigma^2) psi."""
+        psi = self(y)
         g = 1j * self.kick - (y - self.center) / self.sigma**2
-        return (g * g - 1.0 / self.sigma**2) * self(y)
+        return psi, g * psi, (g * g - 1.0 / self.sigma**2) * psi
 
 
 _FIRST_NODES = 64
 _MAX_NODES = 2**16
 
 
-def _integrate(f: Callable[[np.ndarray], np.ndarray]) -> complex:
+def _integrate(f: Callable[[np.ndarray], np.ndarray]) -> complex | np.ndarray:
     """integral of f over the real line by the trapezoid rule in y = tan(u).
 
     Nodes u_j = -pi/2 + j pi/n; the summand f(y)(1 + y^2) is smooth and
     pi-periodic in u, so the rule converges exponentially (Trefethen &
     Weideman, SIAM Review 56 (2014) 385).  n doubles from 64 (from 16, both
     first levels miss a packet of width 0.05 at 8), f called once per level
-    on the new midpoints, until two sums agree to 1e-12 max(1, |I|).  At
-    2^16 nodes a change above QUAD_TOLERANCE max(1, |I|) raises, as does,
-    with estimate inf, a non-finite summand.
+    on the new midpoints.  f may stack components on leading axes, its last
+    axis running over the nodes; they share the nodes and an array of their
+    integrals is returned (a complex for a single one).  The sweep stops when
+    two sums of every component agree to 1e-12 max(1, |I_k|) at the same
+    level, since a component can agree early by missing the state: y^2 |psi|^2
+    is 0 at the only node inside a narrow packet at 0.  At 2^16 nodes a
+    change above QUAD_TOLERANCE max(1, |I_k|) raises with the change of the
+    component furthest above it, as does, with estimate inf, a non-finite
+    summand.
     """
     n, new = _FIRST_NODES, np.arange(_FIRST_NODES)  # indices j of the new nodes
     total, value = 0j, math.inf
     while n <= _MAX_NODES:
         y = np.tan(-math.pi / 2 + (math.pi / n) * new)
         with np.errstate(all="ignore"):
-            total += complex(np.sum(f(y) * (1 + y * y)))
-        if not np.isfinite(total):
+            total = total + np.sum(f(y) * (1 + y * y), axis=-1)
+        if not np.all(np.isfinite(total)):
             raise QuadratureError("integrand not finite at a node", math.inf)
         previous, value = value, total * math.pi / n
-        change = abs(value - previous)
-        if change <= 1e-12 * max(1.0, abs(value)):
-            return value
+        change, scale = np.abs(value - previous), np.maximum(1.0, np.abs(value))
+        if np.all(change <= 1e-12 * scale):
+            break
         n, new = 2 * n, 2 * np.arange(n) + 1
-    if change > QUAD_TOLERANCE * max(1.0, abs(value)):
-        raise QuadratureError("quadrature did not converge", change)
-    return value
+    else:
+        if np.any(change > QUAD_TOLERANCE * scale):
+            worst = np.argmax(change / scale)
+            raise QuadratureError("quadrature did not converge", float(np.ravel(change)[worst]))
+    return complex(value) if np.ndim(value) == 0 else value
 
 
-def rho_inner(phi, psi, tau: float) -> complex:
-    """<phi | psi>_rho; linear in phi, conjugating psi, both elementwise on arrays."""
+def rho_inner(phi, psi, tau: float):
+    """<phi | psi>_rho; linear in phi, conjugating psi, both elementwise on arrays.
+
+    phi may stack components on leading axes; each is then paired with psi,
+    all in one sweep, and an array of inner products is returned.
+    """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     return _integrate(lambda y: np.conj(psi(y)) * phi(y) / (1 + tau * y * y))
@@ -109,44 +121,51 @@ def rho_norm(psi, tau: float) -> float:
 
 # -- sector operators in the y-representation --------------------------------
 
+# Y, Y^2, P_y and P_y^2 on psi, from its jet (psi, psi', psi'') at nodes y, in
+# the order in which _state_scan takes their moments.  P_y acts as
+# (1 + tau y^2)(-i hbar d/dy).
+SECTOR_IMAGES = {
+    "Y": lambda jet, y, p: y * jet[0],
+    "Y2": lambda jet, y, p: y * y * jet[0],
+    "Py": lambda jet, y, p: (1 + p.tau * y * y) * (-1j * p.hbar) * jet[1],
+    "Py2": lambda jet, y, p: (
+        -(p.hbar**2)
+        * (1 + p.tau * y * y)
+        * ((1 + p.tau * y * y) * jet[2] + 2 * p.tau * y * jet[1])
+    ),
+}
+
 
 def apply_operator(name: str, psi, p) -> Callable[[np.ndarray], np.ndarray]:
     """Apply one of Y, P_y, Y^2, P_y^2 (or the bare d/dy detector) to psi.
 
-    P_y acts as (1 + tau y^2)(-i hbar d/dy); psi must expose derivative()
-    and second_derivative() (the Gaussian family does).
+    psi must expose jet(y) = (psi, psi', psi'') (the Gaussian family does).
     """
-    hbar, tau = p.hbar, p.tau
-    if name == "Y":
-        return lambda y: y * psi(y)
-    if name == "Y2":
-        return lambda y: y * y * psi(y)
-    if name == "Py":
-        return lambda y: (1 + tau * y * y) * (-1j * hbar) * psi.derivative(y)
-    if name == "Py2":
-        return lambda y: (
-            -(hbar**2)
-            * (1 + tau * y * y)
-            * ((1 + tau * y * y) * psi.second_derivative(y) + 2 * tau * y * psi.derivative(y))
-        )
     if name == "d/dy":
         # Not an observable; kept as a detector that the Hermiticity check
         # actually rejects non-Hermitian operators.
-        return lambda y: psi.derivative(y)
-    raise ValueError(f"unknown sector operator {name!r}")
+        return lambda y: psi.jet(y)[1]
+    if name not in SECTOR_IMAGES:
+        raise ValueError(f"unknown sector operator {name!r}")
+    image = SECTOR_IMAGES[name]
+    return lambda y: image(psi.jet(y), y, p)
 
 
-def _normalized(o_psi, psi, tau: float) -> complex:
-    """<psi | o_psi>_rho / <psi | psi>_rho, the norm checked before dividing."""
-    norm = rho_inner(psi, psi, tau).real
+def _normalized(o_psi, psi, tau: float) -> np.ndarray:
+    """<psi | o_psi>_rho / <psi | psi>_rho, one value per component of o_psi.
+
+    The norm is a component of the same sweep, checked before dividing.
+    """
+    norm, *values = rho_inner(lambda y: np.vstack((psi(y), o_psi(y))), psi, tau)
+    norm = float(norm.real)
     if not 0 < norm < math.inf:
         raise QuadratureError(f"weighted norm {norm!r} is not positive and finite", math.inf)
-    return rho_inner(o_psi, psi, tau) / norm
+    return np.array(values) / norm
 
 
 def expectation(name: str, psi, p) -> float:
     """<psi | O psi>_rho / <psi | psi>_rho, returned as a real number."""
-    return _normalized(apply_operator(name, psi, p), psi, p.tau).real
+    return _normalized(apply_operator(name, psi, p), psi, p.tau)[0].real
 
 
 def verify_rho_hermiticity(name: str, pairs: Sequence, p) -> dict:
@@ -160,13 +179,14 @@ def verify_rho_hermiticity(name: str, pairs: Sequence, p) -> dict:
 
 
 class _YTimes:
-    """y * psi, as far as P_y reads it: its derivative."""
+    """y * psi, as far as P_y reads it: its jet."""
 
     def __init__(self, psi):
         self.psi = psi
 
-    def derivative(self, y):
-        return self.psi(y) + y * self.psi.derivative(y)
+    def jet(self, y):
+        psi, d1, d2 = self.psi.jet(y)
+        return y * psi, psi + y * d1, 2 * d1 + y * d2
 
 
 def robertson_lower_bound(psi, p) -> float:
@@ -177,7 +197,7 @@ def robertson_lower_bound(psi, p) -> float:
     """
     py_psi = apply_operator("Py", psi, p)
     py_y_psi = apply_operator("Py", _YTimes(psi), p)
-    return 0.5 * abs(_normalized(lambda y: y * py_psi(y) - py_y_psi(y), psi, p.tau))
+    return 0.5 * abs(_normalized(lambda y: y * py_psi(y) - py_y_psi(y), psi, p.tau)[0])
 
 
 # -- closed-form bounds -------------------------------------------------------
@@ -338,9 +358,36 @@ def _state_scan(psi: Gaussian, p, y_mean, y2, py_mean, py2) -> StateScan:
     )
 
 
+class _OneJetPerLevel:
+    """psi and its stacked sector images, both read from one jet per level.
+
+    ``rho_inner`` evaluates the state and the images on the same array of
+    nodes; the jet taken for the first is kept for the second, and a new
+    array of nodes (the next level) takes a new jet.
+    """
+
+    def __init__(self, psi, p):
+        self.psi, self.p = psi, p
+        self._nodes = self._jet = None
+
+    def _jet_at(self, y):
+        if y is not self._nodes:
+            self._nodes, self._jet = y, self.psi.jet(y)
+        return self._jet
+
+    def state(self, y):
+        return self._jet_at(y)[0]
+
+    def images(self, y):
+        jet = self._jet_at(y)
+        return np.stack([image(jet, y, self.p) for image in SECTOR_IMAGES.values()])
+
+
 def scan_state(psi: Gaussian, p) -> StateScan:
-    """One state of the scan with every moment by quadrature."""
-    return _state_scan(psi, p, *(expectation(name, psi, p) for name in ("Y", "Y2", "Py", "Py2")))
+    """One state of the scan with every moment by quadrature: the norm and
+    the moments of Y, Y^2, P_y and P_y^2, converged jointly in one sweep."""
+    levels = _OneJetPerLevel(psi, p)
+    return _state_scan(psi, p, *_normalized(levels.images, levels.state, p.tau).real)
 
 
 # The closed-form argmin state must match its quadrature to this, relative to

@@ -60,6 +60,12 @@ def test_coefficient_exponents_add():
     assert prod.terms == {(("y", "y"), powers_of(theta=1, tau=1)): GaussianRational(1)}
 
 
+def test_init_cannot_rewrite_an_expression():
+    q1 = Expression.generator("q1")
+    q1.__init__(None, {})
+    assert q1 == Expression.generator("q1") and not q1.is_zero()
+
+
 def test_mixed_alphabet_rejected():
     with pytest.raises(MixedAlphabetError):
         Expression.generator("q1") * Expression.generator("x")

@@ -5,6 +5,9 @@ The reference below is the earlier implementation: scipy's adaptive ``quad``
 on the real and imaginary parts of f(tan u)(1 + tan^2 u) over (-pi/2, pi/2),
 one scalar node at a time.  Both rules accept a result at 1e-10 max(1, |I|),
 and on every integrand of ``scan_state`` their results must agree to that.
+``scan_state`` takes its five integrals in one sweep of stacked components;
+the moments it derives from them must agree with QUADPACK's to the oracle
+tolerance of the CLI.
 """
 
 import math
@@ -18,11 +21,15 @@ from scipy.integrate import IntegrationWarning, quad
 
 from ncphase.fock import ParameterPoint
 from ncphase.uncertainty import (
+    ORACLE_TOLERANCE,
     QUAD_TOLERANCE,
+    SECTOR_IMAGES,
     Gaussian,
     QuadratureError,
     _integrate,
+    _state_scan,
     apply_operator,
+    scan_state,
 )
 
 
@@ -56,23 +63,89 @@ def weighted(phi, psi, tau):
     return lambda y: np.conj(psi(y)) * phi(y) / (1 + tau * y * y)
 
 
+def scan_integrands(psi, p):
+    """The five integrands of scan_state: the norm and the four sector moments."""
+    return [weighted(psi, psi, p.tau)] + [
+        weighted(apply_operator(name, psi, p), psi, p.tau) for name in SECTOR_IMAGES
+    ]
+
+
 def assert_agree(f):
     want = reference_integrate(f)
     got = _integrate(f)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
+    return want
+
+
+def assert_scans_agree(got, want):
+    """Two StateScans within the oracle tolerance of the CLI, relative to the
+    root mean square of each sector."""
+    y_scale = math.hypot(want.y_mean, want.delta_y)
+    py_scale = math.hypot(want.py_mean, want.delta_py)
+    for field, scale in (("y_mean", y_scale), ("delta_y", y_scale),
+                         ("py_mean", py_scale), ("delta_py", py_scale)):
+        assert abs(getattr(got, field) - getattr(want, field)) <= ORACLE_TOLERANCE * scale, field
+
+
+GRID = [(sigma, center, kick) for sigma in (0.2, 1.1, 5.0, 30.0)
+        for center in (0.0, 0.5, -1.0, 2.0, 5.0) for kick in (-1.0, 0.0, 0.5)]
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-8, 1e-4, 0.005, 0.04, 0.5])
 def test_scan_state_integrands_match_quadpack(tau):
-    # The five integrals of scan_state: the norm and the four sector moments.
+    # Each of the five integrals alone, and the moments that the fused sweep
+    # of scan_state takes, against their QUADPACK values.
     p = ParameterPoint(tau=tau)
-    for sigma in (0.2, 1.1, 5.0, 30.0):
-        for center in (0.0, 0.5, -1.0, 2.0, 5.0):
-            for kick in (-1.0, 0.0, 0.5):
-                psi = Gaussian(center=center, sigma=sigma, kick=kick)
-                assert_agree(weighted(psi, psi, tau))
-                for name in ("Y", "Y2", "Py", "Py2"):
-                    assert_agree(weighted(apply_operator(name, psi, p), psi, tau))
+    for sigma, center, kick in GRID:
+        psi = Gaussian(center=center, sigma=sigma, kick=kick)
+        norm, *sums = [assert_agree(f) for f in scan_integrands(psi, p)]
+        want = _state_scan(psi, p, *(s.real / norm.real for s in sums))
+        assert_scans_agree(scan_state(psi, p), want)
+
+
+# -- several components in one sweep -------------------------------------------
+
+
+def test_stacked_integrand_matches_each_component_alone():
+    for tau in (0.0, 0.04, 0.5):
+        p = ParameterPoint(tau=tau)
+        for sigma, center, kick in GRID[::7]:
+            integrands = scan_integrands(Gaussian(center=center, sigma=sigma, kick=kick), p)
+            stacked = _integrate(lambda y: np.stack([f(y) for f in integrands]))
+            assert stacked.shape == (5,)
+            for got, f in zip(stacked, integrands):
+                alone = _integrate(f)
+                assert abs(got - alone) <= 1e-12 * max(1.0, abs(alone)), (got, alone)
+
+
+def test_stack_is_not_returned_before_its_slowest_component():
+    # Alone, y^2 exp(-y^2/sigma^2) agrees at 0 over the first levels, whose
+    # only node inside the packet is y = 0; stacked with the packet's norm,
+    # it is taken only once the norm has resolved the packet.
+    sigma = 1e-3
+    packet = lambda y: np.exp(-((y / sigma) ** 2))
+    second = lambda y: y * y * packet(y)
+    assert abs(_integrate(second)) < 1e-100
+    norm, moment = _integrate(lambda y: np.stack([packet(y), second(y)]))
+    assert norm == pytest.approx(math.sqrt(math.pi) * sigma, rel=1e-12)
+    assert moment == pytest.approx(math.sqrt(math.pi) * sigma**3 / 2, rel=1e-12)
+
+
+def test_non_finite_component_raises_with_infinite_estimate():
+    with pytest.raises(QuadratureError) as info:
+        _integrate(lambda y: np.stack([np.exp(-y * y), np.exp(y * y)]))
+    assert info.value.estimate == math.inf
+
+
+def test_node_cap_reports_the_worst_component():
+    # Of a converged Gaussian, a scaled-down copy of the too-sharp weight below
+    # and the weight itself, the weight misses its tolerance by the most.
+    weight = lambda y: 1.0 / (1 + 1e-8 * y * y)
+    with pytest.raises(QuadratureError) as alone:
+        _integrate(weight)
+    with pytest.raises(QuadratureError) as stacked:
+        _integrate(lambda y: np.stack([np.exp(-y * y), 1e-6 * weight(y), weight(y)]))
+    assert stacked.value.estimate == alone.value.estimate
 
 
 @pytest.mark.parametrize("tau", [1e-4, 0.005, 0.04, 0.5])

@@ -63,6 +63,17 @@ def test_immutability():
         GR_ONE._a = 2
 
 
+def test_init_cannot_rewrite_a_value():
+    try:
+        GR_ONE.__init__(5)
+        assert GR_ONE == 1 and str(GR_ONE) == "1"
+        assert GaussianRational(2) * GR_ONE == 2
+    finally:
+        # Where __init__ could rewrite it, put it back for the later tests.
+        if GR_ONE != 1:
+            GR_ONE.__init__(1)
+
+
 def test_pickle_and_copy_round_trip():
     z = GaussianRational(Fraction(-3, 4), Fraction(5, 6))
     for back in (pickle.loads(pickle.dumps(z)), copy.deepcopy(z), copy.copy(z)):

@@ -1,5 +1,6 @@
 """Weighted inner product, sector Hermiticity, bounds and the grid scan."""
 
+import json
 import math
 
 import numpy as np
@@ -107,8 +108,11 @@ def test_flat_second_moment_convention():
 def test_unresolved_norm_is_a_quadrature_error():
     # The packet sits 1e-6 from the end of the compactified interval, between
     # the nodes of every level, so its weighted norm integrates to 0.
+    far = Gaussian(center=1e6, sigma=1.0)
     with pytest.raises(QuadratureError, match="weighted norm 0.0"):
-        expectation("Y", Gaussian(center=1e6, sigma=1.0), ParameterPoint(tau=0.0))
+        expectation("Y", far, ParameterPoint(tau=0.0))
+    with pytest.raises(QuadratureError, match="weighted norm 0.0"):
+        scan_state(far, ParameterPoint(tau=0.0))
 
 
 def test_sector_expectations_are_real():
@@ -173,6 +177,11 @@ def test_gaussian_moments_reject_negative_tau():
         gaussian_moments(Gaussian(), ParameterPoint(tau=-0.01))
 
 
+def test_scan_state_rejects_negative_tau():
+    with pytest.raises(ValueError, match="nonnegative"):
+        scan_state(Gaussian(), ParameterPoint(tau=-0.01))
+
+
 def _off_by(index):
     """gaussian_moments with one moment off by 1e-6: a second moment
     relative to itself, a first moment relative to the root of its second."""
@@ -199,6 +208,64 @@ def test_brute_force_cli_catches_a_wrong_closed_form(index, monkeypatch, capsys)
     field = ("y_mean", "delta_y", "py_mean", "delta_py")[index]
     assert err.startswith("numeric failure: closed form and quadrature disagree")
     assert f": {field} " in err and err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("sigma, delta_py", [("1e-3", 707.1068), ("3e-3", 235.7023)])
+def test_brute_force_cli_passes_on_narrow_packets(sigma, delta_py, capsys):
+    # Only the node at y = 0 falls inside these packets at the first levels,
+    # where y^2 |psi|^2 is 0; the Y^2 moment must not be taken before the
+    # norm has resolved the packet.
+    code = main(["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
+                 "--sigma-min", sigma, "--sigma-max", sigma, "--sigma-steps", "1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    report = json.loads(captured.out)["brute_force"]
+    assert report["min_delta_py"] == pytest.approx(delta_py, rel=1e-6)
+
+
+def test_brute_force_cli_fails_honestly_below_the_node_cap(capsys):
+    # At sigma = 1e-4 even 2^16 nodes leave the packet unresolved.
+    code = main(["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
+                 "--sigma-min", "1e-4", "--sigma-max", "1e-4", "--sigma-steps", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NUMERIC
+    assert err.startswith("numeric failure: quadrature did not converge")
+    assert err.count("\n") == 1
+
+
+class CountingGaussian(Gaussian):
+    """A Gaussian that records the node count of each jet and each call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "jets", [])
+        object.__setattr__(self, "calls", [])
+
+    def __call__(self, y):
+        self.calls.append(len(y))
+        return super().__call__(y)
+
+    def jet(self, y):
+        self.jets.append(len(y))
+        return super().jet(y)
+
+
+@pytest.mark.parametrize("center, sigma", [(0.0, 1.3), (0.5, 0.3), (0.0, 1e-3), (0.0, 1e-4)])
+def test_scan_state_takes_one_jet_per_level(center, sigma):
+    psi = CountingGaussian(center=center, sigma=sigma, kick=0.7)
+    p = ParameterPoint(tau=0.04)
+    if sigma > 1e-4:
+        scan_state(psi, p)
+    else:
+        with pytest.raises(QuadratureError, match="did not converge"):
+            scan_state(psi, p)
+        assert len(psi.jets) == 11
+    # One jet per level of 64, 128, ..., 2^16 nodes: 64 nodes, then the new
+    # midpoints of each doubling.
+    assert 1 <= len(psi.jets) <= 11
+    assert psi.jets == [64] + [64 * 2**k for k in range(len(psi.jets) - 1)]
+    # The state is only ever evaluated inside a jet.
+    assert psi.calls == psi.jets
 
 
 # -- rho-Hermiticity ---------------------------------------------------------------
