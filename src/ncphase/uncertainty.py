@@ -136,36 +136,52 @@ SECTOR_IMAGES = {
 }
 
 
+# The bare d/dy is not an observable; it is kept as a detector that the
+# Hermiticity check actually rejects non-Hermitian operators.
+_IMAGES = {**SECTOR_IMAGES, "d/dy": lambda jet, y, p: jet[1]}
+
+
+def _image(name: str):
+    if name not in _IMAGES:
+        raise ValueError(f"unknown sector operator {name!r}")
+    return _IMAGES[name]
+
+
 def apply_operator(name: str, psi, p) -> Callable[[np.ndarray], np.ndarray]:
     """Apply one of Y, P_y, Y^2, P_y^2 (or the bare d/dy detector) to psi.
 
     psi must expose jet(y) = (psi, psi', psi'') (the Gaussian family does).
     """
-    if name == "d/dy":
-        # Not an observable; kept as a detector that the Hermiticity check
-        # actually rejects non-Hermitian operators.
-        return lambda y: psi.jet(y)[1]
-    if name not in SECTOR_IMAGES:
-        raise ValueError(f"unknown sector operator {name!r}")
-    image = SECTOR_IMAGES[name]
+    image = _image(name)
     return lambda y: image(psi.jet(y), y, p)
 
 
-def _normalized(o_psi, psi, tau: float) -> np.ndarray:
-    """<psi | o_psi>_rho / <psi | psi>_rho, one value per component of o_psi.
+def _moments(psi, p, images) -> np.ndarray:
+    """<psi | O psi>_rho / <psi | psi>_rho for the image of each O, one sweep.
 
-    The norm is a component of the same sweep, checked before dividing.
+    Each level takes one jet of psi and stacks psi with every image read
+    from it; paired with the constant 1, ``rho_inner`` integrates
+    conj(psi) times that stack, so the norm is its first component.  A
+    normalized moment that is not finite (a norm of 0, or one so small
+    that dividing by it overflows) raises ``QuadratureError``.
     """
-    norm, *values = rho_inner(lambda y: np.vstack((psi(y), o_psi(y))), psi, tau)
+
+    def stack(y):
+        jet = psi.jet(y)
+        return np.conj(jet[0]) * np.stack([jet[0], *(image(jet, y, p) for image in images)])
+
+    norm, *values = rho_inner(stack, lambda y: 1, p.tau)
     norm = float(norm.real)
-    if not 0 < norm < math.inf:
-        raise QuadratureError(f"weighted norm {norm!r} is not positive and finite", math.inf)
-    return np.array(values) / norm
+    with np.errstate(all="ignore"):
+        moments = np.array(values) / norm
+    if not np.all(np.isfinite(moments)):
+        raise QuadratureError(f"moments not finite at weighted norm {norm!r}", math.inf)
+    return moments
 
 
 def expectation(name: str, psi, p) -> float:
     """<psi | O psi>_rho / <psi | psi>_rho, returned as a real number."""
-    return _normalized(apply_operator(name, psi, p), psi, p.tau)[0].real
+    return _moments(psi, p, (_image(name),))[0].real
 
 
 def verify_rho_hermiticity(name: str, pairs: Sequence, p) -> dict:
@@ -178,15 +194,11 @@ def verify_rho_hermiticity(name: str, pairs: Sequence, p) -> dict:
     return {"operator": name, "max_defect": worst, "pairs": len(pairs)}
 
 
-class _YTimes:
-    """y * psi, as far as P_y reads it: its jet."""
-
-    def __init__(self, psi):
-        self.psi = psi
-
-    def jet(self, y):
-        psi, d1, d2 = self.psi.jet(y)
-        return y * psi, psi + y * d1, 2 * d1 + y * d2
+def _commutator_image(jet, y, p):
+    """[Y, P_y] psi = y P_y psi - P_y (y psi), with the jet of y psi."""
+    psi, d1, d2 = jet
+    py = SECTOR_IMAGES["Py"]
+    return y * py(jet, y, p) - py((y * psi, psi + y * d1, 2 * d1 + y * d2), y, p)
 
 
 def robertson_lower_bound(psi, p) -> float:
@@ -195,9 +207,7 @@ def robertson_lower_bound(psi, p) -> float:
     No closed form is substituted for the commutator: both operator orders
     are applied to the state and integrated.
     """
-    py_psi = apply_operator("Py", psi, p)
-    py_y_psi = apply_operator("Py", _YTimes(psi), p)
-    return 0.5 * abs(_normalized(lambda y: y * py_psi(y) - py_y_psi(y), psi, p.tau)[0])
+    return 0.5 * abs(_moments(psi, p, (_commutator_image,))[0])
 
 
 # -- closed-form bounds -------------------------------------------------------
@@ -358,36 +368,10 @@ def _state_scan(psi: Gaussian, p, y_mean, y2, py_mean, py2) -> StateScan:
     )
 
 
-class _OneJetPerLevel:
-    """psi and its stacked sector images, both read from one jet per level.
-
-    ``rho_inner`` evaluates the state and the images on the same array of
-    nodes; the jet taken for the first is kept for the second, and a new
-    array of nodes (the next level) takes a new jet.
-    """
-
-    def __init__(self, psi, p):
-        self.psi, self.p = psi, p
-        self._nodes = self._jet = None
-
-    def _jet_at(self, y):
-        if y is not self._nodes:
-            self._nodes, self._jet = y, self.psi.jet(y)
-        return self._jet
-
-    def state(self, y):
-        return self._jet_at(y)[0]
-
-    def images(self, y):
-        jet = self._jet_at(y)
-        return np.stack([image(jet, y, self.p) for image in SECTOR_IMAGES.values()])
-
-
 def scan_state(psi: Gaussian, p) -> StateScan:
     """One state of the scan with every moment by quadrature: the norm and
     the moments of Y, Y^2, P_y and P_y^2, converged jointly in one sweep."""
-    levels = _OneJetPerLevel(psi, p)
-    return _state_scan(psi, p, *_normalized(levels.images, levels.state, p.tau).real)
+    return _state_scan(psi, p, *_moments(psi, p, SECTOR_IMAGES.values()).real)
 
 
 # The closed-form argmin state must match its quadrature to this, relative to

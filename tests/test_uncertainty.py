@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,14 +224,24 @@ def test_brute_force_cli_passes_on_narrow_packets(sigma, delta_py, capsys):
     assert report["min_delta_py"] == pytest.approx(delta_py, rel=1e-6)
 
 
-def test_brute_force_cli_fails_honestly_below_the_node_cap(capsys):
+@pytest.mark.parametrize("center, sigma, message", [
     # At sigma = 1e-4 even 2^16 nodes leave the packet unresolved.
-    code = main(["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
-                 "--sigma-min", "1e-4", "--sigma-max", "1e-4", "--sigma-steps", "1"])
+    ("0", "1e-4", "quadrature did not converge"),
+    # No node reaches this packet at the first two levels, whose norms agree
+    # at a subnormal 4.4e-319; dividing by it overflows.
+    ("-3", "1e-3", "moments not finite at weighted norm"),
+], ids=["node-cap", "subnormal-norm"])
+def test_brute_force_cli_fails_honestly_below_the_node_cap(center, sigma, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
+                     "--sigma-min", sigma, "--sigma-max", sigma, "--sigma-steps", "1",
+                     "--center", center])
     err = capsys.readouterr().err
     assert code == EXIT_NUMERIC
-    assert err.startswith("numeric failure: quadrature did not converge")
+    assert err.startswith(f"numeric failure: {message}")
     assert err.count("\n") == 1
+    assert [str(w.message) for w in caught] == []
 
 
 class CountingGaussian(Gaussian):
@@ -250,15 +261,17 @@ class CountingGaussian(Gaussian):
         return super().jet(y)
 
 
-@pytest.mark.parametrize("center, sigma", [(0.0, 1.3), (0.5, 0.3), (0.0, 1e-3), (0.0, 1e-4)])
-def test_scan_state_takes_one_jet_per_level(center, sigma):
+JET_CASES = [(0.0, 1.3), (0.5, 0.3), (0.0, 1e-3), (0.0, 1e-4)]
+
+
+def _assert_one_jet_per_level(oracle, center, sigma):
     psi = CountingGaussian(center=center, sigma=sigma, kick=0.7)
     p = ParameterPoint(tau=0.04)
     if sigma > 1e-4:
-        scan_state(psi, p)
+        oracle(psi, p)
     else:
         with pytest.raises(QuadratureError, match="did not converge"):
-            scan_state(psi, p)
+            oracle(psi, p)
         assert len(psi.jets) == 11
     # One jet per level of 64, 128, ..., 2^16 nodes: 64 nodes, then the new
     # midpoints of each doubling.
@@ -266,6 +279,24 @@ def test_scan_state_takes_one_jet_per_level(center, sigma):
     assert psi.jets == [64] + [64 * 2**k for k in range(len(psi.jets) - 1)]
     # The state is only ever evaluated inside a jet.
     assert psi.calls == psi.jets
+
+
+@pytest.mark.parametrize("center, sigma", JET_CASES)
+def test_scan_state_takes_one_jet_per_level(center, sigma):
+    _assert_one_jet_per_level(scan_state, center, sigma)
+
+
+OTHER_ORACLES = {
+    **{f"expectation-{name}": (lambda psi, p, name=name: expectation(name, psi, p))
+       for name in MOMENT_NAMES},
+    "robertson_lower_bound": robertson_lower_bound,
+}
+
+
+@pytest.mark.parametrize("oracle", OTHER_ORACLES.values(), ids=OTHER_ORACLES.keys())
+@pytest.mark.parametrize("center, sigma", JET_CASES)
+def test_every_oracle_takes_one_jet_per_level(center, sigma, oracle):
+    _assert_one_jet_per_level(oracle, center, sigma)
 
 
 # -- rho-Hermiticity ---------------------------------------------------------------
