@@ -16,7 +16,6 @@ from .algebra import (
     Expression,
     MissingImageError,
     MixedAlphabetError,
-    Scalar,
     TruncationPolicy,
     commutator,
     formal_adjoint,
@@ -52,7 +51,7 @@ from .hamiltonian import (
     h_theta_eta,
     reference_hamiltonian,
 )
-from .maps import BOPP, CAPITAL_MAP, SubstitutionMap, named_operator, substitute
+from .maps import BOPP, SubstitutionMap, named_operator, substitute
 from .parsing import ParseError, UnknownSymbolError, parse
 from .rationals import GaussianRational
 from .symmetry import (

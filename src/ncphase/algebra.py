@@ -24,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .rationals import GR_I, GR_ONE, GaussianRational
 
-# Parameter alphabet; the exponent vector of every Scalar follows this order.
+# Parameter alphabet; the exponent vector of every term follows this order.
 PARAMS = ("hbar", "m", "omega", "theta", "eta", "tau")
 _PARAM_INDEX = {name: k for k, name in enumerate(PARAMS)}
 # Deformation parameters may not appear with negative exponents.
@@ -98,34 +98,15 @@ def _validate_powers(powers: Powers) -> None:
             raise AlgebraError(f"negative exponent not allowed for {pname}")
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A Gaussian-rational coefficient times a parameter monomial."""
-
-    value: GaussianRational
-    powers: Powers = ZERO_POWERS
-
-    def __post_init__(self):
-        _validate_powers(self.powers)
-
-    def evaluate(self, values: Mapping[str, float]) -> complex:
-        out = complex(self.value)
-        for pname, exp in zip(PARAMS, self.powers):
-            if exp:
-                out *= values[pname] ** exp
-        return out
+# The plain numbers accepted wherever a coefficient is expected.
+_COEFFICIENT_TYPES = (int, Fraction, GaussianRational)
 
 
-ScalarLike = Union[int, Fraction, GaussianRational, Scalar]
-
-
-def _as_scalar(value: ScalarLike) -> Scalar:
-    if isinstance(value, Scalar):
-        return value
+def _as_coefficient(value) -> GaussianRational:
     if isinstance(value, GaussianRational):
-        return Scalar(value)
+        return value
     if isinstance(value, (int, Fraction)):
-        return Scalar(GaussianRational(value))
+        return GaussianRational(value)
     raise AlgebraError(f"cannot interpret {value!r} as a scalar")
 
 
@@ -182,13 +163,12 @@ class Expression:
         return Expression(alphabet, {})
 
     @staticmethod
-    def from_scalar(value: ScalarLike, **exponents: int) -> "Expression":
-        """``value`` times a parameter monomial, e.g.
+    def from_scalar(value, **exponents: int) -> "Expression":
+        """A coefficient times a parameter monomial, e.g.
         ``Expression.from_scalar(GR_I, theta=1)`` for i*theta."""
-        s = _as_scalar(value)
-        if exponents:
-            s = Scalar(s.value, _add_powers(s.powers, powers_of(**exponents)))
-        return Expression(None, {((), s.powers): s.value})
+        powers = powers_of(**exponents)
+        _validate_powers(powers)  # also for a zero coefficient, which is not stored
+        return Expression(None, {((), powers): _as_coefficient(value)})
 
     @staticmethod
     def generator(name: str) -> "Expression":
@@ -197,13 +177,12 @@ class Expression:
         )
 
     @staticmethod
-    def word(names: Iterable[str], coefficient: ScalarLike = 1) -> "Expression":
+    def word(names: Iterable[str], coefficient=1) -> "Expression":
         names = tuple(names)
-        s = _as_scalar(coefficient)
         alpha = None
         for g in names:
             alpha = _unify_alphabets(alpha, generator_alphabet(g))
-        return Expression(alpha, {(names, s.powers): s.value})
+        return Expression(alpha, {(names, ZERO_POWERS): _as_coefficient(coefficient)})
 
     # -- inspection ----------------------------------------------------------
 
@@ -238,14 +217,10 @@ class Expression:
         )
 
     def __mul__(self, other) -> "Expression":
-        if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
-            s = _as_scalar(other)
+        if isinstance(other, _COEFFICIENT_TYPES):
+            c = _as_coefficient(other)
             return Expression(
-                self.alphabet,
-                {
-                    (w, _add_powers(p, s.powers)): coef * s.value
-                    for (w, p), coef in self.terms.items()
-                },
+                self.alphabet, {key: coef * c for key, coef in self.terms.items()}
             )
         other = _as_expression(other)
         alpha = _unify_alphabets(self.alphabet, other.alphabet)
@@ -259,7 +234,7 @@ class Expression:
         return Expression(alpha, out)
 
     def __rmul__(self, other) -> "Expression":
-        if isinstance(other, (int, Fraction, GaussianRational, Scalar)):
+        if isinstance(other, _COEFFICIENT_TYPES):
             return self.__mul__(other)
         return _as_expression(other).__mul__(self)
 
@@ -305,7 +280,7 @@ class Expression:
 def _as_expression(value) -> Expression:
     if isinstance(value, Expression):
         return value
-    if isinstance(value, (int, Fraction, GaussianRational, Scalar)):
+    if isinstance(value, _COEFFICIENT_TYPES):
         return Expression.from_scalar(value)
     raise AlgebraError(f"cannot interpret {value!r} as an expression")
 
@@ -550,14 +525,24 @@ class TruncationPolicy:
     def of(caps: Optional[Mapping[str, int]] = None,
            forbidden: Iterable[Mapping[str, int]] = ()) -> "TruncationPolicy":
         """Build a policy, checking that ``caps`` and every pattern map known
-        parameter names to integers and that ``forbidden`` is a list."""
+        parameter names to integers and that ``forbidden`` is a list.
+
+        A cap below 0 on theta, eta or tau, whose exponents are never
+        negative, and a pattern with no positive exponent, which every
+        monomial dominates, would drop every term, so both are rejected.
+        """
         if not isinstance(forbidden, (list, tuple)):
             raise AlgebraError("forbidden must be a list of exponent patterns")
         caps = _exponent_map(caps or {}, "caps")
+        for pname in _NONNEGATIVE:
+            if caps.get(pname, 0) < 0:
+                raise AlgebraError(f"the cap on {pname} must be at least 0")
         patterns = tuple(
             powers_of(**_exponent_map(pattern, "a forbidden pattern"))
             for pattern in forbidden
         )
+        if not all(max(pattern) > 0 for pattern in patterns):
+            raise AlgebraError("a forbidden pattern needs a positive exponent")
         return TruncationPolicy(caps, patterns)
 
     def keeps(self, powers: Powers) -> bool:

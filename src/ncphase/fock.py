@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .algebra import PARAMS, POSITION_GENERATORS, Expression, MixedAlphabetError, Scalar
+from .algebra import PARAMS, POSITION_GENERATORS, Expression, MixedAlphabetError
 from .hamiltonian import h_core, h_tau, h_theta_eta
 
 
@@ -132,11 +132,12 @@ def build_phase_space(basis: FockBasis, p: ParameterPoint):
 class Plan:
     """An Expression compiled over a basis.
 
-    ``terms`` holds, in ``Expression.sorted_terms`` order, each term's
-    Scalar, its numbers of q and pi letters, and its word matrix at unit
-    scales (sparse COO).  The word matrices depend only on the basis, so one
-    plan serves every parameter point: ``evaluate(plan, p)`` only evaluates
-    and scales the scalars and sums.
+    ``terms`` holds, in ``Expression.sorted_terms`` order, one tuple per
+    term: its coefficient as a complex number, its parameter exponent vector
+    (in ``PARAMS`` order), its numbers of q and pi letters, and its word
+    matrix at unit scales (sparse COO).  The word matrices depend only on the
+    basis, so one plan serves every parameter point: ``evaluate(plan, p)``
+    only evaluates and scales the coefficients and sums.
     """
 
     basis: FockBasis
@@ -166,7 +167,7 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
                 products[word[:k]] = products[word[: k - 1]] @ mats[word[k - 1]]
         n_q = sum(letter in POSITION_GENERATORS for letter in word)
         terms.append(
-            (Scalar(coef, powers), n_q, len(word) - n_q, products[word].tocoo(copy=False))
+            (complex(coef), powers, n_q, len(word) - n_q, products[word].tocoo(copy=False))
         )
     return Plan(basis, tuple(terms))
 
@@ -174,12 +175,14 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
 def evaluate(plan: Plan, p: ParameterPoint) -> np.ndarray:
     """The dense matrix of a compiled plan at ``p``.
 
-    Each scalar is multiplied by l_q once per q letter and by l_p once per
-    pi letter (``phase_space_scales``), so a zero scalar stays zero for any
-    finite scales.  Terms are added in order, entry by entry, so the result
-    equals the sparse sum of the unit-scale word matrices times the scaled
-    scalars bit for bit.  An overflowing entry raises NumericError.  An
-    Expression is realized as ``evaluate(compile_plan(e, basis), p)``.
+    Each coefficient is multiplied by its parameter monomial, one nonzero
+    exponent at a time in ``PARAMS`` order, then by l_q once per q letter and
+    by l_p once per pi letter (``phase_space_scales``), so a zero coefficient
+    stays zero for any finite scales.  Terms are added in order, entry by
+    entry, so the result equals the sparse sum of the unit-scale word
+    matrices times the scaled coefficients bit for bit.  An overflowing
+    entry raises NumericError.  An Expression is realized as
+    ``evaluate(compile_plan(e, basis), p)``.
     """
     values = p.values()
     ell_q, ell_p = phase_space_scales(p)
@@ -187,8 +190,10 @@ def evaluate(plan: Plan, p: ParameterPoint) -> np.ndarray:
     out = np.zeros((d, d), dtype=complex)
     # Overflowing entries are caught below, so numpy need not warn of them.
     with np.errstate(over="ignore", invalid="ignore"):
-        for scalar, n_q, n_pi, word in plan.terms:
-            coef = scalar.evaluate(values)
+        for coef, powers, n_q, n_pi, word in plan.terms:
+            for pname, exp in zip(PARAMS, powers):
+                if exp:
+                    coef *= values[pname] ** exp
             for ell in (ell_q,) * n_q + (ell_p,) * n_pi:
                 coef *= ell
             out[word.row, word.col] += word.data * coef

@@ -1,17 +1,16 @@
-"""Substitution maps between the generator alphabets.
+"""The Bopp substitution map and the named capital-letter operators.
 
-Two maps are provided:
+``BOPP`` realizes the flat noncommutative variables through canonical ones:
+x = q1 - (theta/2 hbar) pi2,  y = q2 + (theta/2 hbar) pi1,
+px = pi1 + (eta/2 hbar) q2,  py = pi2 - (eta/2 hbar) q1.
+The antisymmetric-symbol convention is e_12 = +1, e_21 = -1; this choice
+reproduces [x, y] = i theta and [px, py] = i eta with the right signs.
+``flipped_bopp()`` builds the same map with the convention reversed.
 
-* ``BOPP`` realizes the flat noncommutative variables through canonical
-  ones:  x = q1 - (theta/2 hbar) pi2,  y = q2 + (theta/2 hbar) pi1,
-  px = pi1 + (eta/2 hbar) q2,  py = pi2 - (eta/2 hbar) q1.
-  The antisymmetric-symbol convention is e_12 = +1, e_21 = -1; this choice
-  reproduces [x, y] = i theta and [px, py] = i eta with the right signs.
-
-* ``CAPITAL_MAP`` defines the capital-letter operators through the
-  noncommutative alphabet:  X = (1 + tau y^2) x,  Y = y,  Px = px,
-  Py = (1 + tau y^2) py.  The capitals are not generators; they exist only
-  as these named expressions (the parser expands them on sight).
+``NAMED_OPERATORS`` defines the capital-letter operators through the
+noncommutative alphabet:  X = (1 + tau y^2) x,  Y = y,  Px = px,
+Py = (1 + tau y^2) py.  The capitals are not generators; they exist only as
+these named expressions (the parser expands them on sight).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .algebra import Expression, MissingImageError, TABLES, normal_order
 class SubstitutionMap:
     """Generator-wise images defining an algebra homomorphism."""
 
-    name: str
     target: str  # target alphabet name
     images: Mapping[str, Expression]
 
@@ -49,7 +47,6 @@ def _make_bopp(sign: int = 1) -> SubstitutionMap:
     theta_over_2hbar = Expression.from_scalar(Fraction(1, 2), theta=1, hbar=-1)
     eta_over_2hbar = Expression.from_scalar(Fraction(1, 2), eta=1, hbar=-1)
     return SubstitutionMap(
-        name="bopp" if sign == 1 else "bopp-flipped",
         target="canonical",
         images={
             "x": q1 - pi2 * theta_over_2hbar * sign,
@@ -68,29 +65,20 @@ def flipped_bopp() -> SubstitutionMap:
     return _make_bopp(sign=-1)
 
 
-def _make_capital_map() -> SubstitutionMap:
+BOPP = _make_bopp()
+
+
+def _make_named_operators() -> dict:
     x = Expression.generator("x")
     y = Expression.generator("y")
     px = Expression.generator("px")
     py = Expression.generator("py")
     deformation = Expression.from_scalar(1) + (y * y) * Expression.from_scalar(1, tau=1)
-    return SubstitutionMap(
-        name="capitals",
-        target="noncommutative",
-        images={
-            "X": deformation * x,
-            "Y": y,
-            "Px": px,
-            "Py": deformation * py,
-        },
-    )
+    return {"X": deformation * x, "Y": y, "Px": px, "Py": deformation * py}
 
-
-BOPP = _make_bopp()
-CAPITAL_MAP = _make_capital_map()
 
 # The named operators the parser exposes as X, Y, Px, Py.
-NAMED_OPERATORS = dict(CAPITAL_MAP.images)
+NAMED_OPERATORS = _make_named_operators()
 
 
 def named_operator(name: str) -> Expression:

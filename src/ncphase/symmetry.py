@@ -40,8 +40,6 @@ PT = PTVariant("PT")
 P_THETA_T = PTVariant("PthetaT", flips_theta=True)
 P_THETA_ETA_T = PTVariant("PthetaetaT", flips_theta=True, flips_eta=True)
 
-VARIANTS = {v.kind: v for v in (PT, P_THETA_T, P_THETA_ETA_T)}
-
 _THETA = PARAMS.index("theta")
 _ETA = PARAMS.index("eta")
 

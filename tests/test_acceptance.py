@@ -17,12 +17,10 @@ from ncphase.algebra import (
     DEFAULT_POLICY,
     NONCOMMUTATIVE,
     Expression,
-    Scalar,
     commutator,
     formal_adjoint,
     jacobi,
     normal_order,
-    powers_of,
 )
 from ncphase.fock import (
     FockBasis,
@@ -58,7 +56,7 @@ def report(number: int, ok: bool, detail: str) -> bool:
 
 
 def i_times(**powers):
-    return Expression.from_scalar(Scalar(GR_I, powers_of(**powers)))
+    return Expression.from_scalar(GR_I, **powers)
 
 
 def test_criterion_1_symbolic_algebra_suite():

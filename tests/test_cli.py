@@ -733,6 +733,8 @@ def test_bad_policy_is_usage_error(capsys):
     '{"forbidden": [{"bogus": 1}]}',
     '{"forbidden": [{"tau": "1"}]}',
     '{"cap": {"theta": 1}}',
+    '{"forbidden": [{}]}',
+    '{"caps": {"tau": -1}}',
 ])
 def test_malformed_policy_is_usage_error(command, policy, capsys):
     code, _o, err = run(command + ["--cutoff", "4", "--policy", policy], capsys)

@@ -10,20 +10,19 @@ from ncphase.algebra import (
     NONCOMMUTATIVE,
     Expression,
     MissingImageError,
-    Scalar,
     commutator,
     formal_adjoint,
     jacobi,
     normal_order,
     powers_of,
 )
-from ncphase.maps import BOPP, CAPITAL_MAP, named_operator, substitute
+from ncphase.maps import BOPP, named_operator, substitute
 from ncphase.parsing import parse
 from ncphase.rationals import GR_I, GaussianRational
 
 
 def i_times(**powers):
-    return Expression.from_scalar(Scalar(GR_I, powers_of(**powers)))
+    return Expression.from_scalar(GR_I, **powers)
 
 
 def bopp(text: str) -> Expression:
@@ -63,7 +62,7 @@ def test_bopp_of_commutator_expression():
 
 
 def test_substitute_rejects_missing_image():
-    half_map = type(BOPP)(name="partial", target="canonical", images={"x": Expression.generator("q1")})
+    half_map = type(BOPP)(target="canonical", images={"x": Expression.generator("q1")})
     with pytest.raises(MissingImageError):
         substitute(parse("x*y"), half_map)
 
@@ -167,9 +166,26 @@ def test_adjoint_of_py_operator():
     assert adjoint_nc(Py) == normal_order(Py - 2 * parse("i*tau*hbar") * Y, NONCOMMUTATIVE)
 
 
-def test_capital_map_images_match_parser():
-    for name in ("X", "Y", "Px", "Py"):
-        assert CAPITAL_MAP.images[name] == parse(name)
+def test_named_operators_match_their_defining_products():
+    # X = (1 + tau y^2) x and Py = (1 + tau y^2) py, written out term by term.
+    def deformed(g):
+        return Expression(
+            "noncommutative",
+            {
+                ((g,), powers_of()): GaussianRational(1),
+                (("y", "y", g), powers_of(tau=1)): GaussianRational(1),
+            },
+        )
+
+    images = {
+        "X": deformed("x"),
+        "Y": Expression.generator("y"),
+        "Px": Expression.generator("px"),
+        "Py": deformed("py"),
+    }
+    for name, image in images.items():
+        assert named_operator(name) == image
+        assert parse(name) == image
 
 
 def test_bopp_is_a_commutator_homomorphism_on_random_pairs():

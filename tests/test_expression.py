@@ -14,7 +14,6 @@ from ncphase.algebra import (
     AlgebraError,
     Expression,
     MixedAlphabetError,
-    Scalar,
     TruncationPolicy,
     UNDEFORMED_POLICY,
     formal_adjoint,
@@ -27,7 +26,7 @@ from ncphase.rationals import GR_I, GaussianRational
 
 
 def i_times(**powers):
-    return Expression.from_scalar(Scalar(GR_I, powers_of(**powers)))
+    return Expression.from_scalar(GR_I, **powers)
 
 
 # -- construction and arithmetic ----------------------------------------------
@@ -54,8 +53,8 @@ def test_multiply_distributes():
 
 def test_coefficient_exponents_add():
     y = Expression.generator("y")
-    theta_y = y * Scalar(GaussianRational(1), powers_of(theta=1))
-    tau_y = y * Scalar(GaussianRational(1), powers_of(tau=1))
+    theta_y = y * Expression.from_scalar(1, theta=1)
+    tau_y = y * Expression.from_scalar(1, tau=1)
     prod = theta_y * tau_y
     assert prod.terms == {(("y", "y"), powers_of(theta=1, tau=1)): GaussianRational(1)}
 
@@ -72,21 +71,18 @@ def test_mixed_alphabet_rejected():
 
 
 def test_negative_exponents_only_for_dimensional_parameters():
-    Scalar(GaussianRational(1), powers_of(hbar=-2, m=-1, omega=-1))  # fine
+    Expression.from_scalar(1, hbar=-2, m=-1, omega=-1)  # fine
     with pytest.raises(AlgebraError):
-        Scalar(GaussianRational(1), powers_of(theta=-1))
+        Expression.from_scalar(1, theta=-1)
 
 
 def test_from_scalar_takes_a_parameter_monomial():
     assert Expression.from_scalar(GR_I, theta=1) == i_times(theta=1)
     assert Expression.from_scalar(Fraction(1, 2), m=1, omega=2) == parse("1/2*m*omega^2")
-    # the exponents multiply into a scalar that already carries a monomial
-    tau = Scalar(GaussianRational(3), powers_of(tau=1))
-    assert Expression.from_scalar(tau, tau=1, hbar=-1) == Expression.from_scalar(
-        Scalar(GaussianRational(3), powers_of(tau=2, hbar=-1))
-    )
-    with pytest.raises(AlgebraError):
-        Expression.from_scalar(1, theta=-1)
+    # A zero coefficient is not stored, but its monomial is still checked.
+    for value in (1, 0):
+        with pytest.raises(AlgebraError):
+            Expression.from_scalar(value, theta=-1)
 
 
 def test_power_operator():
@@ -204,7 +200,7 @@ def test_adjoint_conjugates_coefficients():
 
 
 def test_default_policy_drops_cross_terms():
-    e = Expression.generator("q1") * Scalar(GaussianRational(1), powers_of(theta=1, eta=1))
+    e = Expression.generator("q1") * Expression.from_scalar(1, theta=1, eta=1)
     assert truncate(e, DEFAULT_POLICY).is_zero()
 
 
@@ -229,9 +225,7 @@ def test_caps_policy():
 
 def test_forbidden_patterns_ignore_dimensional_exponents():
     # A negative hbar power must not shield a forbidden theta-eta monomial.
-    e = Expression.generator("q1") * Scalar(
-        GaussianRational(1), powers_of(theta=1, eta=1, hbar=-1)
-    )
+    e = Expression.generator("q1") * Expression.from_scalar(1, theta=1, eta=1, hbar=-1)
     assert truncate(e, DEFAULT_POLICY).is_zero()
 
 
@@ -243,7 +237,7 @@ def test_serialization_sorted_by_word_then_monomial():
         parse("q2*pi1")
         + parse("theta*q1")
         + parse("q1")
-        + Expression.from_scalar(Scalar(GaussianRational(2), powers_of(hbar=1)))
+        + Expression.from_scalar(2, hbar=1)
     )
     assert str(e) == "2*hbar + 1*q1 + 1*theta*q1 + 1*q2*pi1"
 

@@ -25,7 +25,6 @@ from ncphase.algebra import (
     Expression,
     MissingImageError,
     MixedAlphabetError,
-    Scalar,
     normal_order,
     rank,
 )
@@ -58,7 +57,7 @@ def reference_substitute(e, mapping):
     """Expand every word into the product of its images, then order the sum."""
     out = Expression.zero()
     for (word, powers), coef in e.terms.items():
-        factor = Expression.from_scalar(Scalar(coef, powers))
+        factor = Expression.from_scalar(coef, **dict(zip(PARAMS, powers)))
         for g in word:
             factor = factor * mapping.images[g]
         out = out + factor
@@ -78,7 +77,7 @@ def _expressions(alphabet, max_length=8, max_terms=4):
     term = st.tuples(st.lists(st.sampled_from(ALPHABETS[alphabet]), max_size=max_length),
                      _POWERS, _COEFFICIENTS)
     return st.lists(term, max_size=max_terms).map(
-        lambda terms: sum((Expression.word(w, Scalar(c, p)) for w, p, c in terms),
+        lambda terms: sum((Expression(alphabet, {(tuple(w), p): c}) for w, p, c in terms),
                           Expression.zero()))
 
 
@@ -103,7 +102,7 @@ _CAPITALS = st.lists(
 def _capital_polynomial(terms):
     out = Expression.zero()
     for word, powers, coef in terms:
-        product = Expression.from_scalar(Scalar(coef, powers))
+        product = Expression.from_scalar(coef, **dict(zip(PARAMS, powers)))
         for name in word:
             product = product * named_operator(name)
         out = out + product

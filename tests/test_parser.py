@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncphase.algebra import CANONICAL, Expression, Scalar, normal_order, powers_of
+from ncphase.algebra import CANONICAL, Expression, normal_order, powers_of
 from ncphase.maps import named_operator
 from ncphase.parsing import ParseError, UnknownSymbolError, parse
 from ncphase.rationals import GR_I, GaussianRational
@@ -13,7 +13,7 @@ def test_commutator_bracket_expands_unreduced():
     e = parse("[x,y]")
     assert e == Expression.word(("x", "y")) - Expression.word(("y", "x"))
     assert normal_order(e, __import__("ncphase").NONCOMMUTATIVE) == Expression.from_scalar(
-        Scalar(GR_I, powers_of(theta=1))
+        GR_I, theta=1
     )
 
 

@@ -2,11 +2,12 @@
 
 ``reference_evaluate`` below rebuilds every term's word as a chain of
 sparse products of the unit-scale matrices from the identity, scales the
-term's scalar by l_q once per q letter and l_p once per pi letter, and sums
-the scaled products as sparse matrices, densified once at the end.  The
-plan forms each prefix once and sums into a dense array, but it forms the
-same products, scales the same scalars and adds them in the same order, so
-the matrices must be equal bit for bit, not merely close.
+term's coefficient times parameter monomial (``term_value``) by l_q once per
+q letter and l_p once per pi letter, and sums the scaled products as sparse
+matrices, densified once at the end.  The plan forms each prefix once and
+sums into a dense array, but it forms the same products, scales the same
+numbers and adds them in the same order, so the matrices must be equal bit
+for bit, not merely close.
 
 ``scaled_products`` is the independent check of the scales: it multiplies
 the phase-space matrices of ``build_phase_space(basis, p)`` at the point's
@@ -22,8 +23,9 @@ import scipy.sparse
 from ncphase.algebra import (
     DEFAULT_POLICY,
     FIRST_ORDER_CROSS_POLICY,
+    PARAMS,
     UNDEFORMED_POLICY,
-    Scalar,
+    TruncationPolicy,
 )
 from ncphase.fock import (
     FockBasis,
@@ -41,6 +43,10 @@ POLICIES = {
     "cross": FIRST_ORDER_CROSS_POLICY,
     "undeformed": UNDEFORMED_POLICY,
 }
+# Only the untruncated Hamiltonian has theta^2, eta^2 and tau^2 terms.  Its
+# bitwise check takes about half a second per cutoff, so it runs at three.
+BITWISE_CASES = [(policy, cutoff) for policy in sorted(POLICIES) for cutoff in range(4, 17)]
+BITWISE_CASES += [("untruncated", cutoff) for cutoff in (4, 9, 16)]
 
 # Points at unit scales, then points at other (hbar, m, omega).
 UNIT_POINTS = [
@@ -67,9 +73,19 @@ def _word_product(mats, word, d):
     return prod
 
 
+def term_value(coef, powers, values):
+    """complex(coef) times the parameter monomial, one nonzero exponent at a
+    time in PARAMS order."""
+    value = complex(coef)
+    for pname, exp in zip(PARAMS, powers):
+        if exp:
+            value *= values[pname] ** exp
+    return value
+
+
 def reference_evaluate(e, basis, p):
-    """Each term's unit-scale word from scratch, times its scaled scalar,
-    summed as sparse matrices."""
+    """Each term's unit-scale word from scratch, times its scaled
+    coefficient, summed as sparse matrices."""
     values = p.values()
     ell_q, ell_p = phase_space_scales(p)
     d = basis.dimension
@@ -77,7 +93,7 @@ def reference_evaluate(e, basis, p):
     mats = _matrices(basis, ParameterPoint())
     with np.errstate(over="ignore", invalid="ignore"):
         for (word, powers), coef in e.sorted_terms():
-            value = Scalar(coef, powers).evaluate(values)
+            value = term_value(coef, powers, values)
             for g in word:
                 value *= ell_q if g.startswith("q") else ell_p
             out = out + value * _word_product(mats, word, d)
@@ -91,18 +107,18 @@ def scaled_products(e, basis, p):
     values = p.values()
     mats = _matrices(basis, p)
     return sum(
-        Scalar(coef, powers).evaluate(values) * _word_product(mats, word, basis.dimension)
+        term_value(coef, powers, values) * _word_product(mats, word, basis.dimension)
         for (word, powers), coef in e.sorted_terms()
     ).toarray()
 
 
 @pytest.fixture(scope="module")
 def hamiltonians():
-    return {name: build_hamiltonian(policy) for name, policy in POLICIES.items()}
+    policies = dict(POLICIES, untruncated=TruncationPolicy.of())
+    return {name: build_hamiltonian(policy) for name, policy in policies.items()}
 
 
-@pytest.mark.parametrize("cutoff", range(4, 17))
-@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("policy, cutoff", BITWISE_CASES)
 def test_plan_matrix_equals_the_per_term_loop_bitwise(policy, cutoff, hamiltonians):
     h = hamiltonians[policy]
     basis = FockBasis(cutoff)
@@ -129,20 +145,20 @@ def test_plan_pairs_scalars_with_words_formed_once(hamiltonians):
     assert (len(words), sum(map(len, words))) == (11, 26)
     assert len({word[:k] for word in words for k in range(1, len(word) + 1)}) == 15
     plan = compile_plan(h, FockBasis(6))
-    assert [term[:3] for term in plan.terms] == [
-        (Scalar(coef, powers), sum(g.startswith("q") for g in word),
+    assert [term[:4] for term in plan.terms] == [
+        (complex(coef), powers, sum(g.startswith("q") for g in word),
          sum(g.startswith("pi") for g in word))
         for (word, powers), coef in h.sorted_terms()
     ]
     # Terms with one word (q1 pi2 and q2 pi1 appear twice) share its product.
     for i, j in ((1, 2), (4, 5)):
         assert words[i] == words[j]
-        assert np.shares_memory(plan.terms[i][3].data, plan.terms[j][3].data)
+        assert np.shares_memory(plan.terms[i][4].data, plan.terms[j][4].data)
 
 
 def test_plan_keeps_the_overflow_check(hamiltonians):
     # At hbar 1e308 hbar omega (n+ + n- + 1) overflows on every grade above 0,
-    # whether the scales sit in the word matrices or in the scalars; the
+    # whether the scales sit in the word matrices or in the coefficients; the
     # summed matrix is what is checked, and the check raises NumericError.
     h = hamiltonians["default"]
     basis = FockBasis(4)
@@ -158,6 +174,6 @@ def test_pickled_plan_evaluates_bitwise(policy, hamiltonians):
     # A plan can be sent to a worker process and gives the same matrices there.
     plan = compile_plan(hamiltonians[policy], FockBasis(8))
     back = pickle.loads(pickle.dumps(plan))
-    assert [term[:3] for term in back.terms] == [term[:3] for term in plan.terms]
+    assert [term[:4] for term in back.terms] == [term[:4] for term in plan.terms]
     for p in UNIT_POINTS + SCALED_POINTS:
         assert evaluate(back, p).tobytes() == evaluate(plan, p).tobytes()
