@@ -51,7 +51,7 @@ from .hamiltonian import (
     h_theta_eta,
     reference_hamiltonian,
 )
-from .maps import BOPP, SubstitutionMap, named_operator, substitute
+from .maps import BOPP, named_operator, substitute
 from .parsing import ParseError, UnknownSymbolError, parse
 from .rationals import GaussianRational
 from .symmetry import (

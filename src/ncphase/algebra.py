@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .rationals import GR_I, GR_ONE, GaussianRational
@@ -159,8 +160,8 @@ class Expression:
     # -- constructors --------------------------------------------------------
 
     @staticmethod
-    def zero(alphabet: Optional[str] = None) -> "Expression":
-        return Expression(alphabet, {})
+    def zero() -> "Expression":
+        return Expression(None, {})
 
     @staticmethod
     def from_scalar(value, **exponents: int) -> "Expression":
@@ -522,7 +523,7 @@ class TruncationPolicy:
     forbidden: tuple  # tuple of exponent-vector patterns
 
     @staticmethod
-    def of(caps: Optional[Mapping[str, int]] = None,
+    def of(caps: Mapping[str, int] = MappingProxyType({}),
            forbidden: Iterable[Mapping[str, int]] = ()) -> "TruncationPolicy":
         """Build a policy, checking that ``caps`` and every pattern map known
         parameter names to integers and that ``forbidden`` is a list.
@@ -533,7 +534,7 @@ class TruncationPolicy:
         """
         if not isinstance(forbidden, (list, tuple)):
             raise AlgebraError("forbidden must be a list of exponent patterns")
-        caps = _exponent_map(caps or {}, "caps")
+        caps = _exponent_map(caps, "caps")
         for pname in _NONNEGATIVE:
             if caps.get(pname, 0) < 0:
                 raise AlgebraError(f"the cap on {pname} must be at least 0")

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .fock import (
     spectrum,
 )
 from .hamiltonian import build_hamiltonian, h_tau, h_theta_eta, reference_hamiltonian
-from .maps import BOPP, SubstitutionMap, flipped_bopp, named_operator, substitute
+from .maps import BOPP, flipped_bopp, named_operator, substitute
 from .parsing import parse
 from .rationals import GaussianRational
 from .symmetry import P_THETA_ETA_T, PT, check_algebra_invariance, is_invariant
@@ -78,7 +78,7 @@ EXIT_NUMERIC = 3
 # ---------------------------------------------------------------------------
 
 
-def _verify_cases(bopp: SubstitutionMap, cutoff: int, point: ParameterPoint) -> list:
+def _verify_cases(bopp: Mapping[str, Expression], cutoff: int, point: ParameterPoint) -> list:
     """Every verify check in report order, as (suite, name, value, expected,
     status): the row takes ``status`` when value == expected, else "fail".
 
@@ -140,13 +140,14 @@ def _verify_cases(bopp: SubstitutionMap, cutoff: int, point: ParameterPoint) -> 
          build_hamiltonian(DEFAULT_POLICY, bopp=bopp), full, "pass"),
     ]
     for row in check_algebra_invariance(NONCOMMUTATIVE, P_THETA_ETA_T):
-        cases.append(("symmetry", f"PthetaetaT preserves {row['relation']}",
+        cases.append(("symmetry", f"{P_THETA_ETA_T.kind} preserves {row['relation']}",
                       (row["preserved"], row["residual"]), True, "pass"))
     for name, expression, variant, expected in (
-        ("full Hamiltonian invariant under PthetaetaT", full, P_THETA_ETA_T, True),
-        ("angular coupling anti-invariant under PT",
+        (f"full Hamiltonian invariant under {P_THETA_ETA_T.kind}", full, P_THETA_ETA_T, True),
+        (f"angular coupling anti-invariant under {PT.kind}",
          normal_order(h_theta_eta(), CANONICAL), PT, False),
-        ("tau correction invariant under PT", normal_order(h_tau(), CANONICAL), PT, True),
+        (f"tau correction invariant under {PT.kind}",
+         normal_order(h_tau(), CANONICAL), PT, True),
     ):
         verdict = is_invariant(expression, variant)
         cases.append(

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -245,16 +244,13 @@ class EigenPair:
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """Threads for every block but the first, which the caller solves: one
-    fewer than the usable CPUs, and at least one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return ThreadPoolExecutor(max_workers=max(1, cpus - 1))
+    """The one thread that solves every block but the first, which the
+    caller solves: with its tau term the Hamiltonian matrix has exactly two
+    blocks, its even-grade and odd-grade states."""
+    return ThreadPoolExecutor(max_workers=1)
 
 
-def _solve_block(h: np.ndarray, idx: np.ndarray, bound: float, residual_factor: float) -> tuple:
+def _solve_block(h: np.ndarray, idx: np.ndarray, bound: float) -> tuple:
     """Eigenvalues, unit eigenvectors (columns) and residuals of the block of
     ``h`` on the indices ``idx``.
 
@@ -279,23 +275,23 @@ def _solve_block(h: np.ndarray, idx: np.ndarray, bound: float, residual_factor: 
     worst = float(residuals.max())
     if not worst <= bound:  # a NaN residual fails too
         raise NumericError(
-            f"eigenpair residual {worst:.3e} exceeds {residual_factor:.1e} * ||H||"
+            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_FACTOR:.1e} * ||H||"
         )
     return values, vectors, residuals
 
 
-def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
+def diagonalize(h: np.ndarray) -> list:
     """Block-wise non-symmetric eigensolve, sorted by real part.
 
     The matrix splits into the connected components of its exact nonzero
     pattern (for the Hamiltonian: the even-grade and odd-grade blocks).
     Off-block entries are exactly zero, so the union of the block spectra is
     the spectrum of the whole matrix.  The calling thread solves the first
-    block while a shared thread pool solves the others.  A block whose
-    imaginary part is exactly zero is solved in real arithmetic.  Each
-    eigenvector is kept on its block (``EigenPair.local``).
+    block while one job on a shared one-thread pool solves the others in
+    order.  A block whose imaginary part is exactly zero is solved in real
+    arithmetic.  Each eigenvector is kept on its block (``EigenPair.local``).
 
-    Every returned pair satisfies ||H v - lambda v|| <= residual_factor
+    Every returned pair satisfies ||H v - lambda v|| <= RESIDUAL_FACTOR
     times ||H||; a violation, a non-finite or underflowing norm, a
     non-finite residual, or LAPACK non-convergence raises NumericError.
     """
@@ -304,7 +300,7 @@ def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
     # An overflowing norm or residual is reported below, not by numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         norm = np.linalg.norm(h)
-        bound = residual_factor * norm
+        bound = RESIDUAL_FACTOR * norm
     if not math.isfinite(bound):
         raise NumericError("matrix norm overflows at this parameter point")
     # Else every residual would underflow to 0 too and pass the bound.
@@ -315,13 +311,13 @@ def diagonalize(h: np.ndarray, residual_factor: float = 1e-8) -> list:
         scipy.sparse.csr_matrix(h != 0), directed=False
     )
     blocks = [np.flatnonzero(labels == label) for label in range(n_blocks)]
-    futures = [_pool().submit(_solve_block, h, idx, bound, residual_factor) for idx in blocks[1:]]
+    job = _pool().submit(lambda: [_solve_block(h, idx, bound) for idx in blocks[1:]])
     try:
-        solved = [_solve_block(h, idx, bound, residual_factor) for idx in blocks[:1]]
+        solved = [_solve_block(h, idx, bound) for idx in blocks[:1]]
     finally:
         # No pooled solve outlives the call, also when the first block fails.
-        wait(futures)
-    solved.extend(future.result() for future in futures)
+        wait([job])
+    solved += job.result()
     pairs = [
         EigenPair(complex(value), vector, idx, h.shape[0], float(residual))
         for idx, (values, vectors, residuals) in zip(blocks, solved)
@@ -346,7 +342,7 @@ class LevelTable:
     """Classified levels plus the eigenpairs no basis label could claim."""
 
     rows: list
-    unclassified: list = field(default_factory=list)
+    unclassified: list
 
     def row(self, n_plus: int, n_minus: int) -> Optional[LevelRow]:
         for row in self.rows:
@@ -354,6 +350,9 @@ class LevelTable:
                 return row
         return None
 
+
+# diagonalize rejects an eigenpair whose residual exceeds this times ||H||.
+RESIDUAL_FACTOR = 1e-8
 
 # Eigenvectors whose best basis overlap is below this are truncation junk.
 OVERLAP_FLOOR = 0.5

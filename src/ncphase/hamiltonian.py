@@ -14,6 +14,7 @@ result coincides, coefficient by coefficient, with the three named pieces:
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from .algebra import (
     CANONICAL,
@@ -23,7 +24,7 @@ from .algebra import (
     normal_order,
     truncate,
 )
-from .maps import BOPP, SubstitutionMap, named_operator, substitute
+from .maps import BOPP, named_operator, substitute
 from .rationals import GR_I
 
 
@@ -60,7 +61,7 @@ def h_tau() -> Expression:
 
 def build_hamiltonian(
     policy: TruncationPolicy = DEFAULT_POLICY,
-    bopp: SubstitutionMap = BOPP,
+    bopp: Mapping[str, Expression] = BOPP,
 ) -> Expression:
     """(Px^2 + Py^2)/2m + m omega^2 (X^2 + Y^2)/2, reduced and truncated.
 

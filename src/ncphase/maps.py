@@ -15,49 +15,39 @@ these named expressions (the parser expands them on sight).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
-from .algebra import Expression, MissingImageError, TABLES, normal_order
+from .algebra import CANONICAL, Expression, MissingImageError, normal_order
 
 
-@dataclass(frozen=True)
-class SubstitutionMap:
-    """Generator-wise images defining an algebra homomorphism."""
-
-    target: str  # target alphabet name
-    images: Mapping[str, Expression]
-
-
-def substitute(e: Expression, mapping: SubstitutionMap) -> Expression:
-    """Homomorphic replacement followed by normal ordering in the target.
+def substitute(e: Expression, images: Mapping[str, Expression]) -> Expression:
+    """Replace each generator g by ``images[g]`` and normal-order the result
+    in the canonical table: the algebra homomorphism the images define.
 
     The images are multiplied in word by word while the product is kept
     normal-ordered, so the unordered expansion is never built.
     """
-    return normal_order(e, TABLES[mapping.target], mapping.images)
+    return normal_order(e, CANONICAL, images)
 
 
-def _make_bopp(sign: int = 1) -> SubstitutionMap:
+def _make_bopp(sign: int = 1) -> Mapping[str, Expression]:
     q1 = Expression.generator("q1")
     q2 = Expression.generator("q2")
     pi1 = Expression.generator("pi1")
     pi2 = Expression.generator("pi2")
     theta_over_2hbar = Expression.from_scalar(Fraction(1, 2), theta=1, hbar=-1)
     eta_over_2hbar = Expression.from_scalar(Fraction(1, 2), eta=1, hbar=-1)
-    return SubstitutionMap(
-        target="canonical",
-        images={
-            "x": q1 - pi2 * theta_over_2hbar * sign,
-            "y": q2 + pi1 * theta_over_2hbar * sign,
-            "px": pi1 + q2 * eta_over_2hbar * sign,
-            "py": pi2 - q1 * eta_over_2hbar * sign,
-        },
-    )
+    return MappingProxyType({
+        "x": q1 - pi2 * theta_over_2hbar * sign,
+        "y": q2 + pi1 * theta_over_2hbar * sign,
+        "px": pi1 + q2 * eta_over_2hbar * sign,
+        "py": pi2 - q1 * eta_over_2hbar * sign,
+    })
 
 
-def flipped_bopp() -> SubstitutionMap:
+def flipped_bopp() -> Mapping[str, Expression]:
     """Bopp map with the antisymmetric-symbol convention reversed.
 
     A fault drill: the closure checks must catch the wrong sign.

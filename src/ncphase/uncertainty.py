@@ -427,7 +427,7 @@ def brute_force_min_product(
         "min_delta_py": best.delta_py,
         "min_delta_py_normalized": min_normalized,
         "momentum_floor": floor,
-        "floor_ratio": (min_normalized / floor) if floor > 0 else float("inf"),
+        "floor_ratio": (min_normalized / floor) if floor > 0 else None,
         "argmin": {"sigma": best.sigma, "kick": best.kick, "y_mean": best.y_mean},
     }
 

@@ -12,8 +12,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ncphase.cli
+from ncphase.algebra import TruncationPolicy
 from ncphase.cli import (
     EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, SWEEP_COLUMNS, main,
+    resolve_policy,
 )
 from ncphase.fock import compile_plan
 
@@ -403,16 +405,16 @@ NUMBERS = st.one_of(
 
 
 def assert_exit_contract(code, stdout, err, verdict=False):
-    """0 with a report free of NaN, or 2/3 with a one-line message.  With
-    ``verdict``, also 1 with a NaN-free report and its one-line verdict."""
+    """0 with a strict-JSON report (no NaN or Infinity), or 2/3 with a
+    one-line message.  With ``verdict``, also 1 with a strict-JSON report and
+    its one-line verdict."""
     if verdict and code == EXIT_VERIFY_FAILED:
         assert err.startswith("first failing identity: ") and err.count("\n") == 1
     if code == EXIT_OK or (verdict and code == EXIT_VERIFY_FAILED):
-        def no_nan(constant):
-            assert constant != "NaN"
-            return float(constant)
+        def non_finite(constant):
+            raise AssertionError(f"{constant} is not JSON")
 
-        json.loads(stdout, parse_constant=no_nan)
+        json.loads(stdout, parse_constant=non_finite)
     else:
         assert code in (EXIT_USAGE, EXIT_NUMERIC)
         prefix = "usage error: " if code == EXIT_USAGE else "numeric failure: "
@@ -429,6 +431,7 @@ def assert_exit_contract(code, stdout, err, verdict=False):
     }),
     sigma_steps=st.integers(-1, 3),
 )
+@example(flags={"--tau": 0.0}, sigma_steps=2)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_uncertainty_exit_code_contract(flags, sigma_steps, capsys):
     argv = ["uncertainty", "--brute-force", "--sigma-steps", str(sigma_steps)]
@@ -711,6 +714,8 @@ def test_policy_keyword_and_json(capsys):
     )
     assert code2 == EXIT_OK
     assert json.loads(stdout2)["levels"] == levels
+    # Only an absent caps key means no caps.
+    assert resolve_policy("{}") == resolve_policy('{"caps": {}}') == TruncationPolicy.of()
 
 
 def test_bad_policy_is_usage_error(capsys):
@@ -735,6 +740,11 @@ def test_bad_policy_is_usage_error(capsys):
     '{"cap": {"theta": 1}}',
     '{"forbidden": [{}]}',
     '{"caps": {"tau": -1}}',
+    '{"caps": []}',
+    '{"caps": null}',
+    '{"caps": 0}',
+    '{"caps": false}',
+    '{"caps": ""}',
 ])
 def test_malformed_policy_is_usage_error(command, policy, capsys):
     code, _o, err = run(command + ["--cutoff", "4", "--policy", policy], capsys)

@@ -62,7 +62,7 @@ def test_bopp_of_commutator_expression():
 
 
 def test_substitute_rejects_missing_image():
-    half_map = type(BOPP)(target="canonical", images={"x": Expression.generator("q1")})
+    half_map = {"x": Expression.generator("q1")}
     with pytest.raises(MissingImageError):
         substitute(parse("x*y"), half_map)
 

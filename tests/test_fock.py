@@ -355,7 +355,7 @@ def test_diagonalize_repeats_bit_for_bit():
         assert np.array_equal([p.residual for p in again], [p.residual for p in first])
 
 
-def test_pooled_block_failure_reaches_the_caller():
+def test_pooled_block_failure_reaches_the_caller(monkeypatch):
     # The caller solves the block of index 0, a 1x1 block with residual
     # exactly 0; the two random blocks go to the pool, where roundoff leaves
     # a residual above a bound of 0.
@@ -364,11 +364,50 @@ def test_pooled_block_failure_reaches_the_caller():
     h[0, 0] = 2.0
     h[1:7, 1:7] = rng.standard_normal((6, 6))
     h[7:, 7:] = rng.standard_normal((6, 6))
-    assert diagonalize(h[:1, :1], residual_factor=0)[0].residual == 0
+    monkeypatch.setattr(ncphase.fock, "RESIDUAL_FACTOR", 0)
+    assert diagonalize(h[:1, :1])[0].residual == 0
     with pytest.raises(NumericError, match=r"^eigenpair residual \S+ exceeds 0\.0e\+00 \* \|\|H\|\|$"):
-        diagonalize(h, residual_factor=0)
+        diagonalize(h)
+    monkeypatch.undo()
     # The pool serves the next call as before.
     assert len(diagonalize(h)) == 13
+
+
+class _CountingExecutor:
+    """Forwards to an executor and counts the jobs submitted to it."""
+
+    def __init__(self, executor):
+        self.executor = executor
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return self.executor.submit(*args, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["permuted-blocks", "tau-zero-12"])
+def test_each_call_submits_one_pool_job(case, monkeypatch):
+    # At tau = 0 the N=12 Hamiltonian splits into 42 blocks; the pool still
+    # gets one job, which solves all of them but the first.
+    if case == "permuted-blocks":
+        h = _permuted_blocks(np.random.default_rng(5), (7, 1, 12, 5), True)
+        n_blocks = 4
+    else:
+        point = ParameterPoint(theta=0.02, eta=0.03, tau=0.0)
+        h = evaluate(compile_plan(build_hamiltonian(), FockBasis(12)), point)
+        n_blocks = 42
+    assert scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(h != 0), directed=False)[0] == n_blocks
+    expected = diagonalize(h)
+    counting = _CountingExecutor(ncphase.fock._pool())
+    monkeypatch.setattr(ncphase.fock, "_pool", lambda: counting)
+    got = diagonalize(h)
+    assert counting.submitted == 1
+    assert np.array_equal([p.value for p in got], [p.value for p in expected])
+
+
+def test_diagonalize_empty_matrix():
+    assert diagonalize(np.zeros((0, 0))) == []
 
 
 def test_concurrent_callers_share_the_pool():

@@ -59,9 +59,9 @@ def reference_substitute(e, mapping):
     for (word, powers), coef in e.terms.items():
         factor = Expression.from_scalar(coef, **dict(zip(PARAMS, powers)))
         for g in word:
-            factor = factor * mapping.images[g]
+            factor = factor * mapping[g]
         out = out + factor
-    return reference_normal_order(out, TABLES[mapping.target])
+    return reference_normal_order(out, CANONICAL)
 
 
 # -- random expressions ---------------------------------------------------------
