@@ -42,6 +42,7 @@ from .fock import (
     evaluate,
     level_table_csv,
     level_table_json,
+    spectra,
     spectrum,
 )
 from .hamiltonian import (

@@ -45,6 +45,7 @@ from .algebra import (
 from .fock import (
     LEVEL_COLUMNS,
     FockBasis,
+    LevelTable,
     NumericError,
     ParameterPoint,
     compile_plan,
@@ -53,6 +54,7 @@ from .fock import (
     level_fields,
     level_table_csv,
     level_table_json,
+    spectra,
     spectrum,
 )
 from .hamiltonian import build_hamiltonian, h_tau, h_theta_eta, reference_hamiltonian
@@ -257,6 +259,12 @@ SWEEP_COLUMNS = LEVEL_COLUMNS[:6]
 
 
 def cmd_sweep(args) -> int:
+    """Write the level rows of ``--steps`` points from ``--from`` to ``--to``.
+
+    The plan is compiled once; ``spectra`` solves all points as stacks, one
+    ``numpy.linalg.eig`` call per block stack.  A point that fails is
+    reported with its error and the others are still written.
+    """
     if args.param not in PARAMS:
         raise UsageError(f"--param must be one of {', '.join(PARAMS)}")
     if args.steps < 2:
@@ -270,20 +278,25 @@ def cmd_sweep(args) -> int:
     # only its own point.
     _point_from_args(args, **{args.param: getattr(ParameterPoint(), args.param)})
     plan = compile_plan(build_hamiltonian(resolve_policy(args.policy)), FockBasis(args.cutoff))
-    values = np.linspace(args.sweep_from, args.sweep_to, args.steps)
-    columns = (args.param, *SWEEP_COLUMNS)
-    rows, failures = [], []
+    values = [float(value) for value in np.linspace(args.sweep_from, args.sweep_to, args.steps)]
+    outcomes = []
     for value in values:
         try:
-            point = _point_from_args(args, **{args.param: float(value)})
-            table = spectrum(point, plan)
-        except (NumericError, ValueError, ArithmeticError) as exc:
-            failures.append({"param": args.param, "value": float(value),
-                             "error": str(exc)})
+            outcomes.append(_point_from_args(args, **{args.param: value}))
+        except ValueError as exc:
+            outcomes.append(exc)
+    tables = spectra([point for point in outcomes if isinstance(point, ParameterPoint)], plan)
+    columns = (args.param, *SWEEP_COLUMNS)
+    rows, failures = [], []
+    for value, outcome in zip(values, outcomes):
+        if isinstance(outcome, ParameterPoint):
+            outcome = next(tables)
+        if not isinstance(outcome, LevelTable):
+            failures.append({"param": args.param, "value": value, "error": str(outcome)})
             continue
-        for row in table.rows:
+        for row in outcome.rows:
             fields = level_fields(row)
-            rows.append({args.param: float(value), **{c: fields[c] for c in SWEEP_COLUMNS}})
+            rows.append({args.param: value, **{c: fields[c] for c in SWEEP_COLUMNS}})
     if args.format == "csv":
         for failure in failures:
             print(f"sweep point failed: {failure}", file=sys.stderr)

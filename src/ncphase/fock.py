@@ -17,7 +17,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -244,56 +244,71 @@ class EigenPair:
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """The one thread that solves every block but the first, which the
+    """The one thread that solves every block stack but the first, which the
     caller solves: with its tau term the Hamiltonian matrix has exactly two
     blocks, its even-grade and odd-grade states."""
     return ThreadPoolExecutor(max_workers=1)
 
 
-def _solve_block(h: np.ndarray, idx: np.ndarray, bound: float) -> tuple:
-    """Eigenvalues, unit eigenvectors (columns) and residuals of the block of
-    ``h`` on the indices ``idx``.
+def _solve_block(stack: np.ndarray, bounds: Sequence[float]) -> list:
+    """Eigenvalues, unit eigenvectors (columns) and residuals of each matrix
+    of ``stack`` (k x n x n), or the NumericError that matrix raises: its
+    residual exceeds its entry of ``bounds`` or LAPACK did not converge.
 
-    It runs on pool threads, so it calls no public ncphase function: the
-    tracer in perfbench keeps a single span stack.  ``numpy.linalg.eig``
-    releases the GIL while LAPACK runs, where ``scipy.linalg.eig`` holds it.
+    ``numpy.linalg.eig`` solves the whole stack in one call, looping in C;
+    it releases the GIL while LAPACK runs, where ``scipy.linalg.eig`` holds
+    it.  Each matrix gets the bits of its own two-dimensional solve, so the
+    normalization and residuals below run per matrix.  It runs on pool
+    threads, so it calls no public ncphase function: the tracer in perfbench
+    keeps a single span stack.
     """
-    # A real block is gathered from h.real, at half the memory of a complex one.
-    rows = np.ix_(idx, idx)
-    block = h[rows] if h.imag[rows].any() else h.real[rows]
     try:
-        values, vectors = np.linalg.eig(block)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
-    # As scipy.linalg.eig returns them: complex values and Fortran-ordered
-    # vectors, so the products below round as they did with scipy.
-    values = values.astype(complex)
-    vectors = np.asfortranarray(vectors)
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = np.linalg.norm(block @ vectors - vectors * values, axis=0)
-    worst = float(residuals.max())
-    if not worst <= bound:  # a NaN residual fails too
-        raise NumericError(
-            f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_FACTOR:.1e} * ||H||"
-        )
-    return values, vectors, residuals
+        values, vectors = np.linalg.eig(stack)
+    except np.linalg.LinAlgError as exc:
+        if len(stack) == 1:
+            return [NumericError(f"eigensolver did not converge: {exc}")]
+        # Re-solve one matrix at a time, so only the ones at fault fail.
+        return [
+            result
+            for block, bound in zip(stack, bounds)
+            for result in _solve_block(block[None], (bound,))
+        ]
+    real = not np.iscomplexobj(stack)
+    # One view per matrix, each dropped once copied below, so the last frees
+    # the stack's outputs (a block's complex vectors take 7.3 MB at N=50).
+    values, vectors = list(values), list(vectors)
+    solved = []
+    for block, bound in zip(stack, bounds):
+        block_values, block_vectors = values.pop(0), vectors.pop(0)
+        # The stack's output is complex when any of its matrices has a
+        # complex eigenvalue; a real matrix's own solve is real unless it has one.
+        if real and not block_values.imag.any():
+            block_values, block_vectors = block_values.real, block_vectors.real
+        # As scipy.linalg.eig returns them: complex values and Fortran-ordered
+        # vectors, so the products below round as they did with scipy.
+        block_values = block_values.astype(complex)
+        block_vectors = np.asfortranarray(block_vectors)
+        block_vectors = block_vectors / np.linalg.norm(block_vectors, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = np.linalg.norm(
+                block @ block_vectors - block_vectors * block_values, axis=0
+            )
+        worst = float(residuals.max())
+        if not worst <= bound:  # a NaN residual fails too
+            solved.append(NumericError(
+                f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_FACTOR:.1e} * ||H||"
+            ))
+        else:
+            solved.append((block_values, block_vectors, residuals))
+    return solved
 
 
-def diagonalize(h: np.ndarray) -> list:
-    """Block-wise non-symmetric eigensolve, sorted by real part.
+def _split(h: np.ndarray) -> tuple:
+    """The residual bound of ``h``, the basis indices of each of its blocks
+    and each block gathered (``diagonalize`` describes them).
 
-    The matrix splits into the connected components of its exact nonzero
-    pattern (for the Hamiltonian: the even-grade and odd-grade blocks).
-    Off-block entries are exactly zero, so the union of the block spectra is
-    the spectrum of the whole matrix.  The calling thread solves the first
-    block while one job on a shared one-thread pool solves the others in
-    order.  A block whose imaginary part is exactly zero is solved in real
-    arithmetic.  Each eigenvector is kept on its block (``EigenPair.local``).
-
-    Every returned pair satisfies ||H v - lambda v|| <= RESIDUAL_FACTOR
-    times ||H||; a violation, a non-finite or underflowing norm, a
-    non-finite residual, or LAPACK non-convergence raises NumericError.
+    A real block is gathered from h.real, at half the memory of a complex
+    one; only in a complex matrix is each block's imaginary part tested.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
@@ -310,21 +325,52 @@ def diagonalize(h: np.ndarray) -> list:
     n_blocks, labels = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(h != 0), directed=False
     )
-    blocks = [np.flatnonzero(labels == label) for label in range(n_blocks)]
-    job = _pool().submit(lambda: [_solve_block(h, idx, bound) for idx in blocks[1:]])
-    try:
-        solved = [_solve_block(h, idx, bound) for idx in blocks[:1]]
-    finally:
-        # No pooled solve outlives the call, also when the first block fails.
-        wait([job])
-    solved += job.result()
-    pairs = [
-        EigenPair(complex(value), vector, idx, h.shape[0], float(residual))
-        for idx, (values, vectors, residuals) in zip(blocks, solved)
-        for value, vector, residual in zip(values, vectors.T, residuals)
-    ]
+    supports = [np.flatnonzero(labels == label) for label in range(n_blocks)]
+    real = not h.imag.any()
+    blocks = []
+    for idx in supports:
+        rows = np.ix_(idx, idx)
+        blocks.append(h.real[rows] if real or not h.imag[rows].any() else h[rows])
+    return bound, supports, blocks
+
+
+def _pairs(dimension: int, supports: list, solved: list) -> list:
+    """The eigenpairs of one matrix from its blocks' solves, sorted by real
+    part; the first failed block's NumericError is raised."""
+    pairs = []
+    for idx, result in zip(supports, solved):
+        if isinstance(result, NumericError):
+            raise result
+        values, vectors, residuals = result
+        pairs.extend(
+            EigenPair(complex(value), vector, idx, dimension, float(residual))
+            for value, vector, residual in zip(values, vectors.T, residuals)
+        )
     pairs.sort(key=lambda pair: (pair.value.real, pair.value.imag))
     return pairs
+
+
+def diagonalize(h: np.ndarray) -> list:
+    """Block-wise non-symmetric eigensolve, sorted by real part.
+
+    The matrix splits into the connected components of its exact nonzero
+    pattern (for the Hamiltonian: the even-grade and odd-grade blocks).
+    Off-block entries are exactly zero, so the union of the block spectra is
+    the spectrum of the whole matrix.  A block whose imaginary part is
+    exactly zero is solved in real arithmetic.  Each block is a stack of one
+    matrix for the solver that ``spectra`` shares: the calling thread solves
+    the first block while one job on a shared one-thread pool solves the
+    others in order.  Each eigenvector is kept on its block
+    (``EigenPair.local``).
+
+    Every returned pair satisfies ||H v - lambda v|| <= RESIDUAL_FACTOR
+    times ||H||; a violation, a non-finite or underflowing norm, a
+    non-finite residual, or LAPACK non-convergence raises NumericError.
+    """
+    bound, supports, blocks = _split(h)
+    solved = [None] * len(blocks)
+    _solve_group([([block], [bound], [(solved, k)]) for k, block in enumerate(blocks)])
+    return _pairs(h.shape[0], supports, solved)
 
 
 @dataclass
@@ -353,6 +399,10 @@ class LevelTable:
 
 # diagonalize rejects an eigenpair whose residual exceeds this times ||H||.
 RESIDUAL_FACTOR = 1e-8
+
+# spectra solves its stacks once the gathered blocks hold this many bytes:
+# about 120 points at N=12, one point at N=50.
+STACK_BYTES = 4 * 2**20
 
 # Eigenvectors whose best basis overlap is below this are truncation junk.
 OVERLAP_FLOOR = 0.5
@@ -401,6 +451,90 @@ def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) ->
 def spectrum(p: ParameterPoint, plan: Plan) -> LevelTable:
     """Evaluate, diagonalize and classify in one step, over the plan's basis."""
     return classify(diagonalize(evaluate(plan, p)), plan.basis, p)
+
+
+# The failures that belong to one parameter point, which spectra yields.
+_POINT_ERRORS = (NumericError, ValueError, ArithmeticError)
+
+
+def spectra(points: Iterable[ParameterPoint], plan: Plan) -> Iterator:
+    """``spectrum`` of each point in order: its LevelTable, or the exception
+    (NumericError, ValueError or ArithmeticError) that point raised.
+
+    Each point's matrix is evaluated, checked as ``diagonalize`` checks it,
+    split into its blocks and dropped.  Points that split alike form a
+    group, and each block of a group is one stack (k x n x n) that
+    ``numpy.linalg.eig`` solves in one call: the calling thread solves the
+    first block's stack while one pool job solves the group's others.  The
+    stacks are solved and their tables yielded whenever the gathered blocks
+    reach STACK_BYTES, so memory does not grow with the number of points.
+    Every table has the bits of ``spectrum`` at its point, and a point that
+    fails (a residual, LAPACK, an overflow) fails alone, with the same error.
+    """
+    pending, groups, held = [], {}, 0
+    for p in points:
+        try:
+            bound, supports, blocks = _split(evaluate(plan, p))
+        except _POINT_ERRORS as exc:
+            pending.append(exc)
+            continue
+        solved = [None] * len(blocks)  # filled in by _flush
+        pending.append((p, supports, solved))
+        stacks = groups.setdefault(tuple(idx.tobytes() for idx in supports), {})
+        for k, block in enumerate(blocks):
+            stacked, bounds, owners = stacks.setdefault((k, block.dtype), ([], [], []))
+            stacked.append(block)
+            bounds.append(bound)
+            owners.append((solved, k))
+            held += block.nbytes
+        if held >= STACK_BYTES:
+            yield from _flush(pending, groups, plan.basis)
+            pending, groups, held = [], {}, 0
+    yield from _flush(pending, groups, plan.basis)
+
+
+def _flush(pending: list, groups: dict, basis: FockBasis) -> Iterator:
+    """Solve the gathered stacks, then classify and yield each pending point."""
+    for stacks in groups.values():
+        _solve_group(list(stacks.values()))
+    for item in pending:
+        if not isinstance(item, tuple):
+            yield item
+            continue
+        p, supports, solved = item
+        try:
+            outcome = classify(_pairs(basis.dimension, supports, solved), basis, p)
+        except _POINT_ERRORS as exc:
+            outcome = exc
+        solved.clear()  # the table holds what the caller needs of the solves
+        yield outcome
+
+
+def _solve_group(stacks: list) -> None:
+    """Solve a group's stacks and store each matrix's result at its owner.
+
+    Each entry of ``stacks`` is (blocks, bounds, owners): equally shaped
+    blocks of one dtype, their residual bounds, and per block the list and
+    index where its ``_solve_block`` result goes.  The calling thread solves
+    the first stack while one job on the shared one-thread pool solves the
+    others in order.
+    """
+    arrays = []
+    for blocks, _bounds, _owners in stacks:
+        # A single block is stacked as a view; more are copied once and dropped.
+        arrays.append(blocks[0][None] if len(blocks) == 1 else np.stack(blocks))
+        blocks.clear()
+    bounds = [entry[1] for entry in stacks]
+    job = _pool().submit(lambda: [_solve_block(*args) for args in zip(arrays[1:], bounds[1:])])
+    try:
+        solved = [_solve_block(*args) for args in zip(arrays[:1], bounds[:1])]
+    finally:
+        # No pooled solve outlives the call, also when the first stack raises.
+        wait([job])
+    solved += job.result()
+    for (_blocks, _bounds, owners), results in zip(stacks, solved):
+        for (owner, k), result in zip(owners, results):
+            owner[k] = result
 
 
 LEVEL_COLUMNS = (

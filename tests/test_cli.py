@@ -317,6 +317,17 @@ def test_sweep_point_that_overflows_fails_alone(capsys):
     assert payload["rows"] and {row["theta"] for row in payload["rows"]} == {0.0}
 
 
+def test_sweep_first_point_that_overflows_fails_alone(capsys):
+    # The first point fails at evaluation; the two after it are still
+    # solved as one stack per parity block.
+    code, stdout, err = run(["sweep", "--param", "m", "--from", "1e-300", "--to", "1",
+                             "--steps", "3", "--cutoff", "4", "--tau", "0.01"], capsys)
+    assert code == EXIT_OK
+    assert err == ("sweep point failed: {'param': 'm', 'value': 1e-300, "
+                   "'error': 'matrix entries overflow at this parameter point'}\n")
+    assert {line.split(",")[0] for line in stdout.splitlines()[1:]} == {"0.5", "1"}
+
+
 # -- uncertainty ---------------------------------------------------------------------
 
 

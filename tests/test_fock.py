@@ -22,7 +22,15 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 import ncphase.fock
-from ncphase.algebra import CANONICAL, PARAMS, commutator, normal_order
+from ncphase.algebra import (
+    CANONICAL,
+    DEFAULT_POLICY,
+    FIRST_ORDER_CROSS_POLICY,
+    PARAMS,
+    UNDEFORMED_POLICY,
+    commutator,
+    normal_order,
+)
 from ncphase.fock import (
     EigenPair,
     FockBasis,
@@ -39,6 +47,7 @@ from ncphase.fock import (
     evaluate,
     level_table_csv,
     level_table_json,
+    spectra,
     spectrum,
 )
 from ncphase.hamiltonian import build_hamiltonian, h_core, h_tau, h_theta_eta
@@ -456,6 +465,185 @@ def test_pool_threads_call_no_public_function(monkeypatch):
     ncphase.fock.diagonalize(h)
     assert ("ncphase.fock.diagonalize", True) in calls
     assert [name for name, on_main in calls if not on_main] == ["_solve_block"] * 3
+
+
+# -- stacked sweeps ------------------------------------------------------------------
+
+
+def _sweep_case(name):
+    """(plan, points) of a 6-point sweep."""
+    steps = [float(s) for s in np.linspace(0.0, 1.0, 6)]
+    if name == "tau-from-zero-12":
+        plan = compile_plan(build_hamiltonian(), FockBasis(12))
+        points = [ParameterPoint(theta=0.02, eta=0.03, tau=0.01 * s) for s in steps]
+    elif name.endswith("theta-8"):
+        policy = UNDEFORMED_POLICY if name.startswith("undeformed") else DEFAULT_POLICY
+        plan = compile_plan(build_hamiltonian(policy), FockBasis(8))
+        points = [ParameterPoint(theta=0.05 * s, eta=0.03, tau=0.005) for s in steps]
+    else:
+        plan = compile_plan(build_hamiltonian(FIRST_ORDER_CROSS_POLICY), FockBasis(10))
+        points = [ParameterPoint(hbar=1.3, m=0.7, omega=1.9, theta=0.02, eta=0.03,
+                                 tau=0.02 * s) for s in steps]
+    return plan, points
+
+
+@pytest.fixture
+def classified(monkeypatch):
+    """The eigenpairs of each classify call, in call order."""
+    calls = []
+    original = ncphase.fock.classify
+
+    def recording(pairs, basis, p):
+        calls.append(pairs)
+        return original(pairs, basis, p)
+
+    monkeypatch.setattr(ncphase.fock, "classify", recording)
+    return calls
+
+
+def _point_by_point(points, plan):
+    """spectrum at each point: its table, or the error it raised."""
+    outcomes = []
+    for p in points:
+        try:
+            outcomes.append(spectrum(p, plan))
+        except (NumericError, ValueError, ArithmeticError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _assert_same_pairs(got, expected):
+    assert len(got) == len(expected)
+    for pair, reference in zip(got, expected):
+        assert repr((pair.value, pair.residual)) == repr((reference.value, reference.residual))
+        assert pair.vector.tobytes() == reference.vector.tobytes()
+
+
+def _assert_same_outcomes(got, expected):
+    assert len(got) == len(expected)
+    for outcome, reference in zip(got, expected):
+        if isinstance(reference, Exception):
+            assert (type(outcome), str(outcome)) == (type(reference), str(reference))
+            continue
+        assert isinstance(outcome, ncphase.fock.LevelTable)
+        assert [repr(dataclasses.astuple(row)) for row in outcome.rows] == [
+            repr(dataclasses.astuple(row)) for row in reference.rows]
+        _assert_same_pairs(outcome.unclassified, reference.unclassified)
+
+
+@pytest.mark.parametrize("case", ["tau-from-zero-12", "undeformed-theta-8", "cross-10"])
+def test_spectra_gives_spectrum_bits(case, classified):
+    # Every eigenpair, full vector and level row of each point is spectrum's.
+    plan, points = _sweep_case(case)
+    expected = _point_by_point(points, plan)
+    expected_pairs = classified[:]
+    classified.clear()
+    got = list(spectra(points, plan))
+    assert not any(isinstance(outcome, Exception) for outcome in expected)
+    _assert_same_outcomes(got, expected)
+    assert len(classified) == len(expected_pairs) == len(points)
+    for pairs, reference in zip(classified, expected_pairs):
+        _assert_same_pairs(pairs, reference)
+
+
+def test_stacked_eig_gives_each_matrix_bits():
+    # spectra solves its stacks in one numpy.linalg.eig call and relies on
+    # each matrix getting the bits of its own solve: real spectra, complex
+    # spectra in real arithmetic, and complex matrices.
+    plan, points = _sweep_case("tau-from-zero-12")
+    even = np.stack([ncphase.fock._split(evaluate(plan, p))[2][0] for p in points[1:]])
+    rng = np.random.default_rng(7)
+    real = rng.standard_normal((5, 20, 20))
+    for stack in (even, real, real + 1j * rng.standard_normal((5, 20, 20))):
+        values, vectors = np.linalg.eig(stack)
+        for k, matrix in enumerate(stack):
+            one_values, one_vectors = np.linalg.eig(matrix)
+            assert values[k].astype(complex).tobytes() == one_values.astype(complex).tobytes()
+            assert vectors[k].astype(complex).tobytes() == one_vectors.astype(complex).tobytes()
+
+
+def test_spectra_solves_one_stack_per_block_pattern(monkeypatch):
+    # At tau = 0 the N=12 matrix splits into 42 blocks, at every other point
+    # into its two parity blocks: two groups, one pool job each, and one eig
+    # call per block stack (point by point: 42 + 5 * 2 calls).
+    plan, points = _sweep_case("tau-from-zero-12")
+    counting = _CountingExecutor(ncphase.fock._pool())
+    monkeypatch.setattr(ncphase.fock, "_pool", lambda: counting)
+    shapes = []
+    eig = np.linalg.eig
+
+    def recording(a):
+        shapes.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", recording)
+    assert len(list(spectra(points, plan))) == 6
+    assert counting.submitted == 2
+    assert len(shapes) == 42 + 2
+    assert sorted(shapes)[-2:] == [(5, 42, 42), (5, 49, 49)]
+
+
+def test_spectra_flushes_at_the_byte_budget(monkeypatch):
+    # With a budget of one byte every point is solved alone, one group and
+    # one pool job per point, and gives the same tables.
+    plan, points = _sweep_case("theta-8")
+    expected = _point_by_point(points, plan)
+    monkeypatch.setattr(ncphase.fock, "STACK_BYTES", 1)
+    counting = _CountingExecutor(ncphase.fock._pool())
+    monkeypatch.setattr(ncphase.fock, "_pool", lambda: counting)
+    _assert_same_outcomes(list(spectra(points, plan)), expected)
+    assert counting.submitted == len(points)
+
+
+def test_spectra_residual_failure_stays_with_its_point(monkeypatch):
+    # A bound between the points' relative residuals fails some matrices of
+    # a stack; those points fail with spectrum's error and the others keep
+    # their tables.  An overflowing point fails at evaluation, in order.
+    plan, points = _sweep_case("theta-8")
+    points.insert(2, ParameterPoint(theta=1e300))
+    ratios = []
+    for p in points[:2] + points[3:]:
+        h = evaluate(plan, p)
+        ratios.append(max(pair.residual for pair in diagonalize(h)) / np.linalg.norm(h))
+    low, high = sorted(set(ratios))[2:4]
+    monkeypatch.setattr(ncphase.fock, "RESIDUAL_FACTOR", math.sqrt(low * high))
+    expected = _point_by_point(points, plan)
+    failed = [str(outcome) for outcome in expected if isinstance(outcome, Exception)]
+    assert failed.count("matrix norm overflows at this parameter point") == 1
+    residual_failures = sum(text.startswith("eigenpair residual") for text in failed)
+    assert residual_failures == sum(ratio >= high for ratio in ratios) >= 2
+    _assert_same_outcomes(list(spectra(points, plan)), expected)
+
+
+def test_spectra_resolves_a_failed_stack_matrix_by_matrix(monkeypatch):
+    # LAPACK failing on one point's blocks fails the whole stack; spectra
+    # solves its matrices one at a time, so only that point fails, with
+    # spectrum's error.
+    plan, points = _sweep_case("theta-8")
+    bad = ncphase.fock._split(evaluate(plan, points[3]))[2]
+    eig = np.linalg.eig
+    solved_shapes = []
+
+    def failing(a):
+        solved_shapes.append(a.shape)
+        if any(m.shape == b.shape and np.array_equal(m, b) for m in a for b in bad):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", failing)
+    expected = _point_by_point(points, plan)
+    assert [str(outcome) for outcome in expected if isinstance(outcome, Exception)] == [
+        "eigensolver did not converge: Eigenvalues did not converge"]
+    assert isinstance(expected[3], NumericError)
+    solved_shapes.clear()
+    _assert_same_outcomes(list(spectra(points, plan)), expected)
+    # Two stacks of 6, then each of the two failed stacks one matrix at a time.
+    assert sorted(shape[0] for shape in solved_shapes) == [1] * 12 + [6, 6]
+
+
+def test_spectra_of_no_points_is_empty():
+    plan, _points = _sweep_case("theta-8")
+    assert list(spectra([], plan)) == []
 
 
 @pytest.mark.parametrize(
