@@ -326,6 +326,9 @@ def cmd_uncertainty(args) -> int:
         _check_finite("--sigma-min", args.sigma_min, positive=True)
         _check_finite("--sigma-max", args.sigma_max, positive=True)
         _check_finite("--kick-max", args.kick_max)
+        if args.kick_steps > 1:
+            # A grid width that overflows would make the kicks inf and NaN.
+            _check_finite("--kick-max times 2", 2 * args.kick_max)
         _check_finite("--center", args.center)
         sigmas = np.exp(
             np.linspace(np.log(args.sigma_min), np.log(args.sigma_max), args.sigma_steps)

@@ -244,9 +244,9 @@ class EigenPair:
 
 @functools.cache
 def _pool() -> ThreadPoolExecutor:
-    """The one thread that solves every block stack but the first, which the
-    caller solves: with its tau term the Hamiltonian matrix has exactly two
-    blocks, its even-grade and odd-grade states."""
+    """The one thread that solves every block stack but the largest, which
+    the caller solves: with its tau term the Hamiltonian matrix has exactly
+    two blocks, its even-grade and odd-grade states."""
     return ThreadPoolExecutor(max_workers=1)
 
 
@@ -354,23 +354,54 @@ def diagonalize(h: np.ndarray) -> list:
     """Block-wise non-symmetric eigensolve, sorted by real part.
 
     The matrix splits into the connected components of its exact nonzero
-    pattern (for the Hamiltonian: the even-grade and odd-grade blocks).
-    Off-block entries are exactly zero, so the union of the block spectra is
-    the spectrum of the whole matrix.  A block whose imaginary part is
-    exactly zero is solved in real arithmetic.  Each block is a stack of one
-    matrix for the solver that ``spectra`` shares: the calling thread solves
-    the first block while one job on a shared one-thread pool solves the
-    others in order.  Each eigenvector is kept on its block
-    (``EigenPair.local``).
+    pattern (for the Hamiltonian with its tau term: the even-grade and
+    odd-grade blocks).  Off-block entries are exactly zero, so the union of
+    the block spectra is the spectrum of the whole matrix.  A block whose
+    imaginary part is exactly zero is solved in real arithmetic.  Each block
+    is a stack of one matrix for the solver that ``spectra`` shares: the
+    calling thread solves the largest block while one job on a shared
+    one-thread pool solves the others.  Each eigenvector is kept on its
+    block (``EigenPair.local``).
 
     Every returned pair satisfies ||H v - lambda v|| <= RESIDUAL_FACTOR
     times ||H||; a violation, a non-finite or underflowing norm, a
     non-finite residual, or LAPACK non-convergence raises NumericError.
     """
-    bound, supports, blocks = _split(h)
-    solved = [None] * len(blocks)
-    _solve_group([([block], [bound], [(solved, k)]) for k, block in enumerate(blocks)])
-    return _pairs(h.shape[0], supports, solved)
+    split = _split(h)
+    return _pairs(h.shape[0], split[1], _solve([split])[0])
+
+
+def _solve(splits: list) -> list:
+    """The ``_solve_block`` result of each block of each ``_split`` result
+    of ``splits``, in block order; each split's block list is emptied.
+
+    Blocks of one dtype at the same basis indices form one stack (k x n x n),
+    solved in one ``numpy.linalg.eig`` call.  The calling thread solves the
+    largest stack while one job on the shared one-thread pool solves the
+    others, largest first; without blocks no job is submitted.
+    """
+    stacks, keys = {}, []
+    for bound, supports, blocks in splits:
+        keys.append([(idx.tobytes(), block.dtype) for idx, block in zip(supports, blocks)])
+        for key, block in zip(keys[-1], blocks):
+            stacks.setdefault(key, []).append((block, bound))
+        blocks.clear()
+    for key, members in stacks.items():
+        # A single block is stacked as a view; more are copied once and dropped.
+        stack = members[0][0][None] if len(members) == 1 else np.stack([m[0] for m in members])
+        stacks[key] = (stack, [bound for _block, bound in members])
+        members.clear()
+    if not stacks:
+        return [[] for _split in splits]
+    order = sorted(stacks, key=lambda key: stacks[key][0].nbytes, reverse=True)
+    job = _pool().submit(lambda: [_solve_block(*stacks[key]) for key in order[1:]])
+    try:
+        solved = [_solve_block(*stacks[order[0]])]
+    finally:
+        # No pooled solve outlives the call, also when the first stack raises.
+        wait([job])
+    results = {key: iter(result) for key, result in zip(order, solved + job.result())}
+    return [[next(results[key]) for key in split_keys] for split_keys in keys]
 
 
 @dataclass
@@ -462,79 +493,40 @@ def spectra(points: Iterable[ParameterPoint], plan: Plan) -> Iterator:
     (NumericError, ValueError or ArithmeticError) that point raised.
 
     Each point's matrix is evaluated, checked as ``diagonalize`` checks it,
-    split into its blocks and dropped.  Points that split alike form a
-    group, and each block of a group is one stack (k x n x n) that
-    ``numpy.linalg.eig`` solves in one call: the calling thread solves the
-    first block's stack while one pool job solves the group's others.  The
-    stacks are solved and their tables yielded whenever the gathered blocks
-    reach STACK_BYTES, so memory does not grow with the number of points.
-    Every table has the bits of ``spectrum`` at its point, and a point that
-    fails (a residual, LAPACK, an overflow) fails alone, with the same error.
+    split into its blocks and dropped.  Blocks at the same basis indices
+    form one stack (k x n x n) that ``numpy.linalg.eig`` solves in one call:
+    the calling thread solves the largest stack while one pool job solves
+    the others.  The stacks are solved and their tables yielded whenever the
+    gathered blocks reach STACK_BYTES, so memory does not grow with the
+    number of points.  Every table has the bits of ``spectrum`` at its
+    point, and a point that fails (a residual, LAPACK, an overflow) fails
+    alone, with the same error.
     """
-    pending, groups, held = [], {}, 0
+    batch, held = [], 0
     for p in points:
         try:
-            bound, supports, blocks = _split(evaluate(plan, p))
+            split = _split(evaluate(plan, p))
+            held += sum(block.nbytes for block in split[2])
         except _POINT_ERRORS as exc:
-            pending.append(exc)
-            continue
-        solved = [None] * len(blocks)  # filled in by _flush
-        pending.append((p, supports, solved))
-        stacks = groups.setdefault(tuple(idx.tobytes() for idx in supports), {})
-        for k, block in enumerate(blocks):
-            stacked, bounds, owners = stacks.setdefault((k, block.dtype), ([], [], []))
-            stacked.append(block)
-            bounds.append(bound)
-            owners.append((solved, k))
-            held += block.nbytes
+            split = exc
+        batch.append((p, split))
         if held >= STACK_BYTES:
-            yield from _flush(pending, groups, plan.basis)
-            pending, groups, held = [], {}, 0
-    yield from _flush(pending, groups, plan.basis)
+            yield from _tables(batch, plan.basis)
+            batch, held = [], 0
+    yield from _tables(batch, plan.basis)
 
 
-def _flush(pending: list, groups: dict, basis: FockBasis) -> Iterator:
-    """Solve the gathered stacks, then classify and yield each pending point."""
-    for stacks in groups.values():
-        _solve_group(list(stacks.values()))
-    for item in pending:
-        if not isinstance(item, tuple):
-            yield item
-            continue
-        p, supports, solved = item
-        try:
-            outcome = classify(_pairs(basis.dimension, supports, solved), basis, p)
-        except _POINT_ERRORS as exc:
-            outcome = exc
-        solved.clear()  # the table holds what the caller needs of the solves
+def _tables(batch: list, basis: FockBasis) -> Iterator:
+    """Solve a batch of (point, its split or the error it raised), then
+    classify and yield each point's outcome in order."""
+    solved = _solve([split for _p, split in batch if isinstance(split, tuple)])[::-1]
+    for p, outcome in batch:
+        if isinstance(outcome, tuple):
+            try:  # a point's solves are popped, so they go once its table is built
+                outcome = classify(_pairs(basis.dimension, outcome[1], solved.pop()), basis, p)
+            except _POINT_ERRORS as exc:
+                outcome = exc
         yield outcome
-
-
-def _solve_group(stacks: list) -> None:
-    """Solve a group's stacks and store each matrix's result at its owner.
-
-    Each entry of ``stacks`` is (blocks, bounds, owners): equally shaped
-    blocks of one dtype, their residual bounds, and per block the list and
-    index where its ``_solve_block`` result goes.  The calling thread solves
-    the first stack while one job on the shared one-thread pool solves the
-    others in order.
-    """
-    arrays = []
-    for blocks, _bounds, _owners in stacks:
-        # A single block is stacked as a view; more are copied once and dropped.
-        arrays.append(blocks[0][None] if len(blocks) == 1 else np.stack(blocks))
-        blocks.clear()
-    bounds = [entry[1] for entry in stacks]
-    job = _pool().submit(lambda: [_solve_block(*args) for args in zip(arrays[1:], bounds[1:])])
-    try:
-        solved = [_solve_block(*args) for args in zip(arrays[:1], bounds[:1])]
-    finally:
-        # No pooled solve outlives the call, also when the first stack raises.
-        wait([job])
-    solved += job.result()
-    for (_blocks, _bounds, owners), results in zip(stacks, solved):
-        for (owner, k), result in zip(owners, results):
-            owner[k] = result
 
 
 LEVEL_COLUMNS = (

@@ -579,6 +579,7 @@ def test_tiny_scale_is_solved_not_rejected(capsys):
         assert tiny["E_analytic"] == pytest.approx(1e-140 * unit["E_analytic"], rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_uncertainty_rejects_bad_scan_flags(capsys):
     base = ["uncertainty", "--tau", "0.04", "--brute-force", "--sigma-steps", "3"]
     for flags, named in (
@@ -586,6 +587,8 @@ def test_uncertainty_rejects_bad_scan_flags(capsys):
         (["--sigma-max=-1"], "--sigma-max"),
         (["--sigma-min", "nan"], "--sigma-min"),
         (["--kick-max", "inf"], "--kick-max"),
+        # The grid from -1e308 to 1e308 is 2e308 wide, which overflows.
+        (["--kick-max", "1e308", "--kick-steps", "3"], "--kick-max"),
         (["--center=-inf"], "--center"),
         (["--kick-steps", "0"], "--kick-steps"),
         (["--y-mean", "nan"], "--y-mean"),
@@ -593,6 +596,9 @@ def test_uncertainty_rejects_bad_scan_flags(capsys):
         code, _o, err = run(base + flags, capsys)
         assert code == EXIT_USAGE
         assert err.startswith("usage error: " + named) and err.count("\n") == 1
+    # A single kick is 0 whatever --kick-max is.
+    code, _o, err = run(base + ["--kick-max", "1e308", "--kick-steps", "1"], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_sweep_checks_its_base_point_and_cutoff(capsys):

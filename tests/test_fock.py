@@ -365,21 +365,21 @@ def test_diagonalize_repeats_bit_for_bit():
 
 
 def test_pooled_block_failure_reaches_the_caller(monkeypatch):
-    # The caller solves the block of index 0, a 1x1 block with residual
-    # exactly 0; the two random blocks go to the pool, where roundoff leaves
-    # a residual above a bound of 0.
+    # The caller solves the largest block, a 7x7 triangular one whose
+    # residuals are exactly 0; the two random 6x6 blocks go to the pool,
+    # where roundoff leaves a residual above a bound of 0.
     rng = np.random.default_rng(3)
-    h = np.zeros((13, 13))
-    h[0, 0] = 2.0
-    h[1:7, 1:7] = rng.standard_normal((6, 6))
-    h[7:, 7:] = rng.standard_normal((6, 6))
+    h = np.zeros((19, 19))
+    h[:7, :7] = np.diag(np.arange(1.0, 8.0)) + np.triu(np.ones((7, 7)), 1)
+    h[7:13, 7:13] = rng.standard_normal((6, 6))
+    h[13:, 13:] = rng.standard_normal((6, 6))
     monkeypatch.setattr(ncphase.fock, "RESIDUAL_FACTOR", 0)
-    assert diagonalize(h[:1, :1])[0].residual == 0
+    assert all(pair.residual == 0 for pair in diagonalize(h[:7, :7]))
     with pytest.raises(NumericError, match=r"^eigenpair residual \S+ exceeds 0\.0e\+00 \* \|\|H\|\|$"):
         diagonalize(h)
     monkeypatch.undo()
     # The pool serves the next call as before.
-    assert len(diagonalize(h)) == 13
+    assert len(diagonalize(h)) == 19
 
 
 class _CountingExecutor:
@@ -397,7 +397,7 @@ class _CountingExecutor:
 @pytest.mark.parametrize("case", ["permuted-blocks", "tau-zero-12"])
 def test_each_call_submits_one_pool_job(case, monkeypatch):
     # At tau = 0 the N=12 Hamiltonian splits into 42 blocks; the pool still
-    # gets one job, which solves all of them but the first.
+    # gets one job, which solves all of them but the largest.
     if case == "permuted-blocks":
         h = _permuted_blocks(np.random.default_rng(5), (7, 1, 12, 5), True)
         n_blocks = 4
@@ -562,25 +562,48 @@ def test_stacked_eig_gives_each_matrix_bits():
             assert vectors[k].astype(complex).tobytes() == one_vectors.astype(complex).tobytes()
 
 
-def test_spectra_solves_one_stack_per_block_pattern(monkeypatch):
+def test_spectra_solves_one_stack_per_block_support(monkeypatch):
     # At tau = 0 the N=12 matrix splits into 42 blocks, at every other point
-    # into its two parity blocks: two groups, one pool job each, and one eig
-    # call per block stack (point by point: 42 + 5 * 2 calls).
+    # into its two parity blocks: one eig call per block stack (point by
+    # point: 42 + 5 * 2 calls) and one pool job.  The caller solves the
+    # largest stack, the five even-parity blocks.
     plan, points = _sweep_case("tau-from-zero-12")
     counting = _CountingExecutor(ncphase.fock._pool())
     monkeypatch.setattr(ncphase.fock, "_pool", lambda: counting)
-    shapes = []
+    shapes, solvers = [], []
     eig = np.linalg.eig
+    solve_block = ncphase.fock._solve_block
 
     def recording(a):
         shapes.append(a.shape)
         return eig(a)
 
+    def recording_solver(stack, bounds):
+        solvers.append((stack.shape, threading.current_thread() is threading.main_thread()))
+        return solve_block(stack, bounds)
+
     monkeypatch.setattr(np.linalg, "eig", recording)
+    monkeypatch.setattr(ncphase.fock, "_solve_block", recording_solver)
     assert len(list(spectra(points, plan))) == 6
-    assert counting.submitted == 2
+    assert counting.submitted == 1
     assert len(shapes) == 42 + 2
     assert sorted(shapes)[-2:] == [(5, 42, 42), (5, 49, 49)]
+    assert len(solvers) == 44
+    assert [shape for shape, on_main in solvers if on_main] == [(5, 49, 49)]
+
+
+def test_spectra_without_blocks_submits_no_pool_job(monkeypatch):
+    # No points, or points that all fail before their solve, leave nothing
+    # to stack.
+    plan, _points = _sweep_case("theta-8")
+    failing = [ParameterPoint(theta=1e300)] * 3
+    expected = _point_by_point(failing, plan)
+    counting = _CountingExecutor(ncphase.fock._pool())
+    monkeypatch.setattr(ncphase.fock, "_pool", lambda: counting)
+    assert list(spectra([], plan)) == []
+    _assert_same_outcomes(list(spectra(failing, plan)), expected)
+    assert all(isinstance(outcome, NumericError) for outcome in expected)
+    assert counting.submitted == 0
 
 
 def test_spectra_flushes_at_the_byte_budget(monkeypatch):
