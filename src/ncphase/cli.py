@@ -325,6 +325,12 @@ def cmd_uncertainty(args) -> int:
             raise UsageError("--kick-steps must be at least 1")
         _check_finite("--sigma-min", args.sigma_min, positive=True)
         _check_finite("--sigma-max", args.sigma_max, positive=True)
+        # The closed-form moments divide by sigma^2, and the quadrature map
+        # is 4 sigma wide: the smaller sigma's square must not underflow.
+        flag, sigma = min(("--sigma-min", args.sigma_min), ("--sigma-max", args.sigma_max),
+                          key=lambda bound: bound[1])
+        if sigma * sigma == 0:
+            raise UsageError(f"{flag} squared must be positive")
         _check_finite("--kick-max", args.kick_max)
         if args.kick_steps > 1:
             # A grid width that overflows would make the kicks inf and NaN.

@@ -5,8 +5,11 @@ The deformed inner product is
     <phi | psi>_rho = integral dy/(1 + tau y^2)  conj(psi)(y) phi(y),
 
 linear in the first argument, conjugating the second.  Quadrature is the
-trapezoid rule in y = tan(u), on arrays of nodes; the weight decays too
-slowly for naive interval truncation.
+trapezoid rule in y = c + w tan(u), on arrays of nodes; the weight decays
+too slowly for naive interval truncation.  A bare callable is integrated at
+(c, w) = (0, 1); a state's moments on the state's own map, which for a
+Gaussian is (center, 4 sigma), so its nodes resolve the packet wherever it
+sits and however narrow or wide it is.
 
 The Gaussian test family is
 
@@ -62,34 +65,44 @@ class Gaussian:
         g = 1j * self.kick - (y - self.center) / self.sigma**2
         return psi, g * psi, (g * g - 1.0 / self.sigma**2) * psi
 
+    @property
+    def nodes(self) -> tuple:
+        """(c, w) of the quadrature map y = c + w tan(u) that resolves the
+        packet: |psi|^2 = exp(-16 tan(u)^2) whatever its center and width."""
+        return self.center, 4 * self.sigma
 
+
+# From 16, both first levels of the map (0, 1) miss a packet of width 0.05
+# at 8; the packet's own map (8, 0.2) resolves it at 128.
 _FIRST_NODES = 64
 _MAX_NODES = 2**16
 
 
-def _integrate(f: Callable[[np.ndarray], np.ndarray]) -> complex | np.ndarray:
-    """integral of f over the real line by the trapezoid rule in y = tan(u).
+def _integrate(f: Callable[[np.ndarray], np.ndarray],
+               nodes: tuple = (0.0, 1.0)) -> complex | np.ndarray:
+    """integral of f over the real line by the trapezoid rule in y = c + w tan(u).
 
-    Nodes u_j = -pi/2 + j pi/n; the summand f(y)(1 + y^2) is smooth and
-    pi-periodic in u, so the rule converges exponentially (Trefethen &
-    Weideman, SIAM Review 56 (2014) 385).  n doubles from 64 (from 16, both
-    first levels miss a packet of width 0.05 at 8), f called once per level
-    on the new midpoints.  f may stack components on leading axes, its last
-    axis running over the nodes; they share the nodes and an array of their
-    integrals is returned (a complex for a single one).  The sweep stops when
-    two sums of every component agree to 1e-12 max(1, |I_k|) at the same
-    level, since a component can agree early by missing the state: y^2 |psi|^2
-    is 0 at the only node inside a narrow packet at 0.  At 2^16 nodes a
-    change above QUAD_TOLERANCE max(1, |I_k|) raises with the change of the
-    component furthest above it, as does, with estimate inf, a non-finite
-    summand.
+    nodes = (c, w), by default (0, 1).  Nodes u_j = -pi/2 + j pi/n; the
+    summand f(y) w (1 + tan(u)^2) is pi-periodic in u, so where it is smooth
+    the rule converges exponentially once the nodes resolve it (Trefethen &
+    Weideman, SIAM Review 56 (2014) 385).  n doubles from 64, f called once
+    per level on the new midpoints.  f may stack components on leading axes,
+    its last axis running over the nodes; they share the nodes and an array
+    of their integrals is returned (a complex for a single one).  The sweep
+    stops when two sums of every component agree to 1e-12 max(1, |I_k|) at
+    the same level, since a component can agree early by missing the state:
+    at (0, 1), y^2 |psi|^2 is 0 at the only node inside a narrow packet at 0.
+    At 2^16 nodes a change above QUAD_TOLERANCE max(1, |I_k|) raises with
+    the change of the component furthest above it, as does, with estimate
+    inf, a non-finite summand.
     """
+    center, width = nodes
     n, new = _FIRST_NODES, np.arange(_FIRST_NODES)  # indices j of the new nodes
     total, value = 0j, math.inf
     while n <= _MAX_NODES:
-        y = np.tan(-math.pi / 2 + (math.pi / n) * new)
+        t = np.tan(-math.pi / 2 + (math.pi / n) * new)
         with np.errstate(all="ignore"):
-            total = total + np.sum(f(y) * (1 + y * y), axis=-1)
+            total = total + np.sum(f(center + width * t) * width * (1 + t * t), axis=-1)
         if not np.all(np.isfinite(total)):
             raise QuadratureError("integrand not finite at a node", math.inf)
         previous, value = value, total * math.pi / n
@@ -104,15 +117,16 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray]) -> complex | np.ndarray:
     return complex(value) if np.ndim(value) == 0 else value
 
 
-def rho_inner(phi, psi, tau: float):
+def rho_inner(phi, psi, tau: float, nodes: tuple = (0.0, 1.0)):
     """<phi | psi>_rho; linear in phi, conjugating psi, both elementwise on arrays.
 
     phi may stack components on leading axes; each is then paired with psi,
-    all in one sweep, and an array of inner products is returned.
+    all in one sweep, and an array of inner products is returned.  nodes is
+    the (c, w) of ``_integrate``'s map.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    return _integrate(lambda y: np.conj(psi(y)) * phi(y) / (1 + tau * y * y))
+    return _integrate(lambda y: np.conj(psi(y)) * phi(y) / (1 + tau * y * y), nodes)
 
 
 def rho_norm(psi, tau: float) -> float:
@@ -161,16 +175,17 @@ def _moments(psi, p, images) -> np.ndarray:
 
     Each level takes one jet of psi and stacks psi with every image read
     from it; paired with the constant 1, ``rho_inner`` integrates
-    conj(psi) times that stack, so the norm is its first component.  A
-    normalized moment that is not finite (a norm of 0, or one so small
-    that dividing by it overflows) raises ``QuadratureError``.
+    conj(psi) times that stack on psi's own ``nodes`` map, so the norm is
+    its first component.  A normalized moment that is not finite (a norm of
+    0, or one so small that dividing by it overflows) raises
+    ``QuadratureError``.
     """
 
     def stack(y):
         jet = psi.jet(y)
         return np.conj(jet[0]) * np.stack([jet[0], *(image(jet, y, p) for image in images)])
 
-    norm, *values = rho_inner(stack, lambda y: 1, p.tau)
+    norm, *values = rho_inner(stack, lambda y: 1, p.tau, psi.nodes)
     norm = float(norm.real)
     with np.errstate(all="ignore"):
         moments = np.array(values) / norm

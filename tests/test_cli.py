@@ -393,16 +393,17 @@ def test_uncertainty_rejects_empty_sigma_grid(capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_numeric_failure_exit_code(capsys):
-    # Absurdly wide packets concentrate all mass at the edge of the
-    # compactified interval; the quadrature gives up and the failure
-    # surfaces as exit code 3, with one line and no warning.
+    # Absurdly wide packets spread their nodes over 4 sigma, far wider than
+    # the weight's scale 1/sqrt(tau) = 5; the quadrature gives up and the
+    # failure surfaces as exit code 3, with one line and no warning.
     code, _o, err = run(
         ["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
          "--sigma-min", "1000000", "--sigma-max", "10000000", "--sigma-steps", "2"],
         capsys,
     )
     assert code == EXIT_NUMERIC
-    assert err.startswith("numeric failure") and err.count("\n") == 1
+    assert err.startswith("numeric failure: quadrature did not converge")
+    assert err.count("\n") == 1
 
 
 # -- exit-code contract ------------------------------------------------------------------
@@ -590,6 +591,10 @@ def test_uncertainty_rejects_bad_scan_flags(capsys):
         # The grid from -1e308 to 1e308 is 2e308 wide, which overflows.
         (["--kick-max", "1e308", "--kick-steps", "3"], "--kick-max"),
         (["--center=-inf"], "--center"),
+        # sigma^2 underflows to 0 at the smaller bound.
+        (["--sigma-min", "1e-320"], "--sigma-min"),
+        (["--sigma-min", "1e-170", "--sigma-max", "1e-160"], "--sigma-min"),
+        (["--sigma-min", "1", "--sigma-max", "1e-200"], "--sigma-max"),
         (["--kick-steps", "0"], "--kick-steps"),
         (["--y-mean", "nan"], "--y-mean"),
     ):

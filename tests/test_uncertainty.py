@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from ncphase import uncertainty
 from ncphase.cli import EXIT_NUMERIC, main
 from ncphase.fock import ParameterPoint
 from ncphase.uncertainty import (
+    SECTOR_IMAGES,
     Gaussian,
     QuadratureError,
     brute_force_min_product,
@@ -106,14 +106,22 @@ def test_flat_second_moment_convention():
         assert got == pytest.approx(sigma**2 / 2, rel=1e-10)
 
 
+class VanishingGaussian(Gaussian):
+    """A Gaussian whose jet is 0 at every node, as if no node reached it."""
+
+    def jet(self, y):
+        zero = np.zeros(np.shape(y), dtype=complex)
+        return zero, zero, zero
+
+
 def test_unresolved_norm_is_a_quadrature_error():
-    # The packet sits 1e-6 from the end of the compactified interval, between
-    # the nodes of every level, so its weighted norm integrates to 0.
-    far = Gaussian(center=1e6, sigma=1.0)
+    # Its weighted norm integrates to 0 at every level, and no moment can be
+    # normalized by it.
+    vanishing = VanishingGaussian(center=1e6, sigma=1.0)
     with pytest.raises(QuadratureError, match="weighted norm 0.0"):
-        expectation("Y", far, ParameterPoint(tau=0.0))
+        expectation("Y", vanishing, ParameterPoint(tau=0.0))
     with pytest.raises(QuadratureError, match="weighted norm 0.0"):
-        scan_state(far, ParameterPoint(tau=0.0))
+        scan_state(vanishing, ParameterPoint(tau=0.0))
 
 
 def test_sector_expectations_are_real():
@@ -213,9 +221,9 @@ def test_brute_force_cli_catches_a_wrong_closed_form(index, monkeypatch, capsys)
 
 @pytest.mark.parametrize("sigma, delta_py", [("1e-3", 707.1068), ("3e-3", 235.7023)])
 def test_brute_force_cli_passes_on_narrow_packets(sigma, delta_py, capsys):
-    # Only the node at y = 0 falls inside these packets at the first levels,
-    # where y^2 |psi|^2 is 0; the Y^2 moment must not be taken before the
-    # norm has resolved the packet.
+    # On the map (0, 1) only the node at y = 0 falls inside these packets at
+    # the first levels, where y^2 |psi|^2 is 0; the Y^2 moment must not be
+    # taken before the norm has resolved the packet.
     code = main(["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
                  "--sigma-min", sigma, "--sigma-max", sigma, "--sigma-steps", "1"])
     captured = capsys.readouterr()
@@ -224,24 +232,23 @@ def test_brute_force_cli_passes_on_narrow_packets(sigma, delta_py, capsys):
     assert report["min_delta_py"] == pytest.approx(delta_py, rel=1e-6)
 
 
-@pytest.mark.parametrize("center, sigma, message", [
-    # At sigma = 1e-4 even 2^16 nodes leave the packet unresolved.
-    ("0", "1e-4", "quadrature did not converge"),
-    # No node reaches this packet at the first two levels, whose norms agree
-    # at a subnormal 4.4e-319; dividing by it overflows.
-    ("-3", "1e-3", "moments not finite at weighted norm"),
+@pytest.mark.parametrize("center, sigma", [
+    # On the map (0, 1), even 2^16 nodes leave this packet unresolved.
+    ("0", "1e-4"),
+    # On the map (0, 1), no node reaches this packet at the first two levels,
+    # whose norms agree at a subnormal 4.4e-319.
+    ("-3", "1e-3"),
 ], ids=["node-cap", "subnormal-norm"])
-def test_brute_force_cli_fails_honestly_below_the_node_cap(center, sigma, message, capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
-                     "--sigma-min", sigma, "--sigma-max", sigma, "--sigma-steps", "1",
-                     "--center", center])
-    err = capsys.readouterr().err
-    assert code == EXIT_NUMERIC
-    assert err.startswith(f"numeric failure: {message}")
-    assert err.count("\n") == 1
-    assert [str(w.message) for w in caught] == []
+def test_brute_force_cli_resolves_packets_the_bare_map_misses(center, sigma, capsys):
+    code = main(["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
+                 "--sigma-min", sigma, "--sigma-max", sigma, "--sigma-steps", "1",
+                 "--center", center])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    _y, _y2, py, py2 = gaussian_moments(
+        Gaussian(center=float(center), sigma=float(sigma)), ParameterPoint(tau=0.04))
+    report = json.loads(captured.out)["brute_force"]
+    assert report["min_delta_py"] == pytest.approx(math.sqrt(py2 - py * py), rel=1e-12)
 
 
 class CountingGaussian(Gaussian):
@@ -261,13 +268,14 @@ class CountingGaussian(Gaussian):
         return super().jet(y)
 
 
-JET_CASES = [(0.0, 1.3), (0.5, 0.3), (0.0, 1e-3), (0.0, 1e-4)]
+# The last packet is too wide for its map to resolve the weight's scale.
+JET_CASES = [(0.0, 1.3), (0.5, 0.3), (0.0, 1e-3), (0.0, 1e-4), (0.0, 1e6)]
 
 
 def _assert_one_jet_per_level(oracle, center, sigma):
     psi = CountingGaussian(center=center, sigma=sigma, kick=0.7)
     p = ParameterPoint(tau=0.04)
-    if sigma > 1e-4:
+    if sigma < 1e6:
         oracle(psi, p)
     else:
         with pytest.raises(QuadratureError, match="did not converge"):
@@ -297,6 +305,25 @@ OTHER_ORACLES = {
 @pytest.mark.parametrize("center, sigma", JET_CASES)
 def test_every_oracle_takes_one_jet_per_level(center, sigma, oracle):
     _assert_one_jet_per_level(oracle, center, sigma)
+
+
+# Packets the map (0, 1) resolves late or never, at tau = 0.04, and the node
+# count within which each packet's own map resolves them.
+PACKETS = [(-3.0, 1e-3, 128), (8.0, 1e-3, 128), (0.0, 1e-4, 128), (8.0, 0.05, 128),
+           (0.0, 30.0, 1024)]
+
+
+@pytest.mark.parametrize("center, sigma, max_nodes", PACKETS)
+def test_packet_map_resolves_every_packet(center, sigma, max_nodes):
+    psi = CountingGaussian(center=center, sigma=sigma, kick=0.7)
+    p = ParameterPoint(tau=0.04)
+    y, y2, py, py2 = uncertainty._moments(psi, p, SECTOR_IMAGES.values()).real
+    assert sum(psi.jets) <= max_nodes
+    want_y, want_y2, want_py, want_py2 = gaussian_moments(psi, p)
+    assert abs(y - want_y) <= 1e-12 * math.sqrt(want_y2)
+    assert abs(y2 - want_y2) <= 1e-12 * want_y2
+    assert abs(py - want_py) <= 1e-12 * math.sqrt(want_py2)
+    assert abs(py2 - want_py2) <= 1e-12 * want_py2
 
 
 # -- rho-Hermiticity ---------------------------------------------------------------
