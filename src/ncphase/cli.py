@@ -48,6 +48,7 @@ from .fock import (
     LevelTable,
     NumericError,
     ParameterPoint,
+    Plan,
     compile_plan,
     csv_text,
     diagonal_check,
@@ -240,11 +241,24 @@ def _check_finite(flag: str, value: float, positive: bool = False) -> None:
         raise UsageError(f"{flag} must be {kind}")
 
 
+@functools.lru_cache(maxsize=1)
+def _plan(policy: str, cutoff: int) -> Plan:
+    """The Hamiltonian of a --policy text compiled over the cutoff's basis.
+
+    Only the last (policy, cutoff) is kept, so in-process callers of main
+    that repeat them compile once.  A policy that does not resolve raises
+    before the kept plan is dropped; the kept plan is dropped before the
+    new one is compiled, so two plans are never held at once.
+    """
+    hamiltonian = build_hamiltonian(resolve_policy(policy))
+    _plan.cache_clear()
+    return compile_plan(hamiltonian, FockBasis(cutoff))
+
+
 def cmd_spectrum(args) -> int:
     _check_cutoff(args.cutoff)
     point = _point_from_args(args)
-    policy = resolve_policy(args.policy)
-    table = spectrum(point, compile_plan(build_hamiltonian(policy), FockBasis(args.cutoff)))
+    table = spectrum(point, _plan(args.policy, args.cutoff))
     if args.format == "csv":
         _write_output(args.out, level_table_csv(table))
     else:
@@ -261,8 +275,9 @@ SWEEP_COLUMNS = LEVEL_COLUMNS[:6]
 def cmd_sweep(args) -> int:
     """Write the level rows of ``--steps`` points from ``--from`` to ``--to``.
 
-    The plan is compiled once; ``spectra`` solves all points as stacks, one
-    ``numpy.linalg.eig`` call per block stack.  A point that fails is
+    The plan is compiled once, or taken from ``_plan``'s last key;
+    ``spectra`` solves all points as stacks, one ``numpy.linalg.eig`` call
+    per block stack.  A point that fails is
     reported with its error and the others are still written.
     """
     if args.param not in PARAMS:
@@ -277,7 +292,7 @@ def cmd_sweep(args) -> int:
     # The unswept parameters are checked once here; a bad swept value fails
     # only its own point.
     _point_from_args(args, **{args.param: getattr(ParameterPoint(), args.param)})
-    plan = compile_plan(build_hamiltonian(resolve_policy(args.policy)), FockBasis(args.cutoff))
+    plan = _plan(args.policy, args.cutoff)
     values = [float(value) for value in np.linspace(args.sweep_from, args.sweep_to, args.steps)]
     outcomes = []
     for value in values:
@@ -511,7 +526,8 @@ def main(argv=None) -> int:
     except (NumericError, QuadratureError, MomentError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ArithmeticError as exc:  # e.g. a float power overflowing
+    # e.g. a float power overflowing, or a grid too large to allocate
+    except (ArithmeticError, MemoryError) as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -225,7 +225,9 @@ class EigenPair:
 
     The eigenvector is kept on its block only: ``local`` holds its entries at
     the basis indices ``support`` (ascending), and every other entry is
-    exactly zero.
+    exactly zero.  ``_claim`` is the (overlap, basis index) that ``classify``
+    reads, taken for a whole block at once by the solver; for a pair built
+    without it, ``classify`` takes it from the pair alone.
     """
 
     value: complex
@@ -233,6 +235,7 @@ class EigenPair:
     support: np.ndarray
     dimension: int
     residual: float
+    _claim: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def vector(self) -> np.ndarray:
@@ -303,9 +306,32 @@ def _solve_block(stack: np.ndarray, bounds: Sequence[float]) -> list:
     return solved
 
 
-def _split(h: np.ndarray) -> tuple:
+def _supports(pattern: np.ndarray, last: Optional[list]) -> list:
+    """The basis indices of each connected block of a nonzero pattern, each
+    ascending, the blocks in the order of their lowest index.
+
+    ``last``, if given, is [pattern, supports] of the pattern before: the
+    same pattern gets the same supports back, and another one replaces them.
+    """
+    if last is not None and np.array_equal(pattern, last[0]):
+        return last[1]
+    # csgraph would copy a dense input as float, dropping imaginary parts.
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(pattern), directed=False
+    )
+    # A stable sort groups the indices by label, each group ascending; the
+    # piece after the last group's end is empty.
+    ends = np.cumsum(np.bincount(labels, minlength=n_blocks))
+    supports = np.split(np.argsort(labels, kind="stable"), ends)[:-1]
+    if last is not None:
+        last[:] = pattern, supports
+    return supports
+
+
+def _split(h: np.ndarray, last: Optional[list] = None) -> tuple:
     """The residual bound of ``h``, the basis indices of each of its blocks
-    and each block gathered (``diagonalize`` describes them).
+    and each block gathered (``diagonalize`` describes them).  ``last`` is
+    ``_supports``'s, for a caller that splits matrices in turn.
 
     A real block is gathered from h.real, at half the memory of a complex
     one; only in a complex matrix is each block's imaginary part tested.
@@ -321,11 +347,7 @@ def _split(h: np.ndarray) -> tuple:
     # Else every residual would underflow to 0 too and pass the bound.
     if norm == 0 and h.any():
         raise NumericError("matrix norm underflows at this parameter point")
-    # csgraph would copy a dense input as float, dropping imaginary parts.
-    n_blocks, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(h != 0), directed=False
-    )
-    supports = [np.flatnonzero(labels == label) for label in range(n_blocks)]
+    supports = _supports(h != 0, last)
     real = not h.imag.any()
     blocks = []
     for idx in supports:
@@ -343,11 +365,31 @@ def _pairs(dimension: int, supports: list, solved: list) -> list:
             raise result
         values, vectors, residuals = result
         pairs.extend(
-            EigenPair(complex(value), vector, idx, dimension, float(residual))
-            for value, vector, residual in zip(values, vectors.T, residuals)
+            EigenPair(value, vector, idx, dimension, residual, claim)
+            for value, vector, residual, claim in zip(
+                values.tolist(), vectors.T, residuals.tolist(), _claims(vectors, idx)
+            )
         )
     pairs.sort(key=lambda pair: (pair.value.real, pair.value.imag))
     return pairs
+
+
+def _claims(vectors: np.ndarray, support: np.ndarray) -> list:
+    """The (overlap, basis index) of each column of ``vectors``, eigenvectors
+    at the basis indices ``support``: the largest weight |v_i|^2 and its
+    index, the lowest one on a tie.
+
+    The weights are taken a slab of columns at a time, each entry with the
+    bits of its own column's, so a large block holds no n x n float
+    temporary.
+    """
+    claims = []
+    width = max(1, 2**16 // len(vectors))  # columns per 512-KiB slab
+    for start in range(0, vectors.shape[1], width):
+        weights = np.abs(vectors[:, start:start + width]) ** 2
+        best = weights.argmax(axis=0)
+        claims.extend(zip(weights[best, np.arange(len(best))].tolist(), support[best].tolist()))
+    return claims
 
 
 def diagonalize(h: np.ndarray) -> list:
@@ -449,9 +491,8 @@ def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) ->
     """
     claims = []
     for pair in pairs:
-        weights = np.abs(pair.local) ** 2
-        best = int(np.argmax(weights))
-        claims.append((float(weights[best]), int(pair.support[best]), pair))
+        claim = pair._claim or _claims(pair.local[:, None], pair.support)[0]
+        claims.append((*claim, pair))
     claims.sort(key=lambda item: -item[0])
     taken = set()
     rows, unclassified = [], []
@@ -493,19 +534,20 @@ def spectra(points: Iterable[ParameterPoint], plan: Plan) -> Iterator:
     (NumericError, ValueError or ArithmeticError) that point raised.
 
     Each point's matrix is evaluated, checked as ``diagonalize`` checks it,
-    split into its blocks and dropped.  Blocks at the same basis indices
-    form one stack (k x n x n) that ``numpy.linalg.eig`` solves in one call:
-    the calling thread solves the largest stack while one pool job solves
-    the others.  The stacks are solved and their tables yielded whenever the
-    gathered blocks reach STACK_BYTES, so memory does not grow with the
-    number of points.  Every table has the bits of ``spectrum`` at its
+    split into its blocks and dropped; a point whose exact nonzero pattern
+    is the previous point's reuses its block supports.  Blocks at the same
+    basis indices form one stack (k x n x n) that ``numpy.linalg.eig``
+    solves in one call: the calling thread solves the largest stack while
+    one pool job solves the others.  The stacks are solved and their tables
+    yielded whenever the gathered blocks reach STACK_BYTES, so memory does
+    not grow with the number of points.  Every table has the bits of ``spectrum`` at its
     point, and a point that fails (a residual, LAPACK, an overflow) fails
     alone, with the same error.
     """
-    batch, held = [], 0
+    batch, held, last = [], 0, [None, None]
     for p in points:
         try:
-            split = _split(evaluate(plan, p))
+            split = _split(evaluate(plan, p), last)
             held += sum(block.nbytes for block in split[2])
         except _POINT_ERRORS as exc:
             split = exc

@@ -88,25 +88,31 @@ def _integrate(f: Callable[[np.ndarray], np.ndarray],
     Weideman, SIAM Review 56 (2014) 385).  n doubles from 64, f called once
     per level on the new midpoints.  f may stack components on leading axes,
     its last axis running over the nodes; they share the nodes and an array
-    of their integrals is returned (a complex for a single one).  The sweep
-    stops when two sums of every component agree to 1e-12 max(1, |I_k|) at
-    the same level, since a component can agree early by missing the state:
-    at (0, 1), y^2 |psi|^2 is 0 at the only node inside a narrow packet at 0.
-    At 2^16 nodes a change above QUAD_TOLERANCE max(1, |I_k|) raises with
-    the change of the component furthest above it, as does, with estimate
-    inf, a non-finite summand.
+    of their integrals is returned (a complex for a single one).  Each
+    component's scale is max(1, A_k), A_k the same rule's integral of |f_k|:
+    |I_k| where f_k keeps one sign, and the size of the rounding noise where
+    I_k cancels (the first moment of a centred packet vanishes, with noise
+    that grows with its width squared).  The sweep stops when two sums of
+    every component agree to 1e-12 times its scale at the same level, since
+    a component can agree early by missing the state: at (0, 1), y^2 |psi|^2
+    is 0 at the only node inside a narrow packet at 0.  At 2^16 nodes a
+    change above QUAD_TOLERANCE times the scale raises with the change of
+    the component furthest above it, as does, with estimate inf, a
+    non-finite summand.
     """
     center, width = nodes
     n, new = _FIRST_NODES, np.arange(_FIRST_NODES)  # indices j of the new nodes
-    total, value = 0j, math.inf
+    total, size, value = 0j, 0.0, math.inf
     while n <= _MAX_NODES:
         t = np.tan(-math.pi / 2 + (math.pi / n) * new)
         with np.errstate(all="ignore"):
-            total = total + np.sum(f(center + width * t) * width * (1 + t * t), axis=-1)
+            summands = f(center + width * t) * width * (1 + t * t)
+            total = total + np.sum(summands, axis=-1)
+            size = size + np.sum(np.abs(summands), axis=-1)
         if not np.all(np.isfinite(total)):
             raise QuadratureError("integrand not finite at a node", math.inf)
         previous, value = value, total * math.pi / n
-        change, scale = np.abs(value - previous), np.maximum(1.0, np.abs(value))
+        change, scale = np.abs(value - previous), np.maximum(1.0, size * math.pi / n)
         if np.all(change <= 1e-12 * scale):
             break
         n, new = 2 * n, 2 * np.arange(n) + 1

@@ -17,7 +17,8 @@ from ncphase.cli import (
     EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, SWEEP_COLUMNS, main,
     resolve_policy,
 )
-from ncphase.fock import compile_plan
+from ncphase.fock import ParameterPoint, compile_plan
+from ncphase.uncertainty import Gaussian, gaussian_moments
 
 
 def run(args, capsys):
@@ -289,17 +290,85 @@ def test_sweep_rows_equal_spectrum_at_each_point(param, lo, hi, capsys):
 
 
 @pytest.mark.parametrize("param", ["hbar", "m", "omega", "theta", "eta", "tau"])
-def test_sweep_compiles_the_hamiltonian_once(param, monkeypatch, capsys):
-    compiled = []
-
-    def counting(*args):
-        compiled.append(args)
-        return compile_plan(*args)
-
-    monkeypatch.setattr(ncphase.cli, "compile_plan", counting)
+def test_sweep_compiles_the_hamiltonian_once(param, compiled, capsys):
+    ncphase.cli._plan.cache_clear()
     code, _o, err = run(["sweep", "--param", param, "--from", "0.5", "--to", "1",
                          "--steps", "3", "--cutoff", "4"], capsys)
     assert (code, err, len(compiled)) == (EXIT_OK, "", 1)
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The basis cutoff of each compile_plan call made through the CLI."""
+    calls = []
+
+    def counting(expression, basis):
+        calls.append(basis.cutoff)
+        return compile_plan(expression, basis)
+
+    monkeypatch.setattr(ncphase.cli, "compile_plan", counting)
+    return calls
+
+
+SMALL_SWEEP = ["sweep", "--param", "tau", "--from", "0", "--to", "0.01", "--steps", "3"]
+
+
+def test_repeated_commands_reuse_the_last_plan(compiled, capsys):
+    # The CLI keeps the plan of its last (--policy text, --cutoff): a repeated
+    # sweep, and a spectrum of the same key, compile nothing, and each gives
+    # the bytes of a freshly compiled plan.
+    ncphase.cli._plan.cache_clear()
+    first = run([*SMALL_SWEEP, "--cutoff", "6"], capsys)
+    assert compiled == [6]
+    assert run([*SMALL_SWEEP, "--cutoff", "6"], capsys) == first
+    spectrum = run(["spectrum", "--cutoff", "6", "--tau", "0.005"], capsys)
+    assert compiled == [6]
+    ncphase.cli._plan.cache_clear()
+    assert run(["spectrum", "--cutoff", "6", "--tau", "0.005"], capsys) == spectrum
+    assert compiled == [6, 6]
+
+
+def test_a_new_cutoff_or_policy_text_compiles_once(compiled, capsys):
+    ncphase.cli._plan.cache_clear()
+    for extra in (["--cutoff", "6"], ["--cutoff", "7"], ["--cutoff", "7"],
+                  ["--cutoff", "7", "--policy", "cross"],
+                  ["--cutoff", "7", "--policy", "cross"]):
+        assert run([*SMALL_SWEEP, *extra], capsys)[0] == EXIT_OK
+    assert compiled == [6, 7, 7]
+    # The same policy under another text is another key.
+    assert run([*SMALL_SWEEP, "--cutoff", "7", "--policy", "default"], capsys)[0] == EXIT_OK
+    assert run([*SMALL_SWEEP, "--cutoff", "7", "--policy", " \"default\""], capsys)[0] \
+        == EXIT_USAGE
+    assert compiled == [6, 7, 7, 7]
+    assert ncphase.cli._plan.cache_info().currsize == 1
+
+
+def test_a_failing_policy_keeps_the_last_plan(compiled, capsys):
+    ncphase.cli._plan.cache_clear()
+    assert run([*SMALL_SWEEP, "--cutoff", "6"], capsys)[0] == EXIT_OK
+    kept = ncphase.cli._plan("default", 6)
+    code, out, err = run([*SMALL_SWEEP, "--cutoff", "6", "--policy", "bogus"], capsys)
+    assert (code, out, err) == (
+        EXIT_USAGE, "", "usage error: not a policy keyword or JSON object: 'bogus'\n")
+    assert ncphase.cli._plan.cache_info().currsize == 1
+    assert ncphase.cli._plan("default", 6) is kept
+    assert compiled == [6]
+
+
+def test_a_new_key_drops_the_last_plan_before_compiling(monkeypatch, capsys):
+    # Two plans are never held at once: when the new one is compiled, the
+    # old one is gone.
+    ncphase.cli._plan.cache_clear()
+    assert run([*SMALL_SWEEP, "--cutoff", "6"], capsys)[0] == EXIT_OK
+    held = []
+
+    def checking(expression, basis):
+        held.append(ncphase.cli._plan.cache_info().currsize)
+        return compile_plan(expression, basis)
+
+    monkeypatch.setattr(ncphase.cli, "compile_plan", checking)
+    assert run([*SMALL_SWEEP, "--cutoff", "7"], capsys)[0] == EXIT_OK
+    assert held == [0]
 
 
 def test_sweep_point_that_overflows_fails_alone(capsys):
@@ -389,6 +458,40 @@ def test_uncertainty_rejects_empty_sigma_grid(capsys):
     )
     assert code == EXIT_USAGE
     assert err.startswith("usage error:") and "--sigma-steps" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "tau", "--steps", "1000000000000", "--cutoff", "4"],
+    ["uncertainty", "--brute-force", "--tau", "0.04", "--sigma-steps", "1000000000000"],
+    ["uncertainty", "--brute-force", "--tau", "0.04", "--kick-steps", "1000000000000"],
+], ids=["sweep-steps", "sigma-steps", "kick-steps"])
+def test_unallocatable_grid_is_a_numeric_failure(argv, capsys):
+    # A grid of 10^12 floats (7.28 TiB) fails to allocate at once; the
+    # failure is one line, not a traceback.
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("numeric failure: MemoryError: Unable to allocate")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", ["5000", "7000", "10000"])
+def test_wide_centred_packet_passes_its_quadrature_check(sigma, capsys):
+    # At tau = 0 the first moment of a centred packet vanishes, with rounding
+    # noise that grows with sigma^2; the quadrature re-check of the argmin
+    # must still accept the closed form.
+    code, out, err = run(["uncertainty", "--brute-force", "--tau", "0", "--sigma-min", sigma,
+                          "--sigma-max", sigma, "--sigma-steps", "1"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    brute = json.loads(out)["brute_force"]
+    # The grid takes sigma through exp(log(sigma)), which rounds it.
+    argmin = brute["argmin"]["sigma"]
+    assert argmin == pytest.approx(float(sigma), rel=1e-14)
+    moments = gaussian_moments(Gaussian(sigma=argmin), ParameterPoint())
+    assert brute["argmin"] == {"sigma": argmin, "kick": 0.0, "y_mean": moments[0]}
+    assert brute["min_delta_py"] == pytest.approx(math.sqrt(moments[3] - moments[2] ** 2),
+                                                  rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error")

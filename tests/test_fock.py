@@ -664,6 +664,32 @@ def test_spectra_resolves_a_failed_stack_matrix_by_matrix(monkeypatch):
     assert sorted(shape[0] for shape in solved_shapes) == [1] * 12 + [6, 6]
 
 
+def test_spectra_reuses_the_supports_of_an_unchanged_pattern(monkeypatch):
+    # The sweep from tau = 0 has three patterns: 42 blocks at tau = 0, the
+    # two parity blocks after it, and at tau = 0.01 the same blocks with two
+    # entries that cancel to exactly 0.  Only a changed pattern is split into
+    # its connected components again; the point by point solve splits each.
+    plan, points = _sweep_case("tau-from-zero-12")
+    assert [int(np.count_nonzero(evaluate(plan, p))) for p in points] == [
+        207, 1445, 1445, 1445, 1445, 1443]
+    points = [*points, points[0], points[0], points[1]]
+    expected = _point_by_point(points, plan)
+    calls = []
+    connected_components = scipy.sparse.csgraph.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return connected_components(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", counting)
+    got = list(spectra(points[:6], plan))
+    assert len(calls) == 3
+    _assert_same_outcomes(got, expected[:6])
+    calls.clear()
+    _assert_same_outcomes(list(spectra(points, plan)), expected)
+    assert len(calls) == 5
+
+
 def test_spectra_of_no_points_is_empty():
     plan, _points = _sweep_case("theta-8")
     assert list(spectra([], plan)) == []
@@ -685,6 +711,86 @@ def test_hamiltonian_matrix_is_exactly_real(point):
 
 
 # -- classification ------------------------------------------------------------------
+
+
+def _classify_pair_by_pair(pairs, basis, p):
+    """The oracle: each eigenpair's weights |v_i|^2, argmax and overlap taken
+    on its own vector, then the greedy claim of ``classify``."""
+    claims = []
+    for pair in pairs:
+        weights = np.abs(pair.local) ** 2
+        best = int(np.argmax(weights))
+        claims.append((float(weights[best]), int(pair.support[best]), pair))
+    claims.sort(key=lambda item: -item[0])
+    taken, rows, unclassified = set(), [], []
+    for overlap, best, pair in claims:
+        if overlap < ncphase.fock.OVERLAP_FLOOR or best in taken:
+            unclassified.append(pair)
+            continue
+        taken.add(best)
+        n_plus, n_minus = basis.states[best]
+        rows.append(ncphase.fock.LevelRow(n_plus, n_minus, analytic_energy(n_plus, n_minus, p),
+                                          pair.value, pair.residual, overlap))
+    rows.sort(key=lambda row: (row.n_plus + row.n_minus, row.n_plus))
+    return ncphase.fock.LevelTable(rows, unclassified)
+
+
+def _assert_classified_as_pair_by_pair(pairs, basis, p):
+    expected = _classify_pair_by_pair(pairs, basis, p)
+    # Pairs built elsewhere carry no precomputed claim, so they take the
+    # per-pair path of classify; a solver's pairs take their block's.
+    for given in (pairs, [dataclasses.replace(pair, _claim=None) for pair in pairs]):
+        table = classify(given, basis, p)
+        assert repr(table.rows) == repr(expected.rows)
+        # Pairs compare by identity: their vectors are arrays.
+        position = {id(pair): k for k, pair in enumerate(given)}
+        reference = {id(pair): k for k, pair in enumerate(pairs)}
+        assert [position[id(pair)] for pair in table.unclassified] == [
+            reference[id(pair)] for pair in expected.unclassified]
+
+
+@pytest.mark.parametrize("case", ["tau-from-zero-12", "undeformed-theta-8", "cross-10"])
+def test_classify_of_a_sweep_matches_the_pair_by_pair_oracle(case, classified):
+    plan, points = _sweep_case(case)
+    list(spectra(points, plan))
+    assert len(classified) == len(points)
+    for pairs, p in zip(classified, points):
+        _assert_classified_as_pair_by_pair(pairs, plan.basis, p)
+
+
+@pytest.mark.parametrize("case", [
+    "acceptance-16", "tau-zero-12", "blocks-real", "blocks-complex",
+])
+def test_classify_matches_the_pair_by_pair_oracle(case):
+    if case == "tau-zero-12":
+        basis = FockBasis(12)
+        h = evaluate(compile_plan(build_hamiltonian(), basis),
+                     ParameterPoint(theta=0.02, eta=0.03, tau=0.0))
+    else:
+        h, basis = _oracle_case(case)
+    pairs = diagonalize(h)
+    _assert_classified_as_pair_by_pair(pairs, basis, ACCEPTANCE_POINT)
+    # The scipy oracle's pairs carry full-length vectors.
+    _assert_classified_as_pair_by_pair(_scipy_block_pairs(h), basis, ACCEPTANCE_POINT)
+
+
+def test_classify_breaks_ties_as_the_pair_by_pair_oracle():
+    # Within a pair, two labels share the largest weight and the lower one
+    # wins; across pairs, two share the largest overlap and the earlier pair
+    # claims the label.
+    basis = FockBasis(4)
+    support = np.array([2, 4, 7])
+    pairs = [
+        EigenPair(1.0 + 0j, np.array([0.6, 0.8, 0.0]), support, basis.dimension, 0.0),
+        EigenPair(2.0 + 0j, np.array([0.8, 0.8, 0.1]), support, basis.dimension, 0.0),
+        EigenPair(3.0 + 0j, np.array([0.0, 0.8, 0.6]), support, basis.dimension, 0.0),
+        EigenPair(4.0 + 0j, np.array([0.1j, 0.0, 0.9]), support, basis.dimension, 0.0),
+    ]
+    _assert_classified_as_pair_by_pair(pairs, basis, ACCEPTANCE_POINT)
+    table = classify(pairs, basis, ACCEPTANCE_POINT)
+    assert [(basis.index[(row.n_plus, row.n_minus)], row.e_numeric) for row in table.rows] == [
+        (2, 2.0), (4, 1.0), (7, 4.0)]
+    assert [pair is pairs[2] for pair in table.unclassified] == [True]
 
 
 def test_classify_undeformed_is_perfect():
