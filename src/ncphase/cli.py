@@ -49,12 +49,10 @@ from .fock import (
     NumericError,
     ParameterPoint,
     Plan,
+    _LevelWriter,
     compile_plan,
-    csv_text,
     diagonal_check,
-    level_fields,
     level_table_csv,
-    level_table_json,
     spectra,
     spectrum,
 )
@@ -262,9 +260,11 @@ def cmd_spectrum(args) -> int:
     if args.format == "csv":
         _write_output(args.out, level_table_csv(table))
     else:
-        payload = {"parameters": point.values(), "cutoff": args.cutoff,
-                   "levels": level_table_json(table)}
-        _write_output(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_output(args.out, _json_object([
+            ("parameters", _json_value(point.values())),
+            ("cutoff", _json_value(args.cutoff)),
+            ("levels", _LevelWriter().to_json([(None, table.rows)])),
+        ]))
     return EXIT_OK
 
 
@@ -301,24 +301,26 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             outcomes.append(exc)
     tables = spectra([point for point in outcomes if isinstance(point, ParameterPoint)], plan)
-    columns = (args.param, *SWEEP_COLUMNS)
-    rows, failures = [], []
+    groups, failures = [], []
     for value, outcome in zip(values, outcomes):
         if isinstance(outcome, ParameterPoint):
             outcome = next(tables)
-        if not isinstance(outcome, LevelTable):
+        if isinstance(outcome, LevelTable):
+            groups.append((value, outcome.rows))
+        else:
             failures.append({"param": args.param, "value": value, "error": str(outcome)})
-            continue
-        for row in outcome.rows:
-            fields = level_fields(row)
-            rows.append({args.param: value, **{c: fields[c] for c in SWEEP_COLUMNS}})
+    writer = _LevelWriter(SWEEP_COLUMNS, lead=args.param)
     if args.format == "csv":
+        # Written first, so that an unwritable --out is the only stderr line.
+        _write_output(args.out, writer.to_csv(groups))
         for failure in failures:
             print(f"sweep point failed: {failure}", file=sys.stderr)
-        _write_output(args.out, csv_text(columns, rows))
     else:
-        payload = {"param": args.param, "rows": rows, "failures": failures}
-        _write_output(args.out, json.dumps(payload, indent=2) + "\n")
+        _write_output(args.out, _json_object([
+            ("param", _json_value(args.param)),
+            ("rows", writer.to_json(groups)),
+            ("failures", _json_value(failures)),
+        ]))
     return EXIT_OK
 
 
@@ -380,9 +382,26 @@ class UsageError(ValueError):
 def _write_output(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror}") from exc
+
+
+def _json_value(value) -> str:
+    """``json.dumps(value, indent=2)`` one level down, as the value of a
+    top-level key."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _json_object(fields: list) -> str:
+    """What ``json.dumps(dict(...), indent=2) + "\\n"`` prints, from (key,
+    value text) pairs whose text is printed one level down: by
+    ``_json_value`` or, for level rows, ``_LevelWriter.to_json``."""
+    items = ",\n".join(f"  {json.dumps(key)}: {text}" for key, text in fields)
+    return "{\n" + items + "\n}\n"
 
 
 @dataclass

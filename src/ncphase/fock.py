@@ -14,6 +14,7 @@ assertions rely on that margin.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -583,40 +584,87 @@ LEVEL_COLUMNS = (
 )
 
 
-def level_fields(row: LevelRow) -> dict:
-    """One row's LEVEL_COLUMNS: the two labels, then every number rounded to
-    the wire precision of 12 significant digits.
+# The wire precision: each number of a level row is printed to 12
+# significant digits.
+_WIRE = "%.12g"
 
-    The JSON formats print these values as they are and the CSV formats
-    print each with ``.12g``, which gives back the rounded text exactly.
+
+def _wire(x: float) -> float:
+    """``x`` rounded to the wire precision.  ``_WIRE % _wire(x)`` is
+    ``_WIRE % x``, so CSV prints each raw number once."""
+    return float(_WIRE % x)
+
+
+def _fields(row: LevelRow) -> tuple:
+    """One row's LEVEL_COLUMNS values: the two labels, then the numbers
+    unrounded."""
+    e, a = row.e_numeric, row.e_analytic
+    return (row.n_plus, row.n_minus, a, e.real, e.imag, abs(e - a), row.residual, row.overlap)
+
+
+class _LevelWriter:
+    """The CSV and JSON text of level rows in one column set.
+
+    ``columns`` is a prefix of LEVEL_COLUMNS that holds both labels; a
+    ``lead`` names a column before them (a sweep's swept parameter).  Rows
+    come in groups of (lead value, LevelRows); without a lead the value is
+    not printed.  Each row is printed through one %-template, not a dict.
     """
-    numbers = (
-        row.e_analytic,
-        row.e_numeric.real,
-        row.e_numeric.imag,
-        abs(row.e_numeric - row.e_analytic),
-        row.residual,
-        row.overlap,
-    )
-    return dict(
-        zip(LEVEL_COLUMNS, (row.n_plus, row.n_minus, *(float(f"{x:.12g}") for x in numbers)))
-    )
 
+    def __init__(self, columns: Sequence[str] = LEVEL_COLUMNS, lead: Optional[str] = None):
+        self.lead, self.width = lead, len(columns)
+        self.columns = ((lead,) if lead else ()) + tuple(columns)
+        self.csv_row = ",".join(["%d", "%d"] + [_WIRE] * (self.width - 2))
+        specs = ["%d", "%d"] + ["%r"] * (self.width - 2)
+        self.json_row = ",\n".join(
+            f"      {json.dumps(c)}: {spec}" for c, spec in zip(columns, specs)
+        ) + "\n    }"
 
-def csv_text(columns: Sequence[str], records: Iterable[dict]) -> str:
-    """A header line of ``columns``, then one line per record: its values in
-    that order, each printed with ``.12g``."""
-    lines = [",".join(columns)]
-    lines.extend(",".join(f"{record[c]:.12g}" for c in columns) for record in records)
-    return "\n".join(lines) + "\n"
+    def to_csv(self, groups: Iterable[tuple]) -> str:
+        """A header line, then one line per row: each number, the lead
+        value too, printed once with ``_WIRE``."""
+        template, width = self.csv_row, self.width
+        lines = [",".join(self.columns)]
+        for value, rows in groups:
+            head = _WIRE % value + "," if self.lead else ""
+            lines.extend([head + template % _fields(row)[:width] for row in rows])
+        return "\n".join(lines) + "\n"
+
+    def to_json(self, groups: Iterable[tuple]) -> str:
+        """The rows as ``json.dumps(..., indent=2)`` prints a list one level
+        down (the value of a top-level key), each row an object of the
+        columns: each number the ``repr`` of its ``_wire`` value, the lead
+        value as ``json.dumps`` prints it, unrounded."""
+        template, width = self.json_row, self.width
+        parts = []
+        for value, rows in groups:
+            lead = (value,) if self.lead else ()
+            head = "    {\n"
+            if self.lead:
+                head += f"      {json.dumps(self.lead)}: {json.dumps(value)},\n"
+            for row in rows:
+                fields = _fields(row)
+                numbers = list(map(_wire, fields[2:width]))
+                # NaN and +-inf print as json.dumps spells them.  A finite
+                # sum rules them out; a sum that overflows only takes the
+                # slower path, which prints finite numbers the same.
+                if math.isfinite(sum(numbers)):
+                    parts.append(head + template % (*fields[:2], *numbers))
+                else:
+                    record = dict(zip(self.columns, (*lead, *fields[:2], *numbers)))
+                    parts.append("    " + json.dumps(record, indent=2).replace("\n", "\n    "))
+        return "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
 
 
 def level_table_csv(table: LevelTable) -> str:
-    return csv_text(LEVEL_COLUMNS, map(level_fields, table.rows))
+    return _LevelWriter().to_csv([(None, table.rows)])
 
 
 def level_table_json(table: LevelTable) -> list:
-    return [level_fields(row) for row in table.rows]
+    """Each row as a dict of LEVEL_COLUMNS, its numbers rounded to the wire
+    precision."""
+    rows = map(_fields, table.rows)
+    return [dict(zip(LEVEL_COLUMNS, (*f[:2], *map(_wire, f[2:])))) for f in rows]
 
 
 # ---------------------------------------------------------------------------

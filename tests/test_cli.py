@@ -519,10 +519,34 @@ NUMBERS = st.one_of(
 )
 
 
+# Where --out points: unset, stdout, a writable file, and three paths that
+# cannot be written (a missing directory, the empty path, a directory).
+OUT_TARGETS = st.sampled_from([None, "-", "file", "missing-directory", "empty", "directory"])
+
+
+def run_with_out(argv, out, tmp_path, capsys):
+    """run() with --out set as ``out`` names it.  A written file is read back
+    in place of stdout; it exists only after exit 0 or 1, and a path that
+    cannot be written ends in exit 2 or 3 with nothing on stdout."""
+    written = tmp_path / "out.txt"
+    written.unlink(missing_ok=True)
+    path = {"-": "-", "file": str(written), "missing-directory": str(tmp_path / "absent" / "x"),
+            "empty": "", "directory": str(tmp_path)}.get(out)
+    code, stdout, err = run(argv if out is None else [*argv, "--out", path], capsys)
+    assert written.exists() == (out == "file" and code in (EXIT_OK, EXIT_VERIFY_FAILED))
+    if out == "file":
+        assert stdout == ""
+        stdout = written.read_text() if written.exists() else ""
+    elif out not in (None, "-"):
+        assert code in (EXIT_USAGE, EXIT_NUMERIC) and stdout == ""
+    return code, stdout, err
+
+
 def assert_exit_contract(code, stdout, err, verdict=False):
     """0 with a strict-JSON report (no NaN or Infinity), or 2/3 with a
-    one-line message.  With ``verdict``, also 1 with a strict-JSON report and
-    its one-line verdict."""
+    one-line message, and never a traceback.  With ``verdict``, also 1 with
+    a strict-JSON report and its one-line verdict."""
+    assert "Traceback" not in err
     if verdict and code == EXIT_VERIFY_FAILED:
         assert err.startswith("first failing identity: ") and err.count("\n") == 1
     if code == EXIT_OK or (verdict and code == EXIT_VERIFY_FAILED):
@@ -545,14 +569,15 @@ def assert_exit_contract(code, stdout, err, verdict=False):
         "--center": NUMBERS, "--kick-steps": st.integers(-2, 2),
     }),
     sigma_steps=st.integers(-1, 3),
+    out=OUT_TARGETS,
 )
-@example(flags={"--tau": 0.0}, sigma_steps=2)
+@example(flags={"--tau": 0.0}, sigma_steps=2, out=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_uncertainty_exit_code_contract(flags, sigma_steps, capsys):
+def test_uncertainty_exit_code_contract(flags, sigma_steps, out, tmp_path, capsys):
     argv = ["uncertainty", "--brute-force", "--sigma-steps", str(sigma_steps)]
     for flag, value in flags.items():
         argv.append(f"{flag}={value!r}")
-    assert_exit_contract(*run(argv, capsys))
+    assert_exit_contract(*run_with_out(argv, out, tmp_path, capsys))
 
 
 # hbar^2/(2m) overflows at this mass, so the closed-form tau shift is inf;
@@ -568,14 +593,15 @@ TINY_MASS = 1.1125369292536007e-308
         "--from": NUMBERS, "--to": NUMBERS, "--tau": NUMBERS, "--theta": NUMBERS,
         "--mass": NUMBERS, "--cutoff": st.integers(-1, 5),
     }),
+    out=OUT_TARGETS,
 )
-@example(param="theta", flags={"--mass": TINY_MASS})
+@example(param="theta", flags={"--mass": TINY_MASS}, out=None)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_sweep_exit_code_contract(param, flags, capsys):
+def test_sweep_exit_code_contract(param, flags, out, tmp_path, capsys):
     argv = ["sweep", "--param", param, "--steps", "2", "--cutoff", "4", "--format", "json"]
     for flag, value in flags.items():
         argv.append(f"{flag}={value!r}")
-    assert_exit_contract(*run(argv, capsys))
+    assert_exit_contract(*run_with_out(argv, out, tmp_path, capsys))
 
 
 # Every parameter flag, each drawn from the edge values, and a cutoff around 4.
@@ -587,25 +613,25 @@ PARAMETER_FLAGS = st.fixed_dictionaries({}, optional={
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(flags=PARAMETER_FLAGS)
-@example(flags={"--mass": TINY_MASS})
+@given(flags=PARAMETER_FLAGS, out=OUT_TARGETS)
+@example(flags={"--mass": TINY_MASS}, out=None)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_spectrum_exit_code_contract(flags, capsys):
+def test_spectrum_exit_code_contract(flags, out, tmp_path, capsys):
     argv = ["spectrum", "--cutoff", "4", "--format", "json"]
     for flag, value in flags.items():
         argv.append(f"{flag}={value!r}")
-    assert_exit_contract(*run(argv, capsys))
+    assert_exit_contract(*run_with_out(argv, out, tmp_path, capsys))
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(flags=PARAMETER_FLAGS)
+@given(flags=PARAMETER_FLAGS, out=OUT_TARGETS)
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_verify_exit_code_contract(flags, capsys):
+def test_verify_exit_code_contract(flags, out, tmp_path, capsys):
     argv = ["verify", "--cutoff", "4"]
     for flag, value in flags.items():
         argv.append(f"{flag}={value!r}")
-    code, stdout, err = run(argv, capsys)
+    code, stdout, err = run_with_out(argv, out, tmp_path, capsys)
     assert_exit_contract(code, stdout, err, verdict=True)
     if code in (EXIT_OK, EXIT_VERIFY_FAILED):
         # The diagonal residuals are text: each must be a finite measurement.
@@ -804,6 +830,31 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert err.startswith("usage error:") and "absent.json" in err
     assert len(err.splitlines()) == 1
+
+
+# Each subcommand at a small size.  The sweep's first point fails (hbar 0),
+# so its CSV run also prints a "sweep point failed" line when --out works.
+CHEAP_COMMANDS = {
+    "verify": ["verify", "--cutoff", "4"],
+    "spectrum": ["spectrum", "--cutoff", "4"],
+    "sweep": ["sweep", "--param", "hbar", "--from", "0", "--to", "1", "--steps", "2",
+              "--cutoff", "4"],
+    "uncertainty": ["uncertainty", "--tau", "0.04"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHEAP_COMMANDS))
+@pytest.mark.parametrize("where,reason", [
+    ("missing-directory", "No such file or directory"),
+    ("empty", "No such file or directory"),
+    ("directory", "Is a directory"),
+], ids=["missing-directory", "empty", "directory"])
+def test_unwritable_out_is_usage_error(command, where, reason, tmp_path, capsys):
+    out = {"missing-directory": str(tmp_path / "absent" / "out.txt"), "empty": "",
+           "directory": str(tmp_path)}[where]
+    code, stdout, err = run([*CHEAP_COMMANDS[command], "--out", out], capsys)
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err == f"usage error: cannot write --out {out!r}: {reason}\n"
 
 
 @pytest.mark.parametrize(
