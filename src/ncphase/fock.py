@@ -134,10 +134,11 @@ class Plan:
 
     ``terms`` holds, in ``Expression.sorted_terms`` order, one tuple per
     term: its coefficient as a complex number, its parameter exponent vector
-    (in ``PARAMS`` order), its numbers of q and pi letters, and its word
-    matrix at unit scales (sparse COO).  The word matrices depend only on the
-    basis, so one plan serves every parameter point: ``evaluate(plan, p)``
-    only evaluates and scales the coefficients and sums.
+    (in ``PARAMS`` order), its numbers of q and pi letters, and its real
+    word matrix at unit scales (sparse COO, float64).  A word's factor of i
+    sits in the coefficient (``compile_plan``).  The word matrices depend
+    only on the basis, so one plan serves every parameter point:
+    ``evaluate(plan, p)`` only evaluates and scales the coefficients and sums.
     """
 
     basis: FockBasis
@@ -149,7 +150,10 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
 
     Each word becomes the chain of sparse products of the unit-scale
     phase-space matrices from the left, starting at the identity; words that
-    share a prefix share its product, which is formed once.
+    share a prefix share its product, which is formed once.  q1 and pi2 are
+    real there and q2 and pi1 imaginary, so each word's product is real or
+    i times a real matrix: the factor i is moved into the term's coefficient
+    (exactly, as i * (a + bi) = -b + ai) and the word is kept as float64.
     Noncommutative-alphabet input is rejected: push it through the Bopp
     shift first.
     """
@@ -160,43 +164,57 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
         )
     mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, ParameterPoint())))
     products = {(): scipy.sparse.identity(basis.dimension, dtype=complex, format="csr")}
-    terms = []
+    words, terms = {}, []
     for (word, powers), coef in e.sorted_terms():
         for k in range(1, len(word) + 1):
             if word[:k] not in products:
                 products[word[:k]] = products[word[: k - 1]] @ mats[word[k - 1]]
+        if word not in words:
+            product = products[word].tocoo(copy=False)
+            real, imag = product.data.real, product.data.imag
+            # i times a real matrix where the word has an odd number of q2 and pi1
+            phase, part = (1j, imag) if imag.any() else (1, real)
+            assert phase == 1 or not real.any(), "a word is real or imaginary"
+            words[word] = phase, scipy.sparse.coo_matrix(
+                (part.copy(), (product.row, product.col)), shape=product.shape
+            )
+        phase, matrix = words[word]
         n_q = sum(letter in POSITION_GENERATORS for letter in word)
-        terms.append(
-            (complex(coef), powers, n_q, len(word) - n_q, products[word].tocoo(copy=False))
-        )
+        terms.append((complex(coef) * phase, powers, n_q, len(word) - n_q, matrix))
     return Plan(basis, tuple(terms))
 
 
 def evaluate(plan: Plan, p: ParameterPoint) -> np.ndarray:
-    """The dense matrix of a compiled plan at ``p``.
+    """The dense matrix of a compiled plan at ``p``: float64 when every
+    scaled coefficient is real (every policy's Hamiltonian at every point),
+    else complex.
 
     Each coefficient is multiplied by its parameter monomial, one nonzero
     exponent at a time in ``PARAMS`` order, then by l_q once per q letter and
     by l_p once per pi letter (``phase_space_scales``), so a zero coefficient
     stays zero for any finite scales.  Terms are added in order, entry by
-    entry, so the result equals the sparse sum of the unit-scale word
-    matrices times the scaled coefficients bit for bit.  An overflowing
-    entry raises NumericError.  An Expression is realized as
+    entry, so the result equals the sparse sum of the complex unit-scale
+    word matrices times the scaled coefficients bit for bit.  An
+    overflowing entry raises NumericError.  An Expression is realized as
     ``evaluate(compile_plan(e, basis), p)``.
     """
     values = p.values()
     ell_q, ell_p = phase_space_scales(p)
+    scaled = []
+    for coef, powers, n_q, n_pi, _word in plan.terms:
+        for pname, exp in zip(PARAMS, powers):
+            if exp:
+                coef *= values[pname] ** exp
+        for ell in (ell_q,) * n_q + (ell_p,) * n_pi:
+            coef *= ell
+        scaled.append(coef)
+    real = all(coef.imag == 0 for coef in scaled)
     d = plan.basis.dimension
-    out = np.zeros((d, d), dtype=complex)
+    out = np.zeros((d, d), dtype=float if real else complex)
     # Overflowing entries are caught below, so numpy need not warn of them.
     with np.errstate(over="ignore", invalid="ignore"):
-        for coef, powers, n_q, n_pi, word in plan.terms:
-            for pname, exp in zip(PARAMS, powers):
-                if exp:
-                    coef *= values[pname] ** exp
-            for ell in (ell_q,) * n_q + (ell_p,) * n_pi:
-                coef *= ell
-            out[word.row, word.col] += word.data * coef
+        for coef, (*_, word) in zip(scaled, plan.terms):
+            out[word.row, word.col] += word.data * (coef.real if real else coef)
     if not np.isfinite(out).all():
         raise NumericError("matrix entries overflow at this parameter point")
     return out
@@ -254,18 +272,23 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1)
 
 
-def _solve_block(stack: np.ndarray, bounds: Sequence[float]) -> list:
-    """Eigenvalues, unit eigenvectors (columns) and residuals of each matrix
-    of ``stack`` (k x n x n), or the NumericError that matrix raises: its
+def _solve_block(blocks: list, bounds: Sequence[float]) -> list:
+    """Eigenvalues, unit eigenvectors (columns) and residuals of each n x n
+    matrix of ``blocks``, or the NumericError that matrix raises: its
     residual exceeds its entry of ``bounds`` or LAPACK did not converge.
 
-    ``numpy.linalg.eig`` solves the whole stack in one call, looping in C;
-    it releases the GIL while LAPACK runs, where ``scipy.linalg.eig`` holds
-    it.  Each matrix gets the bits of its own two-dimensional solve, so the
-    normalization and residuals below run per matrix.  It runs on pool
-    threads, so it calls no public ncphase function: the tracer in perfbench
-    keeps a single span stack.
+    The matrices form one stack (k x n x n; a single one as a view) and
+    ``blocks`` is emptied, so the stack is held here only: a single real
+    block is freed once promoted for its residuals.  ``numpy.linalg.eig``
+    solves the whole stack in one call, looping in C; it releases the GIL
+    while LAPACK runs, where ``scipy.linalg.eig`` holds it.  Each matrix
+    gets the bits of its own two-dimensional solve, so the normalization
+    and residuals below run per matrix.  It runs on pool threads, so it
+    calls no public ncphase function: the tracer in perfbench keeps a
+    single span stack.
     """
+    stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+    blocks.clear()
     try:
         values, vectors = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:
@@ -275,14 +298,15 @@ def _solve_block(stack: np.ndarray, bounds: Sequence[float]) -> list:
         return [
             result
             for block, bound in zip(stack, bounds)
-            for result in _solve_block(block[None], (bound,))
+            for result in _solve_block([block], (bound,))
         ]
     real = not np.iscomplexobj(stack)
     # One view per matrix, each dropped once copied below, so the last frees
-    # the stack's outputs (a block's complex vectors take 7.3 MB at N=50).
-    values, vectors = list(values), list(vectors)
+    # the stack and its outputs.
+    stack, values, vectors = list(stack), list(values), list(vectors)
     solved = []
-    for block, bound in zip(stack, bounds):
+    for bound in bounds:
+        block = stack.pop(0)
         block_values, block_vectors = values.pop(0), vectors.pop(0)
         # The stack's output is complex when any of its matrices has a
         # complex eigenvalue; a real matrix's own solve is real unless it has one.
@@ -292,11 +316,20 @@ def _solve_block(stack: np.ndarray, bounds: Sequence[float]) -> list:
         # vectors, so the products below round as they did with scipy.
         block_values = block_values.astype(complex)
         block_vectors = np.asfortranarray(block_vectors)
-        block_vectors = block_vectors / np.linalg.norm(block_vectors, axis=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            residuals = np.linalg.norm(
-                block @ block_vectors - block_vectors * block_values, axis=0
-            )
+        # Promoted once, as ``@`` would promote it for each slab.
+        block = block.astype(block_vectors.dtype, copy=False)
+        residuals = np.empty(len(block_values))
+        # The vectors are normalized in place and their residuals taken a
+        # slab of columns at a time, each column with the bits of the whole
+        # product, so the temporaries are n x width, not n x n (a block's
+        # complex vectors take 7.3 MB at N=50).
+        width = max(1, 2**15 // len(block))  # columns per 512-KiB complex slab
+        for start in range(0, len(block_values), width):
+            cols = slice(start, start + width)
+            slab = block_vectors[:, cols]
+            slab /= np.linalg.norm(slab, axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                residuals[cols] = np.linalg.norm(block @ slab - slab * block_values[cols], axis=0)
         worst = float(residuals.max())
         if not worst <= bound:  # a NaN residual fails too
             solved.append(NumericError(
@@ -311,10 +344,13 @@ def _supports(pattern: np.ndarray, last: Optional[list]) -> list:
     """The basis indices of each connected block of a nonzero pattern, each
     ascending, the blocks in the order of their lowest index.
 
-    ``last``, if given, is [pattern, supports] of the pattern before: the
-    same pattern gets the same supports back, and another one replaces them.
+    ``last``, if given, is [packed pattern, supports] of the pattern before
+    (``numpy.packbits``, an eighth of its bytes, is kept while the blocks are
+    solved): the same pattern gets the same supports back, and another one
+    replaces them.
     """
-    if last is not None and np.array_equal(pattern, last[0]):
+    packed = None if last is None else np.packbits(pattern)
+    if last is not None and np.array_equal(packed, last[0]):
         return last[1]
     # csgraph would copy a dense input as float, dropping imaginary parts.
     n_blocks, labels = scipy.sparse.csgraph.connected_components(
@@ -325,7 +361,7 @@ def _supports(pattern: np.ndarray, last: Optional[list]) -> list:
     ends = np.cumsum(np.bincount(labels, minlength=n_blocks))
     supports = np.split(np.argsort(labels, kind="stable"), ends)[:-1]
     if last is not None:
-        last[:] = pattern, supports
+        last[:] = packed, supports
     return supports
 
 
@@ -334,8 +370,9 @@ def _split(h: np.ndarray, last: Optional[list] = None) -> tuple:
     and each block gathered (``diagonalize`` describes them).  ``last`` is
     ``_supports``'s, for a caller that splits matrices in turn.
 
-    A real block is gathered from h.real, at half the memory of a complex
-    one; only in a complex matrix is each block's imaginary part tested.
+    A float64 matrix, or a complex one whose imaginary part is exactly zero,
+    gives real blocks, at half the memory of complex ones; only in a complex
+    matrix is each block's imaginary part tested.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
@@ -349,7 +386,8 @@ def _split(h: np.ndarray, last: Optional[list] = None) -> tuple:
     if norm == 0 and h.any():
         raise NumericError("matrix norm underflows at this parameter point")
     supports = _supports(h != 0, last)
-    real = not h.imag.any()
+    # On a float array .imag would allocate a matrix of zeros.
+    real = not np.iscomplexobj(h) or not h.imag.any()
     blocks = []
     for idx in supports:
         rows = np.ix_(idx, idx)
@@ -427,16 +465,13 @@ def _solve(splits: list) -> list:
     for bound, supports, blocks in splits:
         keys.append([(idx.tobytes(), block.dtype) for idx, block in zip(supports, blocks)])
         for key, block in zip(keys[-1], blocks):
-            stacks.setdefault(key, []).append((block, bound))
+            members, bounds = stacks.setdefault(key, ([], []))
+            members.append(block)
+            bounds.append(bound)
         blocks.clear()
-    for key, members in stacks.items():
-        # A single block is stacked as a view; more are copied once and dropped.
-        stack = members[0][0][None] if len(members) == 1 else np.stack([m[0] for m in members])
-        stacks[key] = (stack, [bound for _block, bound in members])
-        members.clear()
     if not stacks:
         return [[] for _split in splits]
-    order = sorted(stacks, key=lambda key: stacks[key][0].nbytes, reverse=True)
+    order = sorted(stacks, key=lambda key: sum(b.nbytes for b in stacks[key][0]), reverse=True)
     job = _pool().submit(lambda: [_solve_block(*stacks[key]) for key in order[1:]])
     try:
         solved = [_solve_block(*stacks[order[0]])]
@@ -522,8 +557,15 @@ def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) ->
 
 
 def spectrum(p: ParameterPoint, plan: Plan) -> LevelTable:
-    """Evaluate, diagonalize and classify in one step, over the plan's basis."""
-    return classify(diagonalize(evaluate(plan, p)), plan.basis, p)
+    """Evaluate, diagonalize and classify in one step, over the plan's basis.
+
+    This is ``spectra`` at one point: the matrix is split into its blocks
+    and dropped before the eigensolve, and the point's error is raised.
+    """
+    (table,) = spectra([p], plan)
+    if isinstance(table, Exception):
+        raise table
+    return table
 
 
 # The failures that belong to one parameter point, which spectra yields.
@@ -633,15 +675,15 @@ class _LevelWriter:
     def to_json(self, groups: Iterable[tuple]) -> str:
         """The rows as ``json.dumps(..., indent=2)`` prints a list one level
         down (the value of a top-level key), each row an object of the
-        columns: each number the ``repr`` of its ``_wire`` value, the lead
-        value as ``json.dumps`` prints it, unrounded."""
+        columns: each number, the lead value too, as ``json.dumps`` prints
+        its ``_wire`` value, so it reads back as the CSV text does."""
         template, width = self.json_row, self.width
         parts = []
         for value, rows in groups:
-            lead = (value,) if self.lead else ()
+            lead = (_wire(value),) if self.lead else ()
             head = "    {\n"
             if self.lead:
-                head += f"      {json.dumps(self.lead)}: {json.dumps(value)},\n"
+                head += f"      {json.dumps(self.lead)}: {json.dumps(lead[0])},\n"
             for row in rows:
                 fields = _fields(row)
                 numbers = list(map(_wire, fields[2:width]))

@@ -3,11 +3,12 @@
 ``reference_evaluate`` below rebuilds every term's word as a chain of
 sparse products of the unit-scale matrices from the identity, scales the
 term's coefficient times parameter monomial (``term_value``) by l_q once per
-q letter and l_p once per pi letter, and sums the scaled products as sparse
-matrices, densified once at the end.  The plan forms each prefix once and
-sums into a dense array, but it forms the same products, scales the same
-numbers and adds them in the same order, so the matrices must be equal bit
-for bit, not merely close.
+q letter and l_p once per pi letter, and sums the scaled products as complex
+sparse matrices, densified once at the end.  The plan forms each prefix once,
+keeps each word as a real matrix with its factor i in the coefficient, and
+sums into a dense array, float64 where every scaled coefficient is real; but
+it forms the same products, scales the same numbers and adds them in the
+same order, so the matrices must be equal bit for bit, not merely close.
 
 ``scaled_products`` is the independent check of the scales: it multiplies
 the phase-space matrices of ``build_phase_space(basis, p)`` at the point's
@@ -37,6 +38,7 @@ from ncphase.fock import (
     phase_space_scales,
 )
 from ncphase.hamiltonian import build_hamiltonian
+from ncphase.parsing import parse
 
 POLICIES = {
     "default": DEFAULT_POLICY,
@@ -128,6 +130,31 @@ def test_plan_matrix_equals_the_per_term_loop_bitwise(policy, cutoff, hamiltonia
         assert np.array_equal(evaluate(plan, p), reference_evaluate(h, basis, p))
 
 
+@pytest.mark.parametrize("policy", [*sorted(POLICIES), "untruncated"])
+def test_plan_matrix_is_real_at_real_points(policy, hamiltonians):
+    # Every policy's Hamiltonian is real in the helicity basis, so evaluate
+    # fills a float64 matrix, equal to the complex per-term sum.
+    h = hamiltonians[policy]
+    basis = FockBasis(9)
+    plan = compile_plan(h, basis)
+    for p in UNIT_POINTS + SCALED_POINTS:
+        got = evaluate(plan, p)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, reference_evaluate(h, basis, p))
+
+
+def test_plan_matrix_is_complex_for_an_imaginary_coefficient():
+    # i*hbar, i times the real q1, and q2 alone (imaginary at unit scales).
+    basis = FockBasis(5)
+    for text in ("i*hbar", "q1*q1 + i*hbar*q1", "theta*q2*pi1 + q2"):
+        e = parse(text)
+        plan = compile_plan(e, basis)
+        for p in UNIT_POINTS + SCALED_POINTS:
+            got = evaluate(plan, p)
+            assert got.dtype == np.complex128 and got.imag.any()
+            assert np.array_equal(got, reference_evaluate(e, basis, p))
+
+
 @pytest.mark.parametrize("cutoff", (4, 9, 16))
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_plan_scales_agree_with_products_at_the_point(policy, cutoff, hamiltonians):
@@ -145,11 +172,16 @@ def test_plan_pairs_scalars_with_words_formed_once(hamiltonians):
     assert (len(words), sum(map(len, words))) == (11, 26)
     assert len({word[:k] for word in words for k in range(1, len(word) + 1)}) == 15
     plan = compile_plan(h, FockBasis(6))
+    # q2 and pi1 are imaginary at unit scales, q1 and pi2 real: a word with
+    # an odd number of q2 and pi1 letters moves its factor i into the
+    # coefficient, which leaves every coefficient real.
     assert [term[:4] for term in plan.terms] == [
-        (complex(coef), powers, sum(g.startswith("q") for g in word),
-         sum(g.startswith("pi") for g in word))
+        (complex(coef) * (1j if sum(g in ("q2", "pi1") for g in word) % 2 else 1), powers,
+         sum(g.startswith("q") for g in word), sum(g.startswith("pi") for g in word))
         for (word, powers), coef in h.sorted_terms()
     ]
+    assert [term[0] for term in plan.terms] == [0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 1, 1]
+    assert all(term[4].dtype == np.float64 for term in plan.terms)
     # Terms with one word (q1 pi2 and q2 pi1 appear twice) share its product.
     for i, j in ((1, 2), (4, 5)):
         assert words[i] == words[j]

@@ -5,6 +5,9 @@ The reference below is the earlier implementation: scipy's adaptive ``quad``
 on the real and imaginary parts of f(tan u)(1 + tan^2 u) over (-pi/2, pi/2),
 one scalar node at a time.  Both rules accept a result at 1e-10 max(1, |I|),
 and on every integrand of ``scan_state`` their results must agree to that.
+QUADPACK integrates the integrands written out below with ``math`` and
+``cmath``; the trapezoid rule integrates them as ncphase forms them, from
+the packet's jet and the sector images.
 ``scan_state`` takes its five integrals in one sweep of stacked components;
 the moments it derives from them must agree with QUADPACK's to the oracle
 tolerance of the CLI.
@@ -70,8 +73,34 @@ def scan_integrands(psi, p):
     ]
 
 
-def assert_agree(f):
-    want = reference_integrate(f)
+def scalar_integrands(psi, p):
+    """The integrands of ``scan_integrands`` at one float y, for QUADPACK.
+
+    With e = |psi|^2 = exp(-(y - a)^2 / sigma^2), psi' = g psi for
+    g = i k - (y - a) / sigma^2, psi'' = (g^2 - 1/sigma^2) psi and the weight
+    w = 1 + tau y^2, they are e/w, y e/w, y^2 e/w, -i hbar g e and
+    -hbar^2 (w (g^2 - 1/sigma^2) + 2 tau y g) e.
+    """
+    a, s2, k, tau, hbar = psi.center, psi.sigma**2, psi.kick, p.tau, p.hbar
+
+    def terms(y):
+        return math.exp(-((y - a) ** 2) / s2), complex(-(y - a) / s2, k), 1 + tau * y * y
+
+    def integrand(form):
+        return lambda y: form(y, *terms(y))
+
+    return [integrand(form) for form in (
+        lambda y, e, g, w: e / w,
+        lambda y, e, g, w: y * e / w,
+        lambda y, e, g, w: y * y * e / w,
+        lambda y, e, g, w: -1j * hbar * g * e,
+        lambda y, e, g, w: -(hbar**2) * (w * (g * g - 1 / s2) + 2 * tau * y * g) * e,
+    )]
+
+
+def assert_agree(scalar_f, f):
+    """QUADPACK on ``scalar_f`` against ``_integrate`` on ``f``."""
+    want = reference_integrate(scalar_f)
     got = _integrate(f)
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (got, want)
     return want
@@ -98,7 +127,8 @@ def test_scan_state_integrands_match_quadpack(tau):
     p = ParameterPoint(tau=tau)
     for sigma, center, kick in GRID:
         psi = Gaussian(center=center, sigma=sigma, kick=kick)
-        norm, *sums = [assert_agree(f) for f in scan_integrands(psi, p)]
+        pairs = zip(scalar_integrands(psi, p), scan_integrands(psi, p))
+        norm, *sums = [assert_agree(scalar_f, f) for scalar_f, f in pairs]
         want = _state_scan(psi, p, *(s.real / norm.real for s in sums))
         assert_scans_agree(scan_state(psi, p), want)
 

@@ -3,8 +3,9 @@
 The reference below is the earlier implementation: ``reference_fields``
 rounds each number with ``float(f"{x:.12g}")``, ``reference_csv`` prints
 each rounded value with ``.12g`` again, and the JSON documents are
-``json.dumps(payload, indent=2)`` of the dict rows.  The writer must print
-the same bytes.
+``json.dumps(payload, indent=2)`` of the dict rows, with a sweep's swept
+value rounded as every other number is.  The writer must print the same
+bytes.
 """
 
 import json
@@ -44,7 +45,7 @@ def reference_csv(columns, records):
 
 
 def reference_sweep_rows(param, groups):
-    return [{param: value, **{c: reference_fields(row)[c] for c in SWEEP_COLUMNS}}
+    return [{param: float(f"{value:.12g}"), **{c: reference_fields(row)[c] for c in SWEEP_COLUMNS}}
             for value, rows in groups for row in rows]
 
 
@@ -149,3 +150,17 @@ def test_every_edge_value_prints_as_the_dict_path():
     assert writer.to_csv(groups) == reference_csv(("theta", *SWEEP_COLUMNS), expected)
     text = _json_object([("rows", writer.to_json(groups))])
     assert text == json.dumps({"rows": expected}, indent=2) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(values=st.lists(NUMBERS, min_size=1, max_size=4))
+@example(values=[0.0034999999999999996, 0.004999999999999999, -0.0, 5e-324, math.nan])
+def test_sweep_json_lead_reads_back_as_csv(values):
+    # A swept value from numpy.linspace, such as 0.0034999999999999996,
+    # reads back from the JSON rows as from the CSV text, 0.0035.
+    row = LevelRow(0, 1, 2.0, complex(2.5, 0.0), 1e-15, 0.99)
+    groups = [(value, [row]) for value in values]
+    writer = _LevelWriter(SWEEP_COLUMNS, lead="tau")
+    csv_leads = [line.split(",")[0] for line in writer.to_csv(groups).splitlines()[1:]]
+    json_leads = [record["tau"] for record in json.loads(writer.to_json(groups))]
+    assert json.dumps(json_leads) == json.dumps([float(text) for text in csv_leads])
