@@ -447,9 +447,13 @@ def diagonalize(h: np.ndarray) -> list:
     Every returned pair satisfies ||H v - lambda v|| <= RESIDUAL_FACTOR
     times ||H||; a violation, a non-finite or underflowing norm, a
     non-finite residual, or LAPACK non-convergence raises NumericError.
+
+    ``h`` is dropped once split, so a matrix the caller holds no reference
+    to (``diagonalize(evaluate(plan, p))``) is freed before the eigensolve.
     """
-    split = _split(h)
-    return _pairs(h.shape[0], split[1], _solve([split])[0])
+    split, dimension = _split(h), h.shape[0]
+    del h
+    return _pairs(dimension, split[1], _solve([split])[0])
 
 
 def _solve(splits: list) -> list:
@@ -559,13 +563,11 @@ def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) ->
 def spectrum(p: ParameterPoint, plan: Plan) -> LevelTable:
     """Evaluate, diagonalize and classify in one step, over the plan's basis.
 
-    This is ``spectra`` at one point: the matrix is split into its blocks
-    and dropped before the eigensolve, and the point's error is raised.
+    The matrix is passed on without a name, so ``diagonalize`` frees it once
+    split into its blocks, before the eigensolve: the path of ``spectra``
+    at one point.
     """
-    (table,) = spectra([p], plan)
-    if isinstance(table, Exception):
-        raise table
-    return table
+    return classify(diagonalize(evaluate(plan, p)), plan.basis, p)
 
 
 # The failures that belong to one parameter point, which spectra yields.
