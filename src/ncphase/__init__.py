@@ -41,7 +41,6 @@ from .fock import (
     diagonalize,
     evaluate,
     level_table_csv,
-    level_table_json,
     spectra,
     spectrum,
 )

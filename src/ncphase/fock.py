@@ -17,7 +17,7 @@ import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -115,16 +115,17 @@ def phase_space_scales(p: ParameterPoint) -> tuple:
     return math.sqrt(p.hbar / (p.m * p.omega)), math.sqrt(p.hbar * p.m * p.omega)
 
 
-def build_phase_space(basis: FockBasis, p: ParameterPoint):
-    """Canonical phase-space matrices (q1, q2, pi1, pi2) over the basis, sparse:
-    the matrices at hbar = m = omega = 1 times ``phase_space_scales(p)``."""
+def build_phase_space(basis: FockBasis):
+    """Canonical phase-space matrices (q1, q2, pi1, pi2) over the basis at
+    hbar = m = omega = 1, sparse.  At a point each q_i is l_q and each pi_i
+    l_p times its matrix here (``phase_space_scales``); ``evaluate`` puts
+    those scales into the coefficients, so only ``compile_plan`` reads these."""
     a_plus, a_minus, a_plus_dag, a_minus_dag = build_ladder(basis)
-    ell_q, ell_p = phase_space_scales(p)
     return (
-        ell_q * (0.5 * (a_plus + a_minus + a_plus_dag + a_minus_dag)),
-        ell_q * ((1 / 2j) * (a_plus - a_minus - a_plus_dag + a_minus_dag)),
-        ell_p * ((1 / 2j) * (a_plus + a_minus - a_plus_dag - a_minus_dag)),
-        ell_p * (-0.5 * (a_plus - a_minus + a_plus_dag - a_minus_dag)),
+        0.5 * (a_plus + a_minus + a_plus_dag + a_minus_dag),
+        (1 / 2j) * (a_plus - a_minus - a_plus_dag + a_minus_dag),
+        (1 / 2j) * (a_plus + a_minus - a_plus_dag - a_minus_dag),
+        -0.5 * (a_plus - a_minus + a_plus_dag - a_minus_dag),
     )
 
 
@@ -149,20 +150,23 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
     """Compile a canonical-alphabet Expression over ``basis``.
 
     Each word becomes the chain of sparse products of the unit-scale
-    phase-space matrices from the left, starting at the identity; words that
-    share a prefix share its product, which is formed once.  q1 and pi2 are
-    real there and q2 and pi1 imaginary, so each word's product is real or
-    i times a real matrix: the factor i is moved into the term's coefficient
-    (exactly, as i * (a + bi) = -b + ai) and the word is kept as float64.
-    Noncommutative-alphabet input is rejected: push it through the Bopp
-    shift first.
+    phase-space matrices (``build_phase_space``) from the left, starting at
+    the identity; words that share a prefix share its product, which is
+    formed once.  q1 and pi2 are real there and q2 and pi1 imaginary, so
+    each word's product is real or i times a real matrix: the factor i is
+    moved into the term's coefficient (exactly, as i * (a + bi) = -b + ai)
+    and the word is kept as float64.  Noncommutative-alphabet input is
+    rejected: push it through the Bopp shift first.
+
+    ``spectrum``, ``diagonal_check`` and ``commuting_check`` all take their
+    matrices from plans made here, which only ``evaluate`` scales.
     """
     if e.alphabet == "noncommutative":
         raise MixedAlphabetError(
             "cannot evaluate a noncommutative-alphabet expression; "
             "substitute through the Bopp shift first"
         )
-    mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, ParameterPoint())))
+    mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis)))
     products = {(): scipy.sparse.identity(basis.dimension, dtype=complex, format="csr")}
     words, terms = {}, []
     for (word, powers), coef in e.sorted_terms():
@@ -704,13 +708,6 @@ def level_table_csv(table: LevelTable) -> str:
     return _LevelWriter().to_csv([(None, table.rows)])
 
 
-def level_table_json(table: LevelTable) -> list:
-    """Each row as a dict of LEVEL_COLUMNS, its numbers rounded to the wire
-    precision."""
-    rows = map(_fields, table.rows)
-    return [dict(zip(LEVEL_COLUMNS, (*f[:2], *map(_wire, f[2:])))) for f in rows]
-
-
 # ---------------------------------------------------------------------------
 # Reference-identity reports
 # ---------------------------------------------------------------------------
@@ -721,67 +718,52 @@ DIAGONAL_TOLERANCE = 1e-10
 def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
     """Measure the three tau-sector diagonal identities on interior states.
 
-    Each identity compares the measured diagonal of one term of the
-    first-order correction (with the tau prefactor divided out) against its
-    bundled closed form, on states with grade <= cutoff - 4 where degree-4
-    products are truncation-exact.  The fourth row checks that the three
-    diagonals sum to the closed-form level shift.
+    Each identity compares the diagonal of one term of ``h_tau``'s compiled
+    plan, evaluated alone at ``p`` with tau = 1 (which divides the tau
+    prefactor out exactly), against its bundled closed form, on states with
+    grade <= cutoff - 4 where degree-4 words are truncation-exact.  The
+    fourth row checks that the three diagonals sum to the closed-form level
+    shift.  So the report measures the very terms ``spectrum`` solves.  A
+    row's worst state is the first of its largest error, None if every
+    error is 0.
     """
-    hbar, m, omega = p.hbar, p.m, p.omega
-    # Overflowing entries are caught below, so numpy need not warn of them.
+    at_unit_tau = replace(p, tau=1.0)
+    interior = np.flatnonzero(basis.interior(4))
+    # The terms in sorted order: q2 pi2, q2^2 q1^2, q2^2 pi2^2.
+    linear, quartic, squared = (
+        np.diagonal(evaluate(Plan(basis, (term,)), at_unit_tau))[interior]
+        for term in compile_plan(h_tau(), basis).terms
+    )
+    n_plus, n_minus = np.array(basis.states).T[:, interior]
+    scale = p.hbar**2 / (4 * p.m)
+    # Overflowing values are caught below, so numpy need not warn of them.
     with np.errstate(over="ignore", invalid="ignore"):
-        q1, q2, pi1, pi2 = build_phase_space(basis, p)
-        quartic = m * omega**2 * (q2 @ q2 @ q1 @ q1)
-        linear = -(1j * hbar / m) * (q2 @ pi2)
-        squared = (1 / m) * (q2 @ q2 @ pi2 @ pi2)
-    interior = basis.interior(4)
-    states = [s for s, keep in zip(basis.states, interior) if keep]
-    idx = np.flatnonzero(interior)
-
-    def closed_form_quartic(n_plus, n_minus):
-        return (hbar**2 / (4 * m)) * (
-            2 * n_plus * n_minus + n_plus + n_minus + 1.5
-        )
-
-    def closed_form_linear(n_plus, n_minus):
-        return hbar**2 / (2 * m)
-
-    def closed_form_squared(n_plus, n_minus):
-        return (hbar**2 / (4 * m)) * (
-            2 * n_plus * n_minus + n_plus + n_minus + 0.5
-        )
-
-    checks = [
-        ("diag(m omega^2 q2^2 q1^2)", quartic.diagonal(), closed_form_quartic),
-        ("diag(-(i hbar/m) q2 pi2)", linear.diagonal(), closed_form_linear),
-        ("diag((1/m) q2^2 pi2^2)", squared.diagonal(), closed_form_squared),
-        (
-            "diag sum vs closed-form level shift",
-            (quartic + linear + squared).diagonal(),
-            lambda n_plus, n_minus: _tau_level_shift(n_plus, n_minus, p),
-        ),
-    ]
+        checks = [
+            ("diag(m omega^2 q2^2 q1^2)", quartic,
+             scale * (2 * n_plus * n_minus + n_plus + n_minus + 1.5)),
+            ("diag(-(i hbar/m) q2 pi2)", linear, np.full(len(interior), p.hbar**2 / (2 * p.m))),
+            ("diag((1/m) q2^2 pi2^2)", squared,
+             scale * (2 * n_plus * n_minus + n_plus + n_minus + 0.5)),
+            ("diag sum vs closed-form level shift", quartic + linear + squared,
+             _tau_level_shift(n_plus, n_minus, p)),
+        ]
     rows = []
-    for name, diag, formula in checks:
-        worst = 0.0
-        worst_state = None
-        for state, k in zip(states, idx):
-            expected = formula(*state)
-            # Every closed form is positive in exact arithmetic, so 0 comes
-            # from its divisor 2m or 4m overflowing (4m first), else underflow.
-            if expected == 0:
-                kind = "overflows" if math.isinf(4 * m) else "underflows"
-                raise NumericError(f"{name} {kind} at this parameter point")
-            err = abs(diag[k] - expected) / abs(expected)
-            if not math.isfinite(err):
-                raise NumericError(f"{name} overflows at this parameter point")
-            if err > worst:
-                worst, worst_state = err, state
+    for name, diag, expected in checks:
+        # Every closed form is positive in exact arithmetic, so 0 comes
+        # from its divisor 2m or 4m overflowing (4m first), else underflow.
+        if not expected.all():
+            kind = "overflows" if math.isinf(4 * p.m) else "underflows"
+            raise NumericError(f"{name} {kind} at this parameter point")
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = abs(diag - expected) / abs(expected)
+        if not np.isfinite(errors).all():
+            raise NumericError(f"{name} overflows at this parameter point")
+        worst = float(errors.max(initial=0.0))
         rows.append(
             {
                 "identity": name,
                 "max_rel_err": worst,
-                "worst_state": worst_state,
+                "worst_state": basis.states[interior[errors.argmax()]] if worst else None,
                 "tolerance": DIAGONAL_TOLERANCE,
                 "pass": worst <= DIAGONAL_TOLERANCE,
             }

@@ -426,9 +426,10 @@ def brute_force_min_product(
     Asserts nothing itself: reports the worst (most negative) gap between
     Delta Y * Delta Py and the state-dependent lower bound, and the smallest
     normalized momentum spread  Delta Py / sqrt(1 + tau <Y>^2)  found, whose
-    theoretical floor is hbar sqrt(tau).  Every state's moments come from
-    ``gaussian_moments``; the reported argmin state is evaluated again by
-    quadrature (``scan_state``), and a disagreement raises ``MomentError``.
+    theoretical floor is hbar sqrt(tau) (``min_delta_py`` at <Y> = 0).
+    Every state's moments come from ``gaussian_moments``; the reported
+    argmin state is evaluated again by quadrature (``scan_state``), and a
+    disagreement raises ``MomentError``.
     """
     scans = []
     for s in sigmas:
@@ -441,7 +442,7 @@ def brute_force_min_product(
     )
     _check_against_quadrature(best, Gaussian(center=center, sigma=best.sigma, kick=best.kick), p)
     min_normalized = best.delta_py / math.sqrt(1 + p.tau * best.y_mean * best.y_mean)
-    floor = p.hbar * math.sqrt(p.tau)
+    floor = min_delta_py(p, 0.0)
     return {
         "states": len(scans),
         "worst_bound_gap": worst_gap,

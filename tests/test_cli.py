@@ -124,14 +124,21 @@ def test_verify_checks_its_cutoff(tmp_path, capsys):
 
 
 def test_overflowing_diagonal_is_a_numeric_failure(capsys):
-    # 1/m overflows, so the measured diagonals are not finite: no vacuous pass.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, stdout, err = run(["verify", "--cutoff", "5", "--mass", "5e-324"], capsys)
-    assert (code, stdout) == (EXIT_NUMERIC, "")
-    assert err == ("numeric failure: diag(m omega^2 q2^2 q1^2) overflows "
-                   "at this parameter point\n")
-    assert [str(w.message) for w in caught] == []
+    # The measured diagonals are not finite: no vacuous pass.  At mass
+    # 5e-324, m^-1 overflows a float power while h_tau's terms are
+    # evaluated, as in spectrum (the text after the type is the C
+    # library's); at hbar 1e300 the linear term's entries hbar^2/m overflow.
+    for argv, message in (
+        (["verify", "--cutoff", "5", "--mass", "5e-324"], "numeric failure: OverflowError: "),
+        (["verify", "--cutoff", "6", "--hbar", "1e300"],
+         "numeric failure: matrix entries overflow at this parameter point\n"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(argv, capsys)
+        assert (code, stdout) == (EXIT_NUMERIC, "")
+        assert err.startswith(message) and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
 
 def test_overflowing_closed_form_divisor_is_not_an_underflow(capsys):
@@ -926,6 +933,84 @@ def test_malformed_policy_is_usage_error(command, policy, capsys):
     code, _o, err = run(command + ["--cutoff", "4", "--policy", policy], capsys)
     assert code == EXIT_USAGE
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+# The --policy and --config drill.  JSON values nest at most two deep, keys
+# come from the parameter names and one unknown name, and every size stays
+# small: the command line always sets a cutoff of at most 6, a sweep of at
+# most 4 steps and JSON output (exit 0 must print strict JSON), so a config's
+# cutoff, steps or format is type-checked, not used.
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(-2.0, 2.0),
+                        st.sampled_from(["", "x", "1"]))
+JSON_KEYS = st.sampled_from(["theta", "eta", "tau", "bogus"])
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(JSON_KEYS, inner, max_size=2),
+    max_leaves=4,
+)
+POLICY_TEXT = st.one_of(
+    st.sampled_from(["default", "cross", "undeformed", "", "nonsense", "{", "[1]", "null",
+                     "{'caps': {}}", '{"caps": {"tau": 1}}']),
+    st.fixed_dictionaries({}, optional={
+        "caps": JSON_VALUES | st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=3),
+        "forbidden": JSON_VALUES | st.lists(st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=2),
+                                            max_size=2),
+        "cap": JSON_VALUES,
+    }).map(json.dumps),
+    st.text(max_size=8),
+)
+# Each key a subcommand may read, with values of its type and of others.
+WRONG_TYPES = st.one_of(st.booleans(), st.none(), st.text(max_size=2),
+                        st.lists(st.integers(0, 2), max_size=1))
+NUMBER_VALUES = st.floats(-2.0, 2.0) | st.integers(-1, 2) | st.sampled_from([math.nan, math.inf])
+CONFIG_VALUES = {
+    **{key: NUMBER_VALUES | WRONG_TYPES
+       for key in ("hbar", "mass", "omega", "theta", "eta", "tau", "from", "to")},
+    "cutoff": st.integers(3, 6) | st.just(5.0) | WRONG_TYPES,
+    "steps": st.integers(-1, 4) | st.just(2.0) | WRONG_TYPES,
+    "format": st.sampled_from(["csv", "json", "xml"]) | WRONG_TYPES,
+    "policy": POLICY_TEXT | WRONG_TYPES,
+}
+CONFIG_ITEMS = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+    lambda key: st.tuples(st.just(key), CONFIG_VALUES[key]))
+CONFIG_TEXT = st.one_of(
+    st.lists(CONFIG_ITEMS, max_size=3).map(lambda items: json.dumps(dict(items))),
+    # Unknown keys, both spellings of one flag, and keys another subcommand reads.
+    st.dictionaries(st.sampled_from(["thtea", "sweep_from", "y_mean", "y-mean", "sigma-min",
+                                     "kick_steps"]), JSON_LEAVES, max_size=2).map(json.dumps),
+    st.lists(JSON_VALUES, max_size=2).map(json.dumps),
+    st.sampled_from(["", "{", "[1,", "{'tau': 1}", "nan", '{"tau": NaN}', '{"tau": -Infinity}']),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    command=st.sampled_from(["spectrum", "sweep", "verify"]),
+    policy=st.none() | POLICY_TEXT,
+    config=st.none() | CONFIG_TEXT,
+    cutoff=st.integers(4, 6),
+    steps=st.integers(2, 4),
+)
+@example(command="spectrum", policy='{"caps": {"theta": "x"}, "forbidden": [3]}',
+         config='[1, {"tau": 0}]', cutoff=4, steps=2)
+@example(command="sweep", policy="cross", config='{"tau": NaN}', cutoff=6, steps=4)
+def test_policy_and_config_drill(command, policy, config, cutoff, steps, tmp_path, capsys):
+    argv = [command, "--cutoff", str(cutoff)]
+    if command == "sweep":
+        argv += ["--param", "tau", "--steps", str(steps)]
+    if command != "verify":  # verify prints JSON and reads no policy
+        argv += ["--format", "json"] + ([f"--policy={policy}"] if policy is not None else [])
+    if config is not None:
+        path = tmp_path / "drill.json"
+        path.write_text(config, encoding="utf-8")
+        argv += ["--config", str(path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run(argv, capsys)
+    # Exit 1 is verify's verdict only; assert_exit_contract rejects it elsewhere.
+    assert_exit_contract(code, stdout, err, verdict=command == "verify")
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("argv", [

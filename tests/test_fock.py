@@ -9,6 +9,7 @@ realization actually produces on interior states.
 
 import dataclasses
 import inspect
+import json
 import math
 import sys
 import threading
@@ -32,11 +33,13 @@ from ncphase.algebra import (
     commutator,
     normal_order,
 )
+from ncphase.cli import EXIT_VERIFY_FAILED, main
 from ncphase.fock import (
     EigenPair,
     FockBasis,
     NumericError,
     ParameterPoint,
+    _LevelWriter,
     analytic_energy,
     build_ladder,
     build_phase_space,
@@ -47,7 +50,7 @@ from ncphase.fock import (
     diagonalize,
     evaluate,
     level_table_csv,
-    level_table_json,
+    phase_space_scales,
     spectra,
     spectrum,
 )
@@ -118,10 +121,18 @@ def test_daggers_are_conjugate_transposes():
     assert np.allclose(a_plus @ a_minus, a_minus @ a_plus)
 
 
+def scaled_phase_space(basis, p):
+    """Dense (q1, q2, pi1, pi2) at ``p``: each unit-scale q matrix times l_q
+    and each pi matrix times l_p, the scales applied here, not by ``evaluate``."""
+    ell_q, ell_p = phase_space_scales(p)
+    scales = (ell_q, ell_q, ell_p, ell_p)
+    return tuple(ell * m.toarray() for ell, m in zip(scales, build_phase_space(basis)))
+
+
 def test_canonical_commutators_on_interior():
     basis = FockBasis(8)
     p = ParameterPoint(hbar=1.7, m=0.8, omega=1.3)
-    q1, q2, pi1, pi2 = (m.toarray() for m in build_phase_space(basis, p))
+    q1, q2, pi1, pi2 = scaled_phase_space(basis, p)
     keep = basis.interior(2)
     eye = np.eye(basis.dimension)[np.ix_(keep, keep)]
     for a, b in ((q1, pi1), (q2, pi2)):
@@ -135,7 +146,7 @@ def test_canonical_commutators_on_interior():
 def test_vacuum_position_variance():
     basis = FockBasis(6)
     p = ParameterPoint(hbar=2.0, m=0.5, omega=3.0)
-    q1, _q2, _pi1, _pi2 = (m.toarray() for m in build_phase_space(basis, p))
+    q1, _q2, _pi1, _pi2 = scaled_phase_space(basis, p)
     got = (q1 @ q1)[0, 0]
     assert got == pytest.approx(p.hbar / (2 * p.m * p.omega), rel=1e-12)
 
@@ -925,7 +936,7 @@ def test_level_table_csv_and_json_carry_the_same_fields():
     p = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
     table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(6)))
     lines = level_table_csv(table).strip().split("\n")
-    records = level_table_json(table)
+    records = json.loads(_LevelWriter().to_json([(None, table.rows)]))
     assert len(lines) == len(records) + 1
     for line, record in zip(lines[1:], records):
         assert list(record) == lines[0].split(",")
@@ -942,7 +953,7 @@ def test_parameter_point_fields_follow_the_parameter_order():
 
 
 def _sector_diagonals(basis, p):
-    q1, q2, pi1, pi2 = (m.toarray() for m in build_phase_space(basis, p))
+    q1, q2, pi1, pi2 = scaled_phase_space(basis, p)
     quartic = p.m * p.omega**2 * (q2 @ q2 @ q1 @ q1)
     linear = -(1j * p.hbar / p.m) * (q2 @ pi2)
     squared = (1 / p.m) * (q2 @ q2 @ pi2 @ pi2)
@@ -989,7 +1000,7 @@ def test_vacuum_quartic_matches_gaussian_moments():
     # <0,0| q2^2 q1^2 |0,0> factorizes over independent vacuum Gaussians.
     basis = FockBasis(8)
     p = ParameterPoint(hbar=1.4, m=2.2, omega=0.75)
-    q1, q2, _pi1, _pi2 = (m.toarray() for m in build_phase_space(basis, p))
+    q1, q2, _pi1, _pi2 = scaled_phase_space(basis, p)
     got = (q2 @ q2 @ q1 @ q1)[0, 0]
     variance = p.hbar / (2 * p.m * p.omega)
     assert got.real == pytest.approx(variance**2, rel=1e-12)
@@ -1014,6 +1025,56 @@ def test_diagonal_check_detects_the_reference_mismatch():
     # vacuum mismatch is exactly (3/8 - 2/8) / (3/8) = 1/3 for the quartic;
     # the worst interior state is grade-dependent and larger
     assert by_name["diag(m omega^2 q2^2 q1^2)"]["max_rel_err"] > 0.3
+
+
+def test_diagonal_check_matches_the_hand_built_products():
+    # The report reads h_tau's compiled terms; the oracle multiplies the
+    # scaled phase-space matrices by hand.  Where the bundled closed forms
+    # fail, both measure the same errors.  States that tie in exact
+    # arithmetic ((6, 0) and (0, 6)) may split by roundoff, so the reported
+    # worst state is checked by the oracle's error there.
+    basis = FockBasis(10)
+    p = ParameterPoint(hbar=1.7, m=2.3, omega=0.9)
+    quartic, linear, squared = (np.diag(m) for m in _sector_diagonals(basis, p))
+    keep = basis.interior(4)
+    n_plus, n_minus = np.array(basis.states).T
+    scale = p.hbar**2 / (4 * p.m)
+    oracle = {
+        "diag(m omega^2 q2^2 q1^2)": (
+            quartic, scale * (2 * n_plus * n_minus + n_plus + n_minus + 1.5)),
+        "diag((1/m) q2^2 pi2^2)": (
+            squared, scale * (2 * n_plus * n_minus + n_plus + n_minus + 0.5)),
+        "diag sum vs closed-form level shift": (
+            quartic + linear + squared,
+            p.hbar**2 / (2 * p.m) * (2 * n_plus * n_minus + n_plus + n_minus + 2)),
+    }
+    failing = [row for row in diagonal_check(basis, p)["identities"] if not row["pass"]]
+    assert [row["identity"] for row in failing] == list(oracle)
+    for row in failing:
+        diag, expected = oracle[row["identity"]]
+        errors = np.where(keep, abs(diag - expected) / expected, 0.0)
+        assert row["max_rel_err"] == pytest.approx(errors.max(), rel=1e-12)
+        at_worst = errors[basis.index[row["worst_state"]]]
+        assert at_worst == pytest.approx(errors.max(), rel=1e-12)
+
+
+def test_diagonal_check_builds_no_phase_space_matrices(monkeypatch, capsys):
+    # Only compile_plan may build the phase-space matrices: diagonal_check
+    # and verify measure h_tau's compiled plan, not products of their own.
+    build = ncphase.fock.build_phase_space
+
+    def for_compile_plan_only(*args):
+        caller = sys._getframe(1).f_code
+        if caller is not ncphase.fock.compile_plan.__code__:
+            raise AssertionError(f"build_phase_space called from {caller.co_name}")
+        return build(*args)
+
+    monkeypatch.setattr(ncphase.fock, "build_phase_space", for_compile_plan_only)
+    report = diagonal_check(FockBasis(8), ParameterPoint())
+    assert len(report["identities"]) == 4
+    assert main(["verify", "--cutoff", "6"]) == EXIT_VERIFY_FAILED
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert sum(c["suite"] == "diagonal-identities" for c in checks) == 4
 
 
 def test_commuting_check_report():

@@ -11,8 +11,9 @@ it forms the same products, scales the same numbers and adds them in the
 same order, so the matrices must be equal bit for bit, not merely close.
 
 ``scaled_products`` is the independent check of the scales: it multiplies
-the phase-space matrices of ``build_phase_space(basis, p)`` at the point's
-own (hbar, m, omega) and must agree with the plan to rounding.
+the phase-space matrices scaled to the point's own (hbar, m, omega) here,
+each unit-scale q matrix times l_q and each pi matrix times l_p, and must
+agree with the plan to rounding.
 """
 
 import pickle
@@ -65,7 +66,12 @@ SCALED_POINTS = [
 
 
 def _matrices(basis, p):
-    return dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis, p)))
+    """The phase-space matrices at ``p``: each unit-scale q matrix times l_q
+    and each pi matrix times l_p."""
+    ell_q, ell_p = phase_space_scales(p)
+    scales = (ell_q, ell_q, ell_p, ell_p)
+    names = ("q1", "q2", "pi1", "pi2")
+    return {name: ell * m for name, ell, m in zip(names, scales, build_phase_space(basis))}
 
 
 def _word_product(mats, word, d):

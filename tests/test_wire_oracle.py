@@ -20,7 +20,6 @@ from ncphase.fock import (
     LevelTable,
     _LevelWriter,
     level_table_csv,
-    level_table_json,
 )
 
 
@@ -98,8 +97,6 @@ def test_spectrum_text_matches_the_dict_path(rows, point, cutoff):
     table = LevelTable(rows, [])
     records = [reference_fields(row) for row in rows]
     assert level_table_csv(table) == reference_csv(LEVEL_COLUMNS, records)
-    # json.dumps, not ==, so that NaN compares by its spelling.
-    assert json.dumps(level_table_json(table)) == json.dumps(records)
     parameters = dict(zip(("hbar", "m", "omega", "theta", "eta", "tau"), point))
     text = _json_object([
         ("parameters", _json_value(parameters)),
