@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.csgraph
 
-from .algebra import PARAMS, POSITION_GENERATORS, Expression, MixedAlphabetError
+from .algebra import PARAMS, Expression, MixedAlphabetError
 from .hamiltonian import h_core, h_tau, h_theta_eta
 
 
@@ -85,10 +85,11 @@ class FockBasis:
 
 
 def build_ladder(basis: FockBasis):
-    """The four helicity ladder matrices (A+, A-, A+dag, A-dag), sparse CSR.
+    """The four helicity ladder matrices (A+, A-, A+dag, A-dag), sparse CSR,
+    float64.
 
     A+|n+, n-> = sqrt(n+) |n+-1, n->  and its three partners; the daggered
-    matrices are exactly the conjugate transposes of the undaggered ones.
+    matrices are exactly the transposes of the undaggered ones.
     """
     d = basis.dimension
 
@@ -101,32 +102,31 @@ def build_ladder(basis: FockBasis):
                 rows.append(basis.index[tuple(lowered)])
                 cols.append(col)
                 values.append(math.sqrt(state[axis]))
-        return scipy.sparse.csr_matrix(
-            (np.array(values, dtype=complex), (rows, cols)), shape=(d, d)
-        )
+        return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(d, d))
 
     a_plus, a_minus = lowering(0), lowering(1)
-    return a_plus, a_minus, a_plus.conj().T.tocsr(), a_minus.conj().T.tocsr()
+    return a_plus, a_minus, a_plus.T.tocsr(), a_minus.T.tocsr()
 
 
-def phase_space_scales(p: ParameterPoint) -> tuple:
-    """(l_q, l_p) = (sqrt(hbar/(m omega)), sqrt(hbar m omega)): each q_i is l_q
-    times its matrix at unit scales and each pi_i is l_p times its own."""
-    return math.sqrt(p.hbar / (p.m * p.omega)), math.sqrt(p.hbar * p.m * p.omega)
+def _letters(basis: FockBasis) -> dict:
+    """The phase-space generators as real matrices: each name maps to (R, k,
+    half), the generator being i^k R times its scale, with R float64 sparse
+    CSR at unit scales and the scale's half-exponents over ``PARAMS``."""
+    a_plus, a_minus, a_plus_dag, a_minus_dag = build_ladder(basis)
+    # l_q = sqrt(hbar/(m omega)) and l_p = sqrt(hbar m omega)
+    l_q, l_p = (1, -1, -1, 0, 0, 0), (1, 1, 1, 0, 0, 0)
+    return {
+        "q1": (0.5 * (a_plus + a_minus + a_plus_dag + a_minus_dag), 0, l_q),
+        "q2": (-0.5 * (a_plus - a_minus - a_plus_dag + a_minus_dag), 1, l_q),
+        "pi1": (-0.5 * (a_plus + a_minus - a_plus_dag - a_minus_dag), 1, l_p),
+        "pi2": (-0.5 * (a_plus - a_minus + a_plus_dag - a_minus_dag), 0, l_p),
+    }
 
 
 def build_phase_space(basis: FockBasis):
     """Canonical phase-space matrices (q1, q2, pi1, pi2) over the basis at
-    hbar = m = omega = 1, sparse.  At a point each q_i is l_q and each pi_i
-    l_p times its matrix here (``phase_space_scales``); ``evaluate`` puts
-    those scales into the coefficients, so only ``compile_plan`` reads these."""
-    a_plus, a_minus, a_plus_dag, a_minus_dag = build_ladder(basis)
-    return (
-        0.5 * (a_plus + a_minus + a_plus_dag + a_minus_dag),
-        (1 / 2j) * (a_plus - a_minus - a_plus_dag + a_minus_dag),
-        (1 / 2j) * (a_plus + a_minus - a_plus_dag - a_minus_dag),
-        -0.5 * (a_plus - a_minus + a_plus_dag - a_minus_dag),
-    )
+    hbar = m = omega = 1, sparse complex, from the real ``_letters``."""
+    return tuple(matrix * 1j**k for matrix, k, _half in _letters(basis).values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,12 +134,12 @@ class Plan:
     """An Expression compiled over a basis.
 
     ``terms`` holds, in ``Expression.sorted_terms`` order, one tuple per
-    term: its coefficient as a complex number, its parameter exponent vector
-    (in ``PARAMS`` order), its numbers of q and pi letters, and its real
-    word matrix at unit scales (sparse COO, float64).  A word's factor of i
-    sits in the coefficient (``compile_plan``).  The word matrices depend
-    only on the basis, so one plan serves every parameter point:
-    ``evaluate(plan, p)`` only evaluates and scales the coefficients and sums.
+    term: its coefficient as a complex number, its exponent vector over
+    ``PARAMS`` with its letters' scales folded in (integers, or halves for
+    an odd word), and its real word matrix at unit scales (sparse COO,
+    float64).  The word matrices depend only on the basis, so one plan
+    serves every parameter point: ``evaluate(plan, p)`` multiplies each
+    coefficient by its monomial at ``p`` and sums.
     """
 
     basis: FockBasis
@@ -149,14 +149,14 @@ class Plan:
 def compile_plan(e: Expression, basis: FockBasis) -> Plan:
     """Compile a canonical-alphabet Expression over ``basis``.
 
-    Each word becomes the chain of sparse products of the unit-scale
-    phase-space matrices (``build_phase_space``) from the left, starting at
-    the identity; words that share a prefix share its product, which is
-    formed once.  q1 and pi2 are real there and q2 and pi1 imaginary, so
-    each word's product is real or i times a real matrix: the factor i is
-    moved into the term's coefficient (exactly, as i * (a + bi) = -b + ai)
-    and the word is kept as float64.  Noncommutative-alphabet input is
-    rejected: push it through the Bopp shift first.
+    Each word becomes the chain of real sparse products of its letters'
+    matrices (``_letters``) from the left, starting at the identity; words
+    that share a prefix share its product, which is formed once.  A word
+    with k letters of power i is i^k times its chain: i^(k mod 2) goes into
+    the term's coefficient and (-1)^(k div 2) into the word.  The letters'
+    scales, l_q^a l_p^b = hbar^((a+b)/2) (m omega)^((b-a)/2), go into the
+    term's exponents.  Noncommutative-alphabet input is rejected: push it
+    through the Bopp shift first.
 
     ``spectrum``, ``diagonal_check`` and ``commuting_check`` all take their
     matrices from plans made here, which only ``evaluate`` scales.
@@ -166,25 +166,21 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
             "cannot evaluate a noncommutative-alphabet expression; "
             "substitute through the Bopp shift first"
         )
-    mats = dict(zip(("q1", "q2", "pi1", "pi2"), build_phase_space(basis)))
-    products = {(): scipy.sparse.identity(basis.dimension, dtype=complex, format="csr")}
+    letters = _letters(basis)
+    products = {(): scipy.sparse.identity(basis.dimension, format="csr")}
     words, terms = {}, []
     for (word, powers), coef in e.sorted_terms():
         for k in range(1, len(word) + 1):
             if word[:k] not in products:
-                products[word[:k]] = products[word[: k - 1]] @ mats[word[k - 1]]
+                products[word[:k]] = products[word[: k - 1]] @ letters[word[k - 1]][0]
         if word not in words:
-            product = products[word].tocoo(copy=False)
-            real, imag = product.data.real, product.data.imag
-            # i times a real matrix where the word has an odd number of q2 and pi1
-            phase, part = (1j, imag) if imag.any() else (1, real)
-            assert phase == 1 or not real.any(), "a word is real or imaginary"
-            words[word] = phase, scipy.sparse.coo_matrix(
-                (part.copy(), (product.row, product.col)), shape=product.shape
-            )
+            turns = sum(letters[g][1] for g in word)
+            words[word] = 1j if turns % 2 else 1, (products[word] * (-1) ** (turns // 2)).tocoo()
         phase, matrix = words[word]
-        n_q = sum(letter in POSITION_GENERATORS for letter in word)
-        terms.append((complex(coef) * phase, powers, n_q, len(word) - n_q, matrix))
+        # Twice each exponent: the letters' half-exponents plus the term's own, doubled.
+        half = map(sum, zip(*(letters[g][2] for g in word), [2 * exp for exp in powers]))
+        exponents = tuple(h / 2 if h % 2 else h // 2 for h in half)
+        terms.append((complex(coef) * phase, exponents, matrix))
     return Plan(basis, tuple(terms))
 
 
@@ -193,24 +189,20 @@ def evaluate(plan: Plan, p: ParameterPoint) -> np.ndarray:
     scaled coefficient is real (every policy's Hamiltonian at every point),
     else complex.
 
-    Each coefficient is multiplied by its parameter monomial, one nonzero
-    exponent at a time in ``PARAMS`` order, then by l_q once per q letter and
-    by l_p once per pi letter (``phase_space_scales``), so a zero coefficient
-    stays zero for any finite scales.  Terms are added in order, entry by
-    entry, so the result equals the sparse sum of the complex unit-scale
+    Each coefficient is multiplied by its monomial, one nonzero exponent at
+    a time in ``PARAMS`` order, so a zero coefficient stays zero; a power
+    that overflows raises OverflowError.  Terms are added in order, entry
+    by entry, so the result equals the sparse sum of the complex unit-scale
     word matrices times the scaled coefficients bit for bit.  An
     overflowing entry raises NumericError.  An Expression is realized as
     ``evaluate(compile_plan(e, basis), p)``.
     """
     values = p.values()
-    ell_q, ell_p = phase_space_scales(p)
     scaled = []
-    for coef, powers, n_q, n_pi, _word in plan.terms:
-        for pname, exp in zip(PARAMS, powers):
+    for coef, exponents, _word in plan.terms:
+        for pname, exp in zip(PARAMS, exponents):
             if exp:
                 coef *= values[pname] ** exp
-        for ell in (ell_q,) * n_q + (ell_p,) * n_pi:
-            coef *= ell
         scaled.append(coef)
     real = all(coef.imag == 0 for coef in scaled)
     d = plan.basis.dimension
@@ -725,10 +717,12 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
     fourth row checks that the three diagonals sum to the closed-form level
     shift.  So the report measures the very terms ``spectrum`` solves.  A
     row's worst state is the first of its largest error, None if every
-    error is 0.
+    error is 0.  A cutoff below 4 (no interior) raises ValueError.
     """
     at_unit_tau = replace(p, tau=1.0)
     interior = np.flatnonzero(basis.interior(4))
+    if not interior.size:
+        raise ValueError(f"cutoff {basis.cutoff} leaves no state inside the interior margin 4")
     # The terms in sorted order: q2 pi2, q2^2 q1^2, q2^2 pi2^2.
     linear, quartic, squared = (
         np.diagonal(evaluate(Plan(basis, (term,)), at_unit_tau))[interior]
@@ -780,12 +774,14 @@ def commuting_check(basis: FockBasis, p: ParameterPoint) -> dict:
     The core/angular commutator vanishes identically; the tau/angular pair
     is claimed to vanish by the source material but does not (the measured
     relative norm is reported); the core/tau pair carries no claim and is
-    recorded as observed.
+    recorded as observed.  The pieces are evaluated with theta = eta = tau
+    = 1, which divides out their prefactors and leaves each relative norm.
     """
+    unit = replace(p, theta=1.0, eta=1.0, tau=1.0)
     pieces = {
-        "h_core": (evaluate(compile_plan(h_core(), basis), p), 2),
-        "h_theta_eta": (evaluate(compile_plan(h_theta_eta(), basis), p), 2),
-        "h_tau": (evaluate(compile_plan(h_tau(), basis), p), 4),
+        "h_core": (evaluate(compile_plan(h_core(), basis), unit), 2),
+        "h_theta_eta": (evaluate(compile_plan(h_theta_eta(), basis), unit), 2),
+        "h_tau": (evaluate(compile_plan(h_tau(), basis), unit), 4),
     }
     combos = [
         ("h_core", "h_theta_eta", True),

@@ -125,12 +125,14 @@ def test_verify_checks_its_cutoff(tmp_path, capsys):
 
 def test_overflowing_diagonal_is_a_numeric_failure(capsys):
     # The measured diagonals are not finite: no vacuous pass.  At mass
-    # 5e-324, m^-1 overflows a float power while h_tau's terms are
-    # evaluated, as in spectrum (the text after the type is the C
-    # library's); at hbar 1e300 the linear term's entries hbar^2/m overflow.
+    # 5e-324 m^-1, and at hbar 1e300 hbar^2, overflows a float power while
+    # h_tau's terms are evaluated, as in spectrum (the text after the type
+    # is the C library's); at hbar 1.2e154 hbar^2/m is finite but the
+    # terms' entries overflow.
     for argv, message in (
         (["verify", "--cutoff", "5", "--mass", "5e-324"], "numeric failure: OverflowError: "),
-        (["verify", "--cutoff", "6", "--hbar", "1e300"],
+        (["verify", "--cutoff", "6", "--hbar", "1e300"], "numeric failure: OverflowError: "),
+        (["verify", "--cutoff", "6", "--hbar", "1.2e154"],
          "numeric failure: matrix entries overflow at this parameter point\n"),
     ):
         with warnings.catch_warnings(record=True) as caught:
@@ -394,13 +396,13 @@ def test_sweep_point_that_overflows_fails_alone(capsys):
 
 
 def test_sweep_first_point_that_overflows_fails_alone(capsys):
-    # The first point fails at evaluation; the two after it are still
-    # solved as one stack per parity block.
+    # The first point fails once evaluated, its norm overflowing; the two
+    # after it are still solved as one stack per parity block.
     code, stdout, err = run(["sweep", "--param", "m", "--from", "1e-300", "--to", "1",
                              "--steps", "3", "--cutoff", "4", "--tau", "0.01"], capsys)
     assert code == EXIT_OK
     assert err == ("sweep point failed: {'param': 'm', 'value': 1e-300, "
-                   "'error': 'matrix entries overflow at this parameter point'}\n")
+                   "'error': 'matrix norm overflows at this parameter point'}\n")
     assert {line.split(",")[0] for line in stdout.splitlines()[1:]} == {"0.5", "1"}
 
 
@@ -659,23 +661,33 @@ def test_float_overflow_is_a_numeric_failure(capsys):
 
 
 def test_overflowing_matrix_is_a_numeric_failure(capsys):
-    # At hbar 1e308 the entries hbar omega (n+ + n- + 1) overflow without a
-    # float power error.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, _o, err = run(["spectrum", "--cutoff", "4", "--hbar", "1e308"], capsys)
-    assert code == EXIT_NUMERIC
-    assert err == "numeric failure: matrix entries overflow at this parameter point\n"
-    assert [str(w.message) for w in caught] == []
+    # At tau 1.7e308 the tau terms' entries overflow without a float power
+    # error, as under the undeformed policy at hbar 1e308 the entries
+    # hbar omega (n+ + n- + 1) do; with the tau terms, hbar^2 overflows a
+    # float power first.
+    for argv, message in (
+        (["--tau", "1.7e308"], "numeric failure: matrix entries overflow at this parameter point\n"),
+        (["--policy", "undeformed", "--hbar", "1e308"],
+         "numeric failure: matrix entries overflow at this parameter point\n"),
+        (["--hbar", "1e308"],
+         "numeric failure: OverflowError: (34, 'Numerical result out of range')\n"),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _o, err = run(["spectrum", "--cutoff", "4", *argv], capsys)
+        assert code == EXIT_NUMERIC
+        assert err == message
+        assert [str(w.message) for w in caught] == []
 
 
 def test_overflowing_residual_bound_is_a_numeric_failure(capsys):
-    # tau 1e300, or hbar 1e300 at tau 0, leaves every entry finite, but
-    # ||H||_F and the residuals overflow.
-    for flag in ("--tau", "--hbar"):
+    # tau 1e300, or hbar 1e300 under the undeformed policy, leaves every
+    # entry finite, but ||H||_F and the residuals overflow.  (Under the
+    # default policy hbar 1e300 overflows the tau terms' float power hbar^2.)
+    for argv in (["--tau", "1e300"], ["--policy", "undeformed", "--hbar", "1e300"]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, stdout, err = run(["spectrum", "--cutoff", "4", flag, "1e300"], capsys)
+            code, stdout, err = run(["spectrum", "--cutoff", "4", *argv], capsys)
         assert (code, stdout) == (EXIT_NUMERIC, "")
         assert err == "numeric failure: matrix norm overflows at this parameter point\n"
         assert [str(w.message) for w in caught] == []

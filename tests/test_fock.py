@@ -39,6 +39,7 @@ from ncphase.fock import (
     FockBasis,
     NumericError,
     ParameterPoint,
+    Plan,
     _LevelWriter,
     analytic_energy,
     build_ladder,
@@ -50,7 +51,6 @@ from ncphase.fock import (
     diagonalize,
     evaluate,
     level_table_csv,
-    phase_space_scales,
     spectra,
     spectrum,
 )
@@ -124,7 +124,7 @@ def test_daggers_are_conjugate_transposes():
 def scaled_phase_space(basis, p):
     """Dense (q1, q2, pi1, pi2) at ``p``: each unit-scale q matrix times l_q
     and each pi matrix times l_p, the scales applied here, not by ``evaluate``."""
-    ell_q, ell_p = phase_space_scales(p)
+    ell_q, ell_p = math.sqrt(p.hbar / (p.m * p.omega)), math.sqrt(p.hbar * p.m * p.omega)
     scales = (ell_q, ell_q, ell_p, ell_p)
     return tuple(ell * m.toarray() for ell, m in zip(scales, build_phase_space(basis)))
 
@@ -1059,17 +1059,17 @@ def test_diagonal_check_matches_the_hand_built_products():
 
 
 def test_diagonal_check_builds_no_phase_space_matrices(monkeypatch, capsys):
-    # Only compile_plan may build the phase-space matrices: diagonal_check
+    # Only compile_plan may build the phase-space letters: diagonal_check
     # and verify measure h_tau's compiled plan, not products of their own.
-    build = ncphase.fock.build_phase_space
+    build = ncphase.fock._letters
 
     def for_compile_plan_only(*args):
         caller = sys._getframe(1).f_code
         if caller is not ncphase.fock.compile_plan.__code__:
-            raise AssertionError(f"build_phase_space called from {caller.co_name}")
+            raise AssertionError(f"_letters called from {caller.co_name}")
         return build(*args)
 
-    monkeypatch.setattr(ncphase.fock, "build_phase_space", for_compile_plan_only)
+    monkeypatch.setattr(ncphase.fock, "_letters", for_compile_plan_only)
     report = diagonal_check(FockBasis(8), ParameterPoint())
     assert len(report["identities"]) == 4
     assert main(["verify", "--cutoff", "6"]) == EXIT_VERIFY_FAILED
@@ -1078,8 +1078,6 @@ def test_diagonal_check_builds_no_phase_space_matrices(monkeypatch, capsys):
 
 
 def test_commuting_check_report():
-    # Needs nonzero deformations: at theta = eta = tau = 0 the deformed
-    # pieces evaluate to zero matrices and every commutator is trivially 0.
     point = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
     report = commuting_check(FockBasis(12), point)
     by_pair = {row["pair"]: row for row in report["pairs"]}
@@ -1091,6 +1089,51 @@ def test_commuting_check_report():
     core_tau = by_pair["[h_core, h_tau]"]
     assert core_tau["pass"] is None
     assert core_tau["relative_norm"] > 1e-3
+
+
+def test_commuting_check_reports_the_discrepancy_where_the_pieces_vanish():
+    # At theta = eta = tau = 0 the deformed pieces vanish at the point, but
+    # the check divides their prefactors out: the tau/angular pair still
+    # fails, with the relative norm measured by hand at the acceptance
+    # point, where no piece vanishes.
+    basis = FockBasis(12)
+    acceptance = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
+    keep = np.ix_(*[basis.interior(6)] * 2)
+    a, b = (evaluate(compile_plan(piece(), basis), acceptance) for piece in (h_tau, h_theta_eta))
+    want = np.linalg.norm((a @ b - b @ a)[keep]) / (np.linalg.norm(a[keep]) * np.linalg.norm(b[keep]))
+    for point in (ParameterPoint(), ParameterPoint(theta=0.02, eta=0.03)):
+        by_pair = {row["pair"]: row for row in commuting_check(basis, point)["pairs"]}
+        tau_angular = by_pair["[h_tau, h_theta_eta]"]
+        assert tau_angular["pass"] is False
+        assert tau_angular["relative_norm"] == pytest.approx(want, rel=1e-12)
+        assert by_pair["[h_core, h_tau]"]["relative_norm"] > 1e-3
+
+
+def test_diagonal_check_needs_a_nonempty_interior():
+    # Below cutoff 4 no state lies within the margin of the degree-4 words.
+    with pytest.raises(ValueError, match="interior margin 4"):
+        diagonal_check(FockBasis(3), ParameterPoint())
+    assert len(diagonal_check(FockBasis(4), ParameterPoint())["identities"]) == 4
+
+
+def test_tau_terms_keep_their_scale_at_a_large_mass():
+    # Each tau term's scale is the one monomial tau hbar^2/m, so at m = 1e200
+    # no term underflows to 0: the failing rows read as at unit scales.
+    basis = FockBasis(8)
+    unit, heavy = ParameterPoint(tau=0.005), ParameterPoint(m=1e200, tau=0.005)
+    rows = [[row for row in diagonal_check(basis, p)["identities"] if not row["pass"]]
+            for p in (unit, heavy)]
+    assert [row["identity"] for row in rows[0]] == [row["identity"] for row in rows[1]]
+    assert len(rows[0]) == 3
+    for at_unit, at_heavy in zip(*rows):
+        assert at_heavy["max_rel_err"] == pytest.approx(at_unit["max_rel_err"], rel=1e-12)
+        assert at_heavy["worst_state"] == at_unit["worst_state"]
+    for term in compile_plan(h_tau(), basis).terms:
+        plan = Plan(basis, (term,))
+        scale = heavy.tau * heavy.hbar**2 / heavy.m
+        got, want = evaluate(plan, heavy), scale * evaluate(plan, ParameterPoint(tau=1.0))
+        assert got.any()
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_evaluate_commutes_with_normal_ordering():

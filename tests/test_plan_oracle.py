@@ -1,14 +1,16 @@
 """``fock.evaluate`` of a compiled plan against two per-term references.
 
 ``reference_evaluate`` below rebuilds every term's word as a chain of
-sparse products of the unit-scale matrices from the identity, scales the
-term's coefficient times parameter monomial (``term_value``) by l_q once per
-q letter and l_p once per pi letter, and sums the scaled products as complex
-sparse matrices, densified once at the end.  The plan forms each prefix once,
-keeps each word as a real matrix with its factor i in the coefficient, and
-sums into a dense array, float64 where every scaled coefficient is real; but
-it forms the same products, scales the same numbers and adds them in the
-same order, so the matrices must be equal bit for bit, not merely close.
+sparse products of the complex unit-scale matrices from the identity,
+multiplies the term's coefficient by its parameter monomial with the
+letters' scales folded in (``folded_powers``: l_q = sqrt(hbar/(m omega))
+per q letter, l_p = sqrt(hbar m omega) per pi letter), and sums the
+products as complex sparse matrices, densified once at the end.  The plan
+forms each prefix once as a real chain, keeps each word as a real matrix
+with its factor i in the coefficient, and sums into a dense array, float64
+where every scaled coefficient is real; but it forms the same products,
+scales the same numbers and adds them in the same order, so the matrices
+must be equal bit for bit, not merely close.
 
 ``scaled_products`` is the independent check of the scales: it multiplies
 the phase-space matrices scaled to the point's own (hbar, m, omega) here,
@@ -16,6 +18,7 @@ each unit-scale q matrix times l_q and each pi matrix times l_p, and must
 agree with the plan to rounding.
 """
 
+import math
 import pickle
 
 import numpy as np
@@ -36,7 +39,6 @@ from ncphase.fock import (
     build_phase_space,
     compile_plan,
     evaluate,
-    phase_space_scales,
 )
 from ncphase.hamiltonian import build_hamiltonian
 from ncphase.parsing import parse
@@ -68,7 +70,7 @@ SCALED_POINTS = [
 def _matrices(basis, p):
     """The phase-space matrices at ``p``: each unit-scale q matrix times l_q
     and each pi matrix times l_p."""
-    ell_q, ell_p = phase_space_scales(p)
+    ell_q, ell_p = math.sqrt(p.hbar / (p.m * p.omega)), math.sqrt(p.hbar * p.m * p.omega)
     scales = (ell_q, ell_q, ell_p, ell_p)
     names = ("q1", "q2", "pi1", "pi2")
     return {name: ell * m for name, ell, m in zip(names, scales, build_phase_space(basis))}
@@ -91,19 +93,25 @@ def term_value(coef, powers, values):
     return value
 
 
+def folded_powers(word, powers):
+    """``powers`` times l_q^a l_p^b for the a q letters and b pi letters of
+    ``word``: hbar^((a+b)/2) (m omega)^((b-a)/2)."""
+    a = sum(g.startswith("q") for g in word)
+    b = len(word) - a
+    hbar, m, omega, *rest = powers
+    return (hbar + (a + b) / 2, m + (b - a) / 2, omega + (b - a) / 2, *rest)
+
+
 def reference_evaluate(e, basis, p):
-    """Each term's unit-scale word from scratch, times its scaled
-    coefficient, summed as sparse matrices."""
+    """Each term's unit-scale word from scratch, times its coefficient and
+    folded monomial, summed as sparse matrices."""
     values = p.values()
-    ell_q, ell_p = phase_space_scales(p)
     d = basis.dimension
     out = scipy.sparse.csr_matrix((d, d), dtype=complex)
     mats = _matrices(basis, ParameterPoint())
     with np.errstate(over="ignore", invalid="ignore"):
         for (word, powers), coef in e.sorted_terms():
-            value = term_value(coef, powers, values)
-            for g in word:
-                value *= ell_q if g.startswith("q") else ell_p
+            value = term_value(coef, folded_powers(word, powers), values)
             out = out + value * _word_product(mats, word, d)
     if not np.isfinite(out.data).all():
         raise NumericError("matrix entries overflow at this parameter point")
@@ -171,30 +179,68 @@ def test_plan_pairs_scalars_with_words_formed_once(hamiltonians):
     # q2 and pi1 are imaginary at unit scales, q1 and pi2 real: a word with
     # an odd number of q2 and pi1 letters moves its factor i into the
     # coefficient, which leaves every coefficient real.
-    assert [term[:4] for term in plan.terms] == [
-        (complex(coef) * (1j if sum(g in ("q2", "pi1") for g in word) % 2 else 1), powers,
-         sum(g.startswith("q") for g in word), sum(g.startswith("pi") for g in word))
-        for (word, powers), coef in h.sorted_terms()
+    assert [term[0] for term in plan.terms] == [
+        complex(coef) * (1j if sum(g in ("q2", "pi1") for g in word) % 2 else 1)
+        for (word, _powers), coef in h.sorted_terms()
     ]
     assert [term[0] for term in plan.terms] == [0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 1, 0.5, 0.5, 1, 1]
-    assert all(term[4].dtype == np.float64 for term in plan.terms)
+    # The letters' scales are folded into the exponents: hbar omega for the
+    # core, eta/m and m omega^2 theta for the angular terms and hbar^2 tau/m
+    # for the three tau terms.
+    core, tau = (1, 0, 1, 0, 0, 0), (2, -1, 0, 0, 0, 1)
+    eta, theta = (0, -1, 0, 0, 1, 0), (0, 1, 2, 1, 0, 0)
+    assert [term[1] for term in plan.terms] == [
+        core, eta, theta, core, eta, theta, tau, core, core, tau, tau]
+    assert [term[1] for term in plan.terms] == [
+        folded_powers(word, powers) for (word, powers), _coef in h.sorted_terms()]
+    assert all(len(term) == 3 and term[2].dtype == np.float64 for term in plan.terms)
     # Terms with one word (q1 pi2 and q2 pi1 appear twice) share its product.
     for i, j in ((1, 2), (4, 5)):
         assert words[i] == words[j]
-        assert np.shares_memory(plan.terms[i][4].data, plan.terms[j][4].data)
+        assert np.shares_memory(plan.terms[i][2].data, plan.terms[j][2].data)
+
+
+def complex_chain_terms(e, basis):
+    """Each term's (coefficient, word) as the complex chain gives them: the
+    word's product of the complex unit-scale matrices, kept as its real part
+    or, with a factor i moved into the coefficient, its imaginary part."""
+    mats = _matrices(basis, ParameterPoint())
+    terms = []
+    for (word, _powers), coef in e.sorted_terms():
+        product = _word_product(mats, word, basis.dimension).tocoo()
+        phase, part = (1j, product.data.imag) if product.data.imag.any() else (1, product.data.real)
+        terms.append((complex(coef) * phase, product.row, product.col, part))
+    return terms
+
+
+@pytest.mark.parametrize("cutoff", (4, 9))
+@pytest.mark.parametrize("policy", sorted(POLICIES) + ["untruncated"])
+def test_real_letters_give_the_complex_chain_words_bitwise(policy, cutoff, hamiltonians):
+    # The plan's real chains with their folded powers of i are the complex
+    # chains' words and coefficients, byte for byte.
+    h = hamiltonians[policy]
+    plan = compile_plan(h, FockBasis(cutoff))
+    want = complex_chain_terms(h, FockBasis(cutoff))
+    assert len(plan.terms) == len(want)
+    for (coef, _exponents, word), (want_coef, row, col, data) in zip(plan.terms, want):
+        assert repr(coef) == repr(want_coef)
+        assert word.row.tobytes() == row.tobytes() and word.col.tobytes() == col.tobytes()
+        assert word.data.tobytes() == data.tobytes()
 
 
 def test_plan_keeps_the_overflow_check(hamiltonians):
-    # At hbar 1e308 hbar omega (n+ + n- + 1) overflows on every grade above 0,
-    # whether the scales sit in the word matrices or in the coefficients; the
-    # summed matrix is what is checked, and the check raises NumericError.
+    # At tau 1.7e308 tau hbar^2/m is finite but the tau terms' entries
+    # overflow; the summed matrix is what is checked, and the check raises
+    # NumericError.  At hbar 1e308 the tau terms' hbar^2 overflows as a
+    # float power first, which raises OverflowError.
     h = hamiltonians["default"]
     basis = FockBasis(4)
-    p = ParameterPoint(hbar=1e308)
     plan = compile_plan(h, basis)
-    for call in (lambda: evaluate(plan, p), lambda: reference_evaluate(h, basis, p)):
-        with pytest.raises(NumericError, match="matrix entries overflow"):
-            call()
+    for p, error, match in ((ParameterPoint(tau=1.7e308), NumericError, "matrix entries overflow"),
+                            (ParameterPoint(hbar=1e308), OverflowError, "out of range")):
+        for call in (lambda: evaluate(plan, p), lambda: reference_evaluate(h, basis, p)):
+            with pytest.raises(error, match=match):
+                call()
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
@@ -202,6 +248,6 @@ def test_pickled_plan_evaluates_bitwise(policy, hamiltonians):
     # A plan can be sent to a worker process and gives the same matrices there.
     plan = compile_plan(hamiltonians[policy], FockBasis(8))
     back = pickle.loads(pickle.dumps(plan))
-    assert [term[:4] for term in back.terms] == [term[:4] for term in plan.terms]
+    assert [term[:2] for term in back.terms] == [term[:2] for term in plan.terms]
     for p in UNIT_POINTS + SCALED_POINTS:
         assert evaluate(back, p).tobytes() == evaluate(plan, p).tobytes()
