@@ -191,10 +191,11 @@ def evaluate(plan: Plan, p: ParameterPoint) -> np.ndarray:
 
     Each coefficient is multiplied by its monomial, one nonzero exponent at
     a time in ``PARAMS`` order, so a zero coefficient stays zero; a power
-    that overflows raises OverflowError.  Terms are added in order, entry
-    by entry, so the result equals the sparse sum of the complex unit-scale
-    word matrices times the scaled coefficients bit for bit.  An
-    overflowing entry raises NumericError.  An Expression is realized as
+    that overflows raises NumericError naming it (``hbar^2 overflows at
+    this parameter point``).  Terms are added in order, entry by entry, so
+    the result equals the sparse sum of the complex unit-scale word
+    matrices times the scaled coefficients bit for bit.  An overflowing
+    entry raises NumericError.  An Expression is realized as
     ``evaluate(compile_plan(e, basis), p)``.
     """
     values = p.values()
@@ -202,7 +203,12 @@ def evaluate(plan: Plan, p: ParameterPoint) -> np.ndarray:
     for coef, exponents, _word in plan.terms:
         for pname, exp in zip(PARAMS, exponents):
             if exp:
-                coef *= values[pname] ** exp
+                try:
+                    coef *= values[pname] ** exp
+                except OverflowError:
+                    raise NumericError(
+                        f"{pname}^{exp:g} overflows at this parameter point"
+                    ) from None
         scaled.append(coef)
     real = all(coef.imag == 0 for coef in scaled)
     d = plan.basis.dimension
@@ -269,17 +275,17 @@ def _pool() -> ThreadPoolExecutor:
 
 
 def _solve_block(blocks: list, bounds: Sequence[float]) -> list:
-    """Eigenvalues, unit eigenvectors (columns) and residuals of each n x n
-    matrix of ``blocks``, or the NumericError that matrix raises: its
-    residual exceeds its entry of ``bounds`` or LAPACK did not converge.
+    """Eigenvalues (complex), unit eigenvectors (columns) and residuals of
+    each n x n matrix of ``blocks``, or the NumericError that matrix raises:
+    its residual exceeds its entry of ``bounds`` or LAPACK did not converge.
 
     The matrices form one stack (k x n x n; a single one as a view) and
-    ``blocks`` is emptied, so the stack is held here only: a single real
-    block is freed once promoted for its residuals.  ``numpy.linalg.eig``
-    solves the whole stack in one call, looping in C; it releases the GIL
-    while LAPACK runs, where ``scipy.linalg.eig`` holds it.  Each matrix
-    gets the bits of its own two-dimensional solve, so the normalization
-    and residuals below run per matrix.  It runs on pool threads, so it
+    ``blocks`` is emptied, so the stack is held here only.
+    ``numpy.linalg.eig`` solves the whole stack in one call, looping in C; it
+    releases the GIL while LAPACK runs, where ``scipy.linalg.eig`` holds it.
+    Each matrix gets the bits of its own two-dimensional solve, so the
+    normalization and residuals below run per matrix, on eig's own output:
+    no block or vector array is copied.  It runs on pool threads, so it
     calls no public ncphase function: the tracer in perfbench keeps a
     single span stack.
     """
@@ -297,23 +303,16 @@ def _solve_block(blocks: list, bounds: Sequence[float]) -> list:
             for result in _solve_block([block], (bound,))
         ]
     real = not np.iscomplexobj(stack)
-    # One view per matrix, each dropped once copied below, so the last frees
-    # the stack and its outputs.
-    stack, values, vectors = list(stack), list(values), list(vectors)
     solved = []
-    for bound in bounds:
-        block = stack.pop(0)
-        block_values, block_vectors = values.pop(0), vectors.pop(0)
+    for block, block_values, block_vectors, bound in zip(stack, values, vectors, bounds):
         # The stack's output is complex when any of its matrices has a
         # complex eigenvalue; a real matrix's own solve is real unless it has one.
         if real and not block_values.imag.any():
             block_values, block_vectors = block_values.real, block_vectors.real
-        # As scipy.linalg.eig returns them: complex values and Fortran-ordered
-        # vectors, so the products below round as they did with scipy.
-        block_values = block_values.astype(complex)
-        block_vectors = np.asfortranarray(block_vectors)
-        # Promoted once, as ``@`` would promote it for each slab.
-        block = block.astype(block_vectors.dtype, copy=False)
+        # A real block times complex vectors is one real product over the
+        # vectors' interleaved real and imaginary parts, so the block is
+        # never copied to complex.
+        interleaved = real and np.iscomplexobj(block_vectors)
         residuals = np.empty(len(block_values))
         # The vectors are normalized in place and their residuals taken a
         # slab of columns at a time, each column with the bits of the whole
@@ -324,15 +323,16 @@ def _solve_block(blocks: list, bounds: Sequence[float]) -> list:
             cols = slice(start, start + width)
             slab = block_vectors[:, cols]
             slab /= np.linalg.norm(slab, axis=0)
+            product = (block @ slab.view(float)).view(complex) if interleaved else block @ slab
             with np.errstate(over="ignore", invalid="ignore"):
-                residuals[cols] = np.linalg.norm(block @ slab - slab * block_values[cols], axis=0)
+                residuals[cols] = np.linalg.norm(product - slab * block_values[cols], axis=0)
         worst = float(residuals.max())
         if not worst <= bound:  # a NaN residual fails too
             solved.append(NumericError(
                 f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_FACTOR:.1e} * ||H||"
             ))
         else:
-            solved.append((block_values, block_vectors, residuals))
+            solved.append((block_values.astype(complex), block_vectors, residuals))
     return solved
 
 
@@ -340,13 +340,10 @@ def _supports(pattern: np.ndarray, last: Optional[list]) -> list:
     """The basis indices of each connected block of a nonzero pattern, each
     ascending, the blocks in the order of their lowest index.
 
-    ``last``, if given, is [packed pattern, supports] of the pattern before
-    (``numpy.packbits``, an eighth of its bytes, is kept while the blocks are
-    solved): the same pattern gets the same supports back, and another one
-    replaces them.
+    ``last``, if given, is [pattern, supports] of the pattern before: the
+    same pattern gets the same supports back, and another one replaces them.
     """
-    packed = None if last is None else np.packbits(pattern)
-    if last is not None and np.array_equal(packed, last[0]):
+    if last is not None and np.array_equal(pattern, last[0]):
         return last[1]
     # csgraph would copy a dense input as float, dropping imaginary parts.
     n_blocks, labels = scipy.sparse.csgraph.connected_components(
@@ -357,7 +354,7 @@ def _supports(pattern: np.ndarray, last: Optional[list]) -> list:
     ends = np.cumsum(np.bincount(labels, minlength=n_blocks))
     supports = np.split(np.argsort(labels, kind="stable"), ends)[:-1]
     if last is not None:
-        last[:] = packed, supports
+        last[:] = pattern, supports
     return supports
 
 
@@ -412,19 +409,13 @@ def _pairs(dimension: int, supports: list, solved: list) -> list:
 def _claims(vectors: np.ndarray, support: np.ndarray) -> list:
     """The (overlap, basis index) of each column of ``vectors``, eigenvectors
     at the basis indices ``support``: the largest weight |v_i|^2 and its
-    index, the lowest one on a tie.
-
-    The weights are taken a slab of columns at a time, each entry with the
-    bits of its own column's, so a large block holds no n x n float
-    temporary.
+    index, the lowest one on a tie.  The weights of the whole block are
+    taken at once, after the solves, so they stay below the eigensolve's
+    peak.
     """
-    claims = []
-    width = max(1, 2**16 // len(vectors))  # columns per 512-KiB slab
-    for start in range(0, vectors.shape[1], width):
-        weights = np.abs(vectors[:, start:start + width]) ** 2
-        best = weights.argmax(axis=0)
-        claims.extend(zip(weights[best, np.arange(len(best))].tolist(), support[best].tolist()))
-    return claims
+    weights = np.abs(vectors) ** 2
+    best = weights.argmax(axis=0)
+    return list(zip(weights[best, np.arange(len(best))].tolist(), support[best].tolist()))
 
 
 def diagonalize(h: np.ndarray) -> list:

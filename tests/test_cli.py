@@ -126,12 +126,14 @@ def test_verify_checks_its_cutoff(tmp_path, capsys):
 def test_overflowing_diagonal_is_a_numeric_failure(capsys):
     # The measured diagonals are not finite: no vacuous pass.  At mass
     # 5e-324 m^-1, and at hbar 1e300 hbar^2, overflows a float power while
-    # h_tau's terms are evaluated, as in spectrum (the text after the type
-    # is the C library's); at hbar 1.2e154 hbar^2/m is finite but the
-    # terms' entries overflow.
+    # h_tau's terms are evaluated, as in spectrum, and the message names
+    # that power; at hbar 1.2e154 hbar^2/m is finite but the terms' entries
+    # overflow.
     for argv, message in (
-        (["verify", "--cutoff", "5", "--mass", "5e-324"], "numeric failure: OverflowError: "),
-        (["verify", "--cutoff", "6", "--hbar", "1e300"], "numeric failure: OverflowError: "),
+        (["verify", "--cutoff", "5", "--mass", "5e-324"],
+         "numeric failure: m^-1 overflows at this parameter point\n"),
+        (["verify", "--cutoff", "6", "--hbar", "1e300"],
+         "numeric failure: hbar^2 overflows at this parameter point\n"),
         (["verify", "--cutoff", "6", "--hbar", "1.2e154"],
          "numeric failure: matrix entries overflow at this parameter point\n"),
     ):
@@ -507,15 +509,21 @@ def test_wide_centred_packet_passes_its_quadrature_check(sigma, capsys):
 def test_numeric_failure_exit_code(capsys):
     # Absurdly wide packets spread their nodes over 4 sigma, far wider than
     # the weight's scale 1/sqrt(tau) = 5; the quadrature gives up and the
-    # failure surfaces as exit code 3, with one line and no warning.
-    code, _o, err = run(
-        ["uncertainty", "--tau", "0.04", "--theta", "0.1", "--brute-force",
-         "--sigma-min", "1000000", "--sigma-max", "10000000", "--sigma-steps", "2"],
-        capsys,
-    )
-    assert code == EXIT_NUMERIC
-    assert err.startswith("numeric failure: quadrature did not converge")
-    assert err.count("\n") == 1
+    # failure surfaces as exit code 3, with one line and no warning.  So do
+    # a packet centred at 1e200, whose closed-form weighted norm leaves the
+    # float range, and a kick of 1e200, which squares past it in <P_y^2>.
+    base = ["uncertainty", "--tau", "0.04", "--brute-force"]
+    for flags, message in (
+        (["--theta", "0.1", "--sigma-min", "1000000", "--sigma-max", "10000000",
+          "--sigma-steps", "2"], "numeric failure: quadrature did not converge"),
+        (["--center", "1e200", "--sigma-steps", "3"], "numeric failure: weighted norm "),
+        (["--kick-max", "1e200", "--kick-steps", "3", "--sigma-steps", "3"],
+         "numeric failure: closed-form moments "),
+    ):
+        code, _o, err = run(base + flags, capsys)
+        assert code == EXIT_NUMERIC
+        assert err.startswith(message)
+        assert err.count("\n") == 1
 
 
 # -- exit-code contract ------------------------------------------------------------------
@@ -656,7 +664,7 @@ def test_float_overflow_is_a_numeric_failure(capsys):
         warnings.simplefilter("always")
         code, _o, err = run(["spectrum", "--cutoff", "4", "--mass", "5e-324"], capsys)
     assert code == EXIT_NUMERIC
-    assert err.startswith("numeric failure: OverflowError") and err.count("\n") == 1
+    assert err == "numeric failure: m^-1 overflows at this parameter point\n"
     assert [str(w.message) for w in caught] == []
 
 
@@ -664,13 +672,15 @@ def test_overflowing_matrix_is_a_numeric_failure(capsys):
     # At tau 1.7e308 the tau terms' entries overflow without a float power
     # error, as under the undeformed policy at hbar 1e308 the entries
     # hbar omega (n+ + n- + 1) do; with the tau terms, hbar^2 overflows a
-    # float power first.
+    # float power first.  At mass 1e-310 the undeformed matrix is finite,
+    # but the analytic level energies (tau hbar^2/2m) overflow in classify.
     for argv, message in (
         (["--tau", "1.7e308"], "numeric failure: matrix entries overflow at this parameter point\n"),
         (["--policy", "undeformed", "--hbar", "1e308"],
          "numeric failure: matrix entries overflow at this parameter point\n"),
-        (["--hbar", "1e308"],
-         "numeric failure: OverflowError: (34, 'Numerical result out of range')\n"),
+        (["--hbar", "1e308"], "numeric failure: hbar^2 overflows at this parameter point\n"),
+        (["--policy", "undeformed", "--mass", "1e-310", "--tau", "0.01"],
+         "numeric failure: level energies overflow at this parameter point\n"),
     ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -761,6 +771,8 @@ def test_sweep_checks_its_base_point_and_cutoff(capsys):
     spectrum_code, _o, spectrum_err = run(["spectrum", "--cutoff", "2"], capsys)
     assert (code, err) == (spectrum_code, spectrum_err) == (EXIT_USAGE, spectrum_err)
     assert "--cutoff" in err
+    code, _o, err = run(["sweep", "--param", "tau", "--steps", "1"], capsys)
+    assert (code, err) == (EXIT_USAGE, "usage error: --steps must be at least 2\n")
     code, _o, err = run(["sweep", "--param", "tau", "--to", "inf", "--steps", "2"], capsys)
     assert (code, err) == (EXIT_USAGE, "usage error: --to must be finite\n")
     code, _o, err = run(["sweep", "--param", "tau", "--from=-1.7976931348623157e+308",

@@ -65,6 +65,10 @@ def test_syntax_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse("q1 + * q2")
     assert info.value.position == 5
+    for text, message in (("1/", "expected digits after '/'"), ("1/0", "zero denominator")):
+        with pytest.raises(ParseError, match=f"^{message} \\(at position 2\\)$") as info:
+            parse(text)
+        assert info.value.position == 2
 
 
 def test_unknown_symbol_error():
