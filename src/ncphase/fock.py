@@ -17,7 +17,7 @@ import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -222,8 +222,13 @@ def evaluate(plan: Plan, p: ParameterPoint) -> np.ndarray:
     return out
 
 
-def analytic_energy(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
-    """Closed-form level energy: oscillator + angular splitting + tau shift."""
+def analytic_energy(n_plus, n_minus, p: ParameterPoint):
+    """Closed-form level energy: oscillator + angular splitting + tau shift.
+
+    ``n_plus`` and ``n_minus`` are ints, giving a float, or integer arrays
+    of one shape, giving a float64 array; each entry has the bits of the
+    call on its own two ints.
+    """
     core = p.hbar * p.omega * (n_plus + n_minus + 1)
     angular = (
         p.hbar
@@ -240,29 +245,37 @@ def _tau_level_shift(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
     return (p.hbar**2 / (2 * p.m)) * (2 * n_plus * n_minus + n_plus + n_minus + 2)
 
 
-@dataclass
-class EigenPair:
-    """One eigenpair of a matrix of order ``dimension``.
-
-    The eigenvector is kept on its block only: ``local`` holds its entries at
-    the basis indices ``support`` (ascending), and every other entry is
-    exactly zero.  ``_claim`` is the (overlap, basis index) that ``classify``
-    reads, taken for a whole block at once by the solver; for a pair built
-    without it, ``classify`` takes it from the pair alone.
+@dataclass(frozen=True, eq=False)
+class Eigensystem:
+    """The eigenpairs of a matrix of order ``dimension``, sorted by (Re, Im)
+    of their values, equal values in block order: each pair's eigenvalue,
+    residual, and largest weight |v_i|^2 (``overlap``) with its basis index
+    i (``best``), the lowest one on a tie.  ``blocks`` holds each block's
+    basis indices, ascending, and its unit eigenvectors as columns; ``order``
+    maps each sorted position to its column among all blocks' columns in
+    turn.
     """
 
-    value: complex
-    local: np.ndarray
-    support: np.ndarray
+    values: np.ndarray
+    residuals: np.ndarray
+    overlap: np.ndarray
+    best: np.ndarray
+    blocks: tuple
+    order: np.ndarray
     dimension: int
-    residual: float
-    _claim: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    @property
-    def vector(self) -> np.ndarray:
-        """The eigenvector at full length."""
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def vector(self, k: int) -> np.ndarray:
+        """The eigenvector of pair ``k`` at full length."""
+        column = int(self.order[k])
+        for support, vectors in self.blocks:
+            if column < vectors.shape[1]:
+                break
+            column -= vectors.shape[1]
         vector = np.zeros(self.dimension, dtype=complex)
-        vector[self.support] = self.local
+        vector[support] = vectors[:, column]
         return vector
 
 
@@ -388,38 +401,29 @@ def _split(h: np.ndarray, last: Optional[list] = None) -> tuple:
     return bound, supports, blocks
 
 
-def _pairs(dimension: int, supports: list, solved: list) -> list:
-    """The eigenpairs of one matrix from its blocks' solves, sorted by real
-    part; the first failed block's NumericError is raised."""
-    pairs = []
-    for idx, result in zip(supports, solved):
+def _eigensystem(dimension: int, supports: list, solved: list) -> Eigensystem:
+    """The eigensystem of one matrix from its blocks' solves; the first
+    failed block's NumericError is raised.  The weights |v|^2 of each whole
+    block are taken at once, after the solves, so they stay below the
+    eigensolve's peak."""
+    blocks, parts = [], [(np.empty(0, complex), np.empty(0), np.empty(0), np.empty(0, int))]
+    for support, result in zip(supports, solved):
         if isinstance(result, NumericError):
             raise result
         values, vectors, residuals = result
-        pairs.extend(
-            EigenPair(value, vector, idx, dimension, residual, claim)
-            for value, vector, residual, claim in zip(
-                values.tolist(), vectors.T, residuals.tolist(), _claims(vectors, idx)
-            )
-        )
-    pairs.sort(key=lambda pair: (pair.value.real, pair.value.imag))
-    return pairs
+        blocks.append((support, vectors))
+        weights = np.abs(vectors) ** 2
+        best = weights.argmax(axis=0)
+        parts.append((values, residuals, weights[best, np.arange(len(best))], support[best]))
+    values, residuals, overlap, best = map(np.concatenate, zip(*parts))
+    # lexsort is stable: equal values keep their block order.
+    order = np.lexsort((values.imag, values.real))
+    return Eigensystem(values[order], residuals[order], overlap[order], best[order],
+                       tuple(blocks), order, dimension)
 
 
-def _claims(vectors: np.ndarray, support: np.ndarray) -> list:
-    """The (overlap, basis index) of each column of ``vectors``, eigenvectors
-    at the basis indices ``support``: the largest weight |v_i|^2 and its
-    index, the lowest one on a tie.  The weights of the whole block are
-    taken at once, after the solves, so they stay below the eigensolve's
-    peak.
-    """
-    weights = np.abs(vectors) ** 2
-    best = weights.argmax(axis=0)
-    return list(zip(weights[best, np.arange(len(best))].tolist(), support[best].tolist()))
-
-
-def diagonalize(h: np.ndarray) -> list:
-    """Block-wise non-symmetric eigensolve, sorted by real part.
+def diagonalize(h: np.ndarray) -> Eigensystem:
+    """Block-wise non-symmetric eigensolve: the Eigensystem of ``h``.
 
     The matrix splits into the connected components of its exact nonzero
     pattern (for the Hamiltonian with its tau term: the even-grade and
@@ -428,8 +432,8 @@ def diagonalize(h: np.ndarray) -> list:
     imaginary part is exactly zero is solved in real arithmetic.  Each block
     is a stack of one matrix for the solver that ``spectra`` shares: the
     calling thread solves the largest block while one job on a shared
-    one-thread pool solves the others.  Each eigenvector is kept on its
-    block (``EigenPair.local``).
+    one-thread pool solves the others.  Each block's eigenvectors are kept
+    as its solve returns them, at the block's basis indices.
 
     Every returned pair satisfies ||H v - lambda v|| <= RESIDUAL_FACTOR
     times ||H||; a violation, a non-finite or underflowing norm, a
@@ -440,7 +444,7 @@ def diagonalize(h: np.ndarray) -> list:
     """
     split, dimension = _split(h), h.shape[0]
     del h
-    return _pairs(dimension, split[1], _solve([split])[0])
+    return _eigensystem(dimension, split[1], _solve([split])[0])
 
 
 def _solve(splits: list) -> list:
@@ -485,7 +489,8 @@ class LevelRow:
 
 @dataclass
 class LevelTable:
-    """Classified levels plus the eigenpairs no basis label could claim."""
+    """Classified levels in basis order, plus the Eigensystem positions of
+    the eigenpairs no basis label could claim, in ``classify``'s rank order."""
 
     rows: list
     unclassified: list
@@ -508,43 +513,34 @@ STACK_BYTES = 4 * 2**20
 OVERLAP_FLOOR = 0.5
 
 
-def classify(pairs: Sequence[EigenPair], basis: FockBasis, p: ParameterPoint) -> LevelTable:
+def classify(system: Eigensystem, basis: FockBasis, p: ParameterPoint) -> LevelTable:
     """Assign each eigenpair to the basis label of maximal overlap.
 
-    Assignment is greedy by descending overlap so that each label is claimed
-    at most once; argmax ties resolve to the lower (grade, n+) label because
-    that is the basis enumeration order, which each support ascends in.
-    Pairs with best overlap below OVERLAP_FLOOR are reported as unclassified.
+    The pairs are ranked by descending overlap, equal overlaps in their
+    order in ``system``, and each label goes to the first ranked pair that
+    has it as ``best``, so each is claimed at most once; argmax ties
+    resolve to the lower (grade, n+) label because that is the basis
+    enumeration order, which each support ascends in.  Pairs with best
+    overlap below OVERLAP_FLOOR are reported as unclassified.
     """
-    claims = []
-    for pair in pairs:
-        claim = pair._claim or _claims(pair.local[:, None], pair.support)[0]
-        claims.append((*claim, pair))
-    claims.sort(key=lambda item: -item[0])
-    taken = set()
-    rows, unclassified = [], []
-    for overlap, best, pair in claims:
-        if overlap < OVERLAP_FLOOR or best in taken:
-            unclassified.append(pair)
-            continue
-        taken.add(best)
-        n_plus, n_minus = basis.states[best]
+    ranked = np.argsort(-system.overlap, kind="stable")
+    # A prefix of ranked, so an index into it is one into ranked too.
+    eligible = ranked[system.overlap[ranked] >= OVERLAP_FLOOR]
+    # The labels come out ascending, which is the rows' (grade, n+) order.
+    labels, first = np.unique(system.best[eligible], return_index=True)
+    claimed = eligible[first]
+    n_plus, n_minus = np.array(basis.states, dtype=int)[labels].T
+    values = system.values[claimed]
+    # The level table prints both energies and their distance.  Overflowing
+    # ones are caught here, so numpy need not warn of them.
+    with np.errstate(over="ignore", invalid="ignore"):
         e_analytic = analytic_energy(n_plus, n_minus, p)
-        # The level table prints both energies and their distance.
-        if not math.isfinite(abs(pair.value - e_analytic)):
+        if not np.isfinite(np.abs(values - e_analytic)).all():
             raise NumericError("level energies overflow at this parameter point")
-        rows.append(
-            LevelRow(
-                n_plus=n_plus,
-                n_minus=n_minus,
-                e_analytic=e_analytic,
-                e_numeric=pair.value,
-                residual=pair.residual,
-                overlap=overlap,
-            )
-        )
-    rows.sort(key=lambda row: (row.n_plus + row.n_minus, row.n_plus))
-    return LevelTable(rows=rows, unclassified=unclassified)
+    columns = (n_plus, n_minus, e_analytic, values,
+               system.residuals[claimed], system.overlap[claimed])
+    rows = list(map(LevelRow, *(column.tolist() for column in columns)))
+    return LevelTable(rows=rows, unclassified=np.delete(ranked, first).tolist())
 
 
 def spectrum(p: ParameterPoint, plan: Plan) -> LevelTable:
@@ -570,9 +566,10 @@ def spectra(points: Iterable[ParameterPoint], plan: Plan) -> Iterator:
     is the previous point's reuses its block supports.  Blocks at the same
     basis indices form one stack (k x n x n) that ``numpy.linalg.eig``
     solves in one call: the calling thread solves the largest stack while
-    one pool job solves the others.  The stacks are solved and their tables
-    yielded whenever the gathered blocks reach STACK_BYTES, so memory does
-    not grow with the number of points.  Every table has the bits of ``spectrum`` at its
+    one pool job solves the others.  The stacks are solved whenever the
+    gathered blocks reach STACK_BYTES, so memory does not grow with the
+    number of points; each point's Eigensystem is then built and classified
+    and its table yielded.  Every table has the bits of ``spectrum`` at its
     point, and a point that fails (a residual, LAPACK, an overflow) fails
     alone, with the same error.
     """
@@ -597,7 +594,8 @@ def _tables(batch: list, basis: FockBasis) -> Iterator:
     for p, outcome in batch:
         if isinstance(outcome, tuple):
             try:  # a point's solves are popped, so they go once its table is built
-                outcome = classify(_pairs(basis.dimension, outcome[1], solved.pop()), basis, p)
+                system = _eigensystem(basis.dimension, outcome[1], solved.pop())
+                outcome = classify(system, basis, p)
             except _POINT_ERRORS as exc:
                 outcome = exc
         yield outcome

@@ -18,6 +18,8 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
@@ -35,7 +37,7 @@ from ncphase.algebra import (
 )
 from ncphase.cli import EXIT_VERIFY_FAILED, main
 from ncphase.fock import (
-    EigenPair,
+    Eigensystem,
     FockBasis,
     NumericError,
     ParameterPoint,
@@ -229,6 +231,17 @@ def test_analytic_energy_values():
     assert analytic_energy(1, 1, p) == pytest.approx(3.015)
 
 
+@pytest.mark.parametrize("tau", [0.005, 0.0], ids=["acceptance", "tau-zero"])
+def test_analytic_energy_on_arrays_has_the_scalar_bits(tau):
+    # classify calls it once on the claimed labels' integer arrays.
+    p = ParameterPoint(theta=0.02, eta=0.03, tau=tau)
+    basis = FockBasis(50)
+    n_plus, n_minus = np.array(basis.states).T
+    got = analytic_energy(n_plus, n_minus, p)
+    assert got.dtype == float
+    assert repr(got.tolist()) == repr([analytic_energy(a, b, p) for a, b in basis.states])
+
+
 # -- diagonalization ----------------------------------------------------------------
 
 
@@ -236,22 +249,57 @@ def test_diagonalize_core_spectrum():
     basis = FockBasis(6)
     p = ParameterPoint()
     h = evaluate(compile_plan(h_core(), basis), p)
-    pairs = diagonalize(h)
+    system = diagonalize(h)
     # the matrix is diagonal; interior labels carry the exact ladder values
-    table = classify(pairs, basis, p)
+    table = classify(system, basis, p)
     for row in table.rows:
         grade = row.n_plus + row.n_minus
         if grade <= basis.cutoff - 2:
             assert row.e_numeric.real == pytest.approx(grade + 1, abs=1e-10)
             assert row.overlap == pytest.approx(1.0)
-    assert all(pair.residual <= 1e-8 * np.linalg.norm(h) for pair in pairs)
+    assert (system.residuals <= 1e-8 * np.linalg.norm(h)).all()
 
 
 def test_diagonalize_sorts_by_real_part():
     basis = FockBasis(5)
-    pairs = diagonalize(evaluate(compile_plan(h_core(), basis), ParameterPoint()))
-    reals = [pair.value.real for pair in pairs]
+    system = diagonalize(evaluate(compile_plan(h_core(), basis), ParameterPoint()))
+    reals = system.values.real.tolist()
     assert reals == sorted(reals)
+
+
+def _python_sorted_pairs(h):
+    """Python's stable (Re, Im) sort of the eigenvalues of h's blocks, taken
+    in block order: (each sorted value's position before it, the values)."""
+    split = ncphase.fock._split(h)
+    values = [v for result in ncphase.fock._solve([split])[0] for v in result[0].tolist()]
+    order = sorted(range(len(values)), key=lambda k: (values[k].real, values[k].imag))
+    return order, [values[k] for k in order]
+
+
+@pytest.mark.parametrize("case", ["repeated-diagonal", "signed-zero-imaginary", "tau-zero-12"])
+def test_diagonalize_orders_as_a_stable_python_sort(case):
+    # Equal eigenvalues of different blocks keep their block order, and an
+    # imaginary part of -0.0 ties with +0.0.
+    if case == "repeated-diagonal":
+        h = np.diag([3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 1.0])
+    elif case == "signed-zero-imaginary":
+        # Two complex triangular blocks: eig gives the first block's values
+        # +0.0 imaginary parts and the second's -0.0.
+        h = np.zeros((4, 4), dtype=complex)
+        h[0, 0] = h[1, 1] = 1.0
+        h[2, 2] = h[3, 3] = complex(1.0, -0.0)
+        h[0, 1] = h[2, 3] = 1j
+    else:
+        h = evaluate(compile_plan(build_hamiltonian(), FockBasis(12)),
+                     ParameterPoint(theta=0.02, eta=0.03, tau=0.0))
+    system = diagonalize(h)
+    order, values = _python_sorted_pairs(h)
+    assert system.order.tolist() == order
+    assert repr(system.values.tolist()) == repr(values)
+    if case == "repeated-diagonal":
+        assert order == [1, 3, 6, 2, 5, 0, 4]
+    elif case == "signed-zero-imaginary":
+        assert [math.copysign(1.0, value.imag) for value in values] == [1.0, 1.0, -1.0, -1.0]
 
 
 def test_diagonalize_rejects_nonsquare():
@@ -282,24 +330,31 @@ def test_diagonalize_matches_whole_matrix_eig(sizes, complex_entries):
     # LAPACK path, a complex one the complex path.
     rng = np.random.default_rng(len(sizes) + 2 * complex_entries)
     h = _permuted_blocks(rng, sizes, complex_entries)
-    pairs = diagonalize(h)
-    got = np.array([pair.value for pair in pairs])
+    system = diagonalize(h)
+    got = system.values
     expected = scipy.linalg.eig(h, right=False)
     distance = np.abs(got[:, None] - expected[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(distance)
     assert len(got) == len(expected) == h.shape[0]
     assert distance[rows, cols].max() <= 1e-10
-    for pair in pairs:
-        assert pair.vector.shape == (h.shape[0],)
-        residual = np.linalg.norm(h @ pair.vector - pair.value * pair.vector)
+    for value, vector in zip(system.values, _vectors(system)):
+        assert vector.shape == (h.shape[0],)
+        residual = np.linalg.norm(h @ vector - value * vector)
         assert residual <= 1e-10 * np.linalg.norm(h)
 
 
-def _scipy_block_pairs(h):
+def _vectors(system):
+    """Each pair's eigenvector at full length, one row per pair."""
+    return np.array([system.vector(k) for k in range(len(system))])
+
+
+def _scipy_block_system(h):
     """The oracle: one scipy.linalg.eig call per connected block, one after
-    the other, each eigenvector embedded at full length."""
+    the other, sorted by Python's stable (Re, Im) sort of the pairs in
+    block order.  It is an Eigensystem of one block over every index, with
+    each eigenvector embedded at full length, and each pair's best label
+    and overlap taken from its own vector."""
     d = h.shape[0]
-    everywhere = np.arange(d)
     n_blocks, labels = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(h != 0), directed=False
     )
@@ -314,12 +369,19 @@ def _scipy_block_pairs(h):
         residuals = np.linalg.norm(block @ vectors - vectors * values, axis=0)
         embedded = np.zeros((len(idx), d), dtype=complex)
         embedded[:, idx] = vectors.T
-        pairs.extend(
-            EigenPair(complex(value), vector, everywhere, d, float(residual))
-            for value, vector, residual in zip(values, embedded, residuals)
-        )
-    pairs.sort(key=lambda pair: (pair.value.real, pair.value.imag))
-    return pairs
+        pairs.extend(zip(values.astype(complex).tolist(), residuals.tolist(), embedded))
+    order = sorted(range(len(pairs)), key=lambda k: (pairs[k][0].real, pairs[k][0].imag))
+    weights = [np.abs(pairs[k][2]) ** 2 for k in order]
+    best = [int(np.argmax(w)) for w in weights]
+    return Eigensystem(
+        values=np.array([pairs[k][0] for k in order], dtype=complex),
+        residuals=np.array([pairs[k][1] for k in order]),
+        overlap=np.array([w[b] for w, b in zip(weights, best)]),
+        best=np.array(best, dtype=int),
+        blocks=((np.arange(d), np.array([vector for *_, vector in pairs]).T),),
+        order=np.array(order, dtype=int),
+        dimension=d,
+    )
 
 
 ACCEPTANCE_POINT = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
@@ -342,16 +404,14 @@ def _oracle_case(name):
 ])
 def test_diagonalize_matches_scipy_block_oracle(case):
     h, basis = _oracle_case(case)
-    got, expected = diagonalize(h), _scipy_block_pairs(h)
+    got, expected = diagonalize(h), _scipy_block_system(h)
     tolerance = 1e-12 * np.linalg.norm(h)
-    distance = np.abs(
-        np.array([p.value for p in got])[:, None] - np.array([p.value for p in expected])[None, :]
-    )
+    distance = np.abs(got.values[:, None] - expected.values[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(distance)
     assert len(got) == len(expected) == h.shape[0]
     assert distance[rows, cols].max() <= tolerance
-    # The oracle's pairs carry full-length vectors, so this also checks that
-    # classify maps a block-local argmax back to the same basis label.
+    # The oracle's block spans every index, so this also checks that a
+    # block-local argmax maps back to the same basis label.
     table, oracle = classify(got, basis, ACCEPTANCE_POINT), classify(expected, basis, ACCEPTANCE_POINT)
     assert [(r.n_plus, r.n_minus) for r in table.rows] == [
         (r.n_plus, r.n_minus) for r in oracle.rows
@@ -371,9 +431,9 @@ def test_diagonalize_repeats_bit_for_bit():
     first = diagonalize(h)
     for _ in range(19):
         again = diagonalize(h)
-        assert np.array_equal([p.value for p in again], [p.value for p in first])
-        assert np.array_equal([p.vector for p in again], [p.vector for p in first])
-        assert np.array_equal([p.residual for p in again], [p.residual for p in first])
+        assert np.array_equal(again.values, first.values)
+        assert np.array_equal(_vectors(again), _vectors(first))
+        assert np.array_equal(again.residuals, first.residuals)
 
 
 def test_pooled_block_failure_reaches_the_caller(monkeypatch):
@@ -386,7 +446,7 @@ def test_pooled_block_failure_reaches_the_caller(monkeypatch):
     h[7:13, 7:13] = rng.standard_normal((6, 6))
     h[13:, 13:] = rng.standard_normal((6, 6))
     monkeypatch.setattr(ncphase.fock, "RESIDUAL_FACTOR", 0)
-    assert all(pair.residual == 0 for pair in diagonalize(h[:7, :7]))
+    assert not diagonalize(h[:7, :7]).residuals.any()
     with pytest.raises(NumericError, match=r"^eigenpair residual \S+ exceeds 0\.0e\+00 \* \|\|H\|\|$"):
         diagonalize(h)
     monkeypatch.undo()
@@ -424,11 +484,11 @@ def test_each_call_submits_one_pool_job(case, monkeypatch):
     monkeypatch.setattr(ncphase.fock, "_pool", lambda: counting)
     got = diagonalize(h)
     assert counting.submitted == 1
-    assert np.array_equal([p.value for p in got], [p.value for p in expected])
+    assert np.array_equal(got.values, expected.values)
 
 
 def test_diagonalize_empty_matrix():
-    assert diagonalize(np.zeros((0, 0))) == []
+    assert len(diagonalize(np.zeros((0, 0)))) == 0
 
 
 def test_concurrent_callers_share_the_pool():
@@ -447,10 +507,10 @@ def test_concurrent_callers_share_the_pool():
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    for k, pairs in enumerate(results):
+    for k, system in enumerate(results):
         expected = serial[k // 5]
-        assert np.array_equal([p.value for p in pairs], [p.value for p in expected])
-        assert np.array_equal([p.vector for p in pairs], [p.vector for p in expected])
+        assert np.array_equal(system.values, expected.values)
+        assert np.array_equal(_vectors(system), _vectors(expected))
 
 
 def test_pool_threads_call_no_public_function(monkeypatch):
@@ -564,16 +624,23 @@ def _sweep_case(name):
 
 @pytest.fixture
 def classified(monkeypatch):
-    """The eigenpairs of each classify call, in call order."""
+    """The Eigensystem of each classify call, in call order."""
     calls = []
     original = ncphase.fock.classify
 
-    def recording(pairs, basis, p):
-        calls.append(pairs)
-        return original(pairs, basis, p)
+    def recording(system, basis, p):
+        calls.append(system)
+        return original(system, basis, p)
 
     monkeypatch.setattr(ncphase.fock, "classify", recording)
     return calls
+
+
+def _taken(calls):
+    """The calls recorded so far; the record is cleared."""
+    taken = calls[:]
+    calls.clear()
+    return taken
 
 
 def _point_by_point(points, plan):
@@ -587,11 +654,13 @@ def _point_by_point(points, plan):
     return outcomes
 
 
-def _assert_same_pairs(got, expected):
+def _assert_same_systems(got, expected):
     assert len(got) == len(expected)
-    for pair, reference in zip(got, expected):
-        assert repr((pair.value, pair.residual)) == repr((reference.value, reference.residual))
-        assert pair.vector.tobytes() == reference.vector.tobytes()
+    for system, reference in zip(got, expected):
+        assert system.values.tobytes() == reference.values.tobytes()
+        assert system.residuals.tobytes() == reference.residuals.tobytes()
+        for k in range(len(system)):
+            assert system.vector(k).tobytes() == reference.vector(k).tobytes()
 
 
 def _assert_same_outcomes(got, expected):
@@ -603,7 +672,7 @@ def _assert_same_outcomes(got, expected):
         assert isinstance(outcome, ncphase.fock.LevelTable)
         assert [repr(dataclasses.astuple(row)) for row in outcome.rows] == [
             repr(dataclasses.astuple(row)) for row in reference.rows]
-        _assert_same_pairs(outcome.unclassified, reference.unclassified)
+        assert outcome.unclassified == reference.unclassified
 
 
 @pytest.mark.parametrize("case", ["tau-from-zero-12", "undeformed-theta-8", "cross-10"])
@@ -611,14 +680,12 @@ def test_spectra_gives_spectrum_bits(case, classified):
     # Every eigenpair, full vector and level row of each point is spectrum's.
     plan, points = _sweep_case(case)
     expected = _point_by_point(points, plan)
-    expected_pairs = classified[:]
-    classified.clear()
+    expected_systems = _taken(classified)
     got = list(spectra(points, plan))
     assert not any(isinstance(outcome, Exception) for outcome in expected)
     _assert_same_outcomes(got, expected)
-    assert len(classified) == len(expected_pairs) == len(points)
-    for pairs, reference in zip(classified, expected_pairs):
-        _assert_same_pairs(pairs, reference)
+    assert len(classified) == len(points)
+    _assert_same_systems(classified, expected_systems)
 
 
 def test_stacked_eig_gives_each_matrix_bits():
@@ -682,28 +749,31 @@ def test_spectra_without_blocks_submits_no_pool_job(monkeypatch):
     assert counting.submitted == 0
 
 
-def test_spectra_flushes_at_the_byte_budget(monkeypatch):
+def test_spectra_flushes_at_the_byte_budget(monkeypatch, classified):
     # With a budget of one byte every point is solved alone, one group and
-    # one pool job per point, and gives the same tables.
+    # one pool job per point, and gives the same tables and eigensystems.
     plan, points = _sweep_case("theta-8")
     expected = _point_by_point(points, plan)
+    expected_systems = _taken(classified)
     monkeypatch.setattr(ncphase.fock, "STACK_BYTES", 1)
     counting = _CountingExecutor(ncphase.fock._pool())
     monkeypatch.setattr(ncphase.fock, "_pool", lambda: counting)
     _assert_same_outcomes(list(spectra(points, plan)), expected)
+    _assert_same_systems(classified, expected_systems)
     assert counting.submitted == len(points)
 
 
-def test_spectra_residual_failure_stays_with_its_point(monkeypatch):
+def test_spectra_residual_failure_stays_with_its_point(monkeypatch, classified):
     # A bound between the points' relative residuals fails some matrices of
     # a stack; those points fail with spectrum's error and the others keep
-    # their tables.  An overflowing point fails at evaluation, in order.
+    # their tables and eigensystems.  An overflowing point fails at
+    # evaluation, in order.
     plan, points = _sweep_case("theta-8")
     points.insert(2, ParameterPoint(theta=1e300))
     ratios = []
     for p in points[:2] + points[3:]:
         h = evaluate(plan, p)
-        ratios.append(max(pair.residual for pair in diagonalize(h)) / np.linalg.norm(h))
+        ratios.append(diagonalize(h).residuals.max() / np.linalg.norm(h))
     low, high = sorted(set(ratios))[2:4]
     monkeypatch.setattr(ncphase.fock, "RESIDUAL_FACTOR", math.sqrt(low * high))
     expected = _point_by_point(points, plan)
@@ -711,10 +781,12 @@ def test_spectra_residual_failure_stays_with_its_point(monkeypatch):
     assert failed.count("matrix norm overflows at this parameter point") == 1
     residual_failures = sum(text.startswith("eigenpair residual") for text in failed)
     assert residual_failures == sum(ratio >= high for ratio in ratios) >= 2
+    expected_systems = _taken(classified)
     _assert_same_outcomes(list(spectra(points, plan)), expected)
+    _assert_same_systems(classified, expected_systems)
 
 
-def test_spectra_resolves_a_failed_stack_matrix_by_matrix(monkeypatch):
+def test_spectra_resolves_a_failed_stack_matrix_by_matrix(monkeypatch, classified):
     # LAPACK failing on one point's blocks fails the whole stack; spectra
     # solves its matrices one at a time, so only that point fails, with
     # spectrum's error.
@@ -734,13 +806,15 @@ def test_spectra_resolves_a_failed_stack_matrix_by_matrix(monkeypatch):
     assert [str(outcome) for outcome in expected if isinstance(outcome, Exception)] == [
         "eigensolver did not converge: Eigenvalues did not converge"]
     assert isinstance(expected[3], NumericError)
+    expected_systems = _taken(classified)
     solved_shapes.clear()
     _assert_same_outcomes(list(spectra(points, plan)), expected)
+    _assert_same_systems(classified, expected_systems)
     # Two stacks of 6, then each of the two failed stacks one matrix at a time.
     assert sorted(shape[0] for shape in solved_shapes) == [1] * 12 + [6, 6]
 
 
-def test_spectra_reuses_the_supports_of_an_unchanged_pattern(monkeypatch):
+def test_spectra_reuses_the_supports_of_an_unchanged_pattern(monkeypatch, classified):
     # The sweep from tau = 0 has three patterns: 42 blocks at tau = 0, the
     # two parity blocks after it, and at tau = 0.01 the same blocks with two
     # entries that cancel to exactly 0.  Only a changed pattern is split into
@@ -750,6 +824,7 @@ def test_spectra_reuses_the_supports_of_an_unchanged_pattern(monkeypatch):
         207, 1445, 1445, 1445, 1445, 1443]
     points = [*points, points[0], points[0], points[1]]
     expected = _point_by_point(points, plan)
+    expected_systems = _taken(classified)
     calls = []
     connected_components = scipy.sparse.csgraph.connected_components
 
@@ -761,8 +836,10 @@ def test_spectra_reuses_the_supports_of_an_unchanged_pattern(monkeypatch):
     got = list(spectra(points[:6], plan))
     assert len(calls) == 3
     _assert_same_outcomes(got, expected[:6])
+    _assert_same_systems(_taken(classified), expected_systems[:6])
     calls.clear()
     _assert_same_outcomes(list(spectra(points, plan)), expected)
+    _assert_same_systems(classified, expected_systems)
     assert len(calls) == 5
 
 
@@ -789,40 +866,35 @@ def test_hamiltonian_matrix_is_exactly_real(point):
 # -- classification ------------------------------------------------------------------
 
 
-def _classify_pair_by_pair(pairs, basis, p):
+def _classify_pair_by_pair(system, basis, p):
     """The oracle: each eigenpair's weights |v_i|^2, argmax and overlap taken
-    on its own vector, then the greedy claim of ``classify``."""
+    on its own full-length vector, then a greedy claim, one pair at a time,
+    by descending overlap (a stable sort)."""
+    values, residuals = system.values.tolist(), system.residuals.tolist()
     claims = []
-    for pair in pairs:
-        weights = np.abs(pair.local) ** 2
+    for k in range(len(system)):
+        weights = np.abs(system.vector(k)) ** 2
         best = int(np.argmax(weights))
-        claims.append((float(weights[best]), int(pair.support[best]), pair))
+        claims.append((float(weights[best]), best, k))
     claims.sort(key=lambda item: -item[0])
     taken, rows, unclassified = set(), [], []
-    for overlap, best, pair in claims:
+    for overlap, best, k in claims:
         if overlap < ncphase.fock.OVERLAP_FLOOR or best in taken:
-            unclassified.append(pair)
+            unclassified.append(k)
             continue
         taken.add(best)
         n_plus, n_minus = basis.states[best]
         rows.append(ncphase.fock.LevelRow(n_plus, n_minus, analytic_energy(n_plus, n_minus, p),
-                                          pair.value, pair.residual, overlap))
+                                          values[k], residuals[k], overlap))
     rows.sort(key=lambda row: (row.n_plus + row.n_minus, row.n_plus))
     return ncphase.fock.LevelTable(rows, unclassified)
 
 
-def _assert_classified_as_pair_by_pair(pairs, basis, p):
-    expected = _classify_pair_by_pair(pairs, basis, p)
-    # Pairs built elsewhere carry no precomputed claim, so they take the
-    # per-pair path of classify; a solver's pairs take their block's.
-    for given in (pairs, [dataclasses.replace(pair, _claim=None) for pair in pairs]):
-        table = classify(given, basis, p)
-        assert repr(table.rows) == repr(expected.rows)
-        # Pairs compare by identity: their vectors are arrays.
-        position = {id(pair): k for k, pair in enumerate(given)}
-        reference = {id(pair): k for k, pair in enumerate(pairs)}
-        assert [position[id(pair)] for pair in table.unclassified] == [
-            reference[id(pair)] for pair in expected.unclassified]
+def _assert_classified_as_pair_by_pair(system, basis, p):
+    expected = _classify_pair_by_pair(system, basis, p)
+    table = classify(system, basis, p)
+    assert repr(table.rows) == repr(expected.rows)
+    assert table.unclassified == expected.unclassified
 
 
 @pytest.mark.parametrize("case", ["tau-from-zero-12", "undeformed-theta-8", "cross-10"])
@@ -830,8 +902,8 @@ def test_classify_of_a_sweep_matches_the_pair_by_pair_oracle(case, classified):
     plan, points = _sweep_case(case)
     list(spectra(points, plan))
     assert len(classified) == len(points)
-    for pairs, p in zip(classified, points):
-        _assert_classified_as_pair_by_pair(pairs, plan.basis, p)
+    for system, p in zip(classified, points):
+        _assert_classified_as_pair_by_pair(system, plan.basis, p)
 
 
 @pytest.mark.parametrize("case", [
@@ -844,29 +916,70 @@ def test_classify_matches_the_pair_by_pair_oracle(case):
                      ParameterPoint(theta=0.02, eta=0.03, tau=0.0))
     else:
         h, basis = _oracle_case(case)
-    pairs = diagonalize(h)
-    _assert_classified_as_pair_by_pair(pairs, basis, ACCEPTANCE_POINT)
-    # The scipy oracle's pairs carry full-length vectors.
-    _assert_classified_as_pair_by_pair(_scipy_block_pairs(h), basis, ACCEPTANCE_POINT)
+    _assert_classified_as_pair_by_pair(diagonalize(h), basis, ACCEPTANCE_POINT)
+    # The scipy oracle's one block spans every index.
+    _assert_classified_as_pair_by_pair(_scipy_block_system(h), basis, ACCEPTANCE_POINT)
 
 
 def test_classify_breaks_ties_as_the_pair_by_pair_oracle():
+    # Four pairs of one hand-made block on the basis indices 2, 4 and 7.
     # Within a pair, two labels share the largest weight and the lower one
     # wins; across pairs, two share the largest overlap and the earlier pair
     # claims the label.
     basis = FockBasis(4)
-    support = np.array([2, 4, 7])
-    pairs = [
-        EigenPair(1.0 + 0j, np.array([0.6, 0.8, 0.0]), support, basis.dimension, 0.0),
-        EigenPair(2.0 + 0j, np.array([0.8, 0.8, 0.1]), support, basis.dimension, 0.0),
-        EigenPair(3.0 + 0j, np.array([0.0, 0.8, 0.6]), support, basis.dimension, 0.0),
-        EigenPair(4.0 + 0j, np.array([0.1j, 0.0, 0.9]), support, basis.dimension, 0.0),
-    ]
-    _assert_classified_as_pair_by_pair(pairs, basis, ACCEPTANCE_POINT)
-    table = classify(pairs, basis, ACCEPTANCE_POINT)
+    vectors = np.array([
+        [0.6, 0.8, 0.0, 0.1j],
+        [0.8, 0.8, 0.8, 0.0],
+        [0.0, 0.1, 0.6, 0.9],
+    ])
+    system = ncphase.fock._eigensystem(
+        basis.dimension, [np.array([2, 4, 7])],
+        [(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex), vectors, np.zeros(4))],
+    )
+    _assert_classified_as_pair_by_pair(system, basis, ACCEPTANCE_POINT)
+    table = classify(system, basis, ACCEPTANCE_POINT)
     assert [(basis.index[(row.n_plus, row.n_minus)], row.e_numeric) for row in table.rows] == [
         (2, 2.0), (4, 1.0), (7, 4.0)]
-    assert [pair is pairs[2] for pair in table.unclassified] == [True]
+    assert table.unclassified == [2]
+
+
+# An amplitude whose weight |v|^2 is the floor when the floor is patched to
+# it (no float squares to 0.5 exactly), and the amplitude below it.
+_AT_FLOOR = math.sqrt(ncphase.fock.OVERLAP_FLOOR)
+_BELOW_FLOOR = float(np.nextafter(_AT_FLOOR, 0.0))
+assert _BELOW_FLOOR**2 < _AT_FLOOR**2
+_AMPLITUDES = (0.0, _BELOW_FLOOR, _AT_FLOOR, -_AT_FLOOR, 0.6, 0.8j, 1.0)
+
+
+@st.composite
+def _random_systems(draw, dimension=10):
+    """Eigensystems of up to three hand-made blocks of up to four pairs:
+    few amplitudes and labels, so overlaps and best labels repeat, and few
+    values, so the sort meets ties."""
+    supports, solved = [], []
+    for _ in range(draw(st.integers(0, 3))):
+        support = sorted(draw(st.sets(st.integers(0, dimension - 1), min_size=1, max_size=4)))
+        width = draw(st.integers(0, 4))
+        column = st.lists(st.sampled_from(_AMPLITUDES), min_size=len(support),
+                          max_size=len(support))
+        vectors = np.array(draw(st.lists(column, min_size=width, max_size=width)), dtype=complex)
+        values = draw(st.lists(st.sampled_from([1.0, 2.0, 2.0 + 0.5j, 2.0 - 0.5j]),
+                               min_size=width, max_size=width))
+        residuals = draw(st.lists(st.sampled_from([0.0, 1e-15]), min_size=width, max_size=width))
+        supports.append(np.array(support))
+        solved.append((np.array(values, dtype=complex),
+                       vectors.reshape(width, len(support)).T, np.array(residuals)))
+    return ncphase.fock._eigensystem(dimension, supports, solved)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_random_systems(), st.sampled_from([ncphase.fock.OVERLAP_FLOOR, _AT_FLOOR**2]))
+def test_classify_matches_the_pair_by_pair_oracle_on_random_systems(system, floor):
+    # Repeated overlaps and labels, overlaps at, just above and just below
+    # the floor, and systems without pairs.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncphase.fock, "OVERLAP_FLOOR", floor)
+        _assert_classified_as_pair_by_pair(system, FockBasis(3), ACCEPTANCE_POINT)
 
 
 def test_classify_undeformed_is_perfect():
