@@ -26,14 +26,12 @@ from .algebra import (
 )
 from .fock import (
     FockBasis,
-    LevelRow,
     LevelTable,
     NumericError,
     ParameterPoint,
     Plan,
     analytic_energy,
     build_ladder,
-    build_phase_space,
     classify,
     commuting_check,
     compile_plan,

@@ -73,7 +73,9 @@ class FockBasis:
             for n_plus in range(grade + 1)
         ]
         self.index = {state: k for k, state in enumerate(self.states)}
-        self.grades = np.array([a + b for a, b in self.states])
+        # Row k is (n+, n-) of state k, as integers.
+        self.labels = np.array(self.states)
+        self.grades = self.labels.sum(axis=1)
 
     @property
     def dimension(self) -> int:
@@ -121,12 +123,6 @@ def _letters(basis: FockBasis) -> dict:
         "pi1": (-0.5 * (a_plus + a_minus - a_plus_dag - a_minus_dag), 1, l_p),
         "pi2": (-0.5 * (a_plus - a_minus + a_plus_dag - a_minus_dag), 0, l_p),
     }
-
-
-def build_phase_space(basis: FockBasis):
-    """Canonical phase-space matrices (q1, q2, pi1, pi2) over the basis at
-    hbar = m = omega = 1, sparse complex, from the real ``_letters``."""
-    return tuple(matrix * 1j**k for matrix, k, _half in _letters(basis).values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +222,9 @@ def analytic_energy(n_plus, n_minus, p: ParameterPoint):
     """Closed-form level energy: oscillator + angular splitting + tau shift.
 
     ``n_plus`` and ``n_minus`` are ints, giving a float, or integer arrays
-    of one shape, giving a float64 array; each entry has the bits of the
-    call on its own two ints.
+    of one shape, giving a float64 array (``classify`` passes the claimed
+    labels' arrays); each entry has the bits of the call on its own two
+    ints.
     """
     core = p.hbar * p.omega * (n_plus + n_minus + 1)
     angular = (
@@ -240,8 +237,10 @@ def analytic_energy(n_plus, n_minus, p: ParameterPoint):
     return core + angular + shift
 
 
-def _tau_level_shift(n_plus: int, n_minus: int, p: ParameterPoint) -> float:
-    """The closed-form first-order level shift per unit tau."""
+def _tau_level_shift(n_plus, n_minus, p: ParameterPoint):
+    """The closed-form first-order level shift per unit tau: a float of two
+    ints, or a float64 array of two integer arrays of one shape, as in
+    ``analytic_energy``."""
     return (p.hbar**2 / (2 * p.m)) * (2 * n_plus * n_minus + n_plus + n_minus + 2)
 
 
@@ -477,29 +476,25 @@ def _solve(splits: list) -> list:
     return [[next(results[key]) for key in split_keys] for split_keys in keys]
 
 
-@dataclass
-class LevelRow:
-    n_plus: int
-    n_minus: int
-    e_analytic: float
-    e_numeric: complex
-    residual: float
-    overlap: float
-
-
-@dataclass
+@dataclass(eq=False)
 class LevelTable:
     """Classified levels in basis order, plus the Eigensystem positions of
-    the eigenpairs no basis label could claim, in ``classify``'s rank order."""
+    the eigenpairs no basis label could claim, in ``classify``'s rank order.
 
-    rows: list
+    ``rows`` is one numpy record array with the fields ``n_plus`` and
+    ``n_minus`` (int64), ``e_analytic`` (float64), ``e_numeric``
+    (complex128), ``residual`` and ``overlap`` (float64); a row is a
+    record, so ``table.rows[0].e_numeric`` reads one field.
+    """
+
+    rows: np.recarray
     unclassified: list
 
-    def row(self, n_plus: int, n_minus: int) -> Optional[LevelRow]:
-        for row in self.rows:
-            if (row.n_plus, row.n_minus) == (n_plus, n_minus):
-                return row
-        return None
+    def row(self, n_plus: int, n_minus: int) -> Optional[np.record]:
+        """The level labelled (n_plus, n_minus), or None."""
+        rows = self.rows
+        hit = np.flatnonzero((rows["n_plus"] == n_plus) & (rows["n_minus"] == n_minus))
+        return rows[hit[0]] if hit.size else None
 
 
 # diagonalize rejects an eigenpair whose residual exceeds this times ||H||.
@@ -521,7 +516,10 @@ def classify(system: Eigensystem, basis: FockBasis, p: ParameterPoint) -> LevelT
     has it as ``best``, so each is claimed at most once; argmax ties
     resolve to the lower (grade, n+) label because that is the basis
     enumeration order, which each support ascends in.  Pairs with best
-    overlap below OVERLAP_FLOOR are reported as unclassified.
+    overlap below OVERLAP_FLOOR are reported as unclassified.  The claimed
+    columns become the table's one record array, every number in it finite:
+    the energies and their distance are checked here, the residuals by the
+    solve, and the overlaps are weights of unit vectors.
     """
     ranked = np.argsort(-system.overlap, kind="stable")
     # A prefix of ranked, so an index into it is one into ranked too.
@@ -529,7 +527,7 @@ def classify(system: Eigensystem, basis: FockBasis, p: ParameterPoint) -> LevelT
     # The labels come out ascending, which is the rows' (grade, n+) order.
     labels, first = np.unique(system.best[eligible], return_index=True)
     claimed = eligible[first]
-    n_plus, n_minus = np.array(basis.states, dtype=int)[labels].T
+    n_plus, n_minus = basis.labels[labels].T
     values = system.values[claimed]
     # The level table prints both energies and their distance.  Overflowing
     # ones are caught here, so numpy need not warn of them.
@@ -537,9 +535,10 @@ def classify(system: Eigensystem, basis: FockBasis, p: ParameterPoint) -> LevelT
         e_analytic = analytic_energy(n_plus, n_minus, p)
         if not np.isfinite(np.abs(values - e_analytic)).all():
             raise NumericError("level energies overflow at this parameter point")
-    columns = (n_plus, n_minus, e_analytic, values,
-               system.residuals[claimed], system.overlap[claimed])
-    rows = list(map(LevelRow, *(column.tolist() for column in columns)))
+    rows = np.rec.fromarrays(
+        (n_plus, n_minus, e_analytic, values, system.residuals[claimed], system.overlap[claimed]),
+        names="n_plus,n_minus,e_analytic,e_numeric,residual,overlap",
+    )
     return LevelTable(rows=rows, unclassified=np.delete(ranked, first).tolist())
 
 
@@ -624,11 +623,15 @@ def _wire(x: float) -> float:
     return float(_WIRE % x)
 
 
-def _fields(row: LevelRow) -> tuple:
-    """One row's LEVEL_COLUMNS values: the two labels, then the numbers
-    unrounded."""
-    e, a = row.e_numeric, row.e_analytic
-    return (row.n_plus, row.n_minus, a, e.real, e.imag, abs(e - a), row.residual, row.overlap)
+def _columns(rows: np.ndarray) -> list:
+    """The LEVEL_COLUMNS values of level rows, one list of Python numbers
+    per column: the two labels, then the numbers unrounded.  abs_err is
+    Python's abs of each complex distance: np.abs differs from it in the last
+    bit for some inputs, and that can change a printed digit."""
+    e, a = rows["e_numeric"], rows["e_analytic"]
+    return [rows["n_plus"].tolist(), rows["n_minus"].tolist(), a.tolist(), e.real.tolist(),
+            e.imag.tolist(), list(map(abs, (e - a).tolist())), rows["residual"].tolist(),
+            rows["overlap"].tolist()]
 
 
 class _LevelWriter:
@@ -636,8 +639,10 @@ class _LevelWriter:
 
     ``columns`` is a prefix of LEVEL_COLUMNS that holds both labels; a
     ``lead`` names a column before them (a sweep's swept parameter).  Rows
-    come in groups of (lead value, LevelRows); without a lead the value is
-    not printed.  Each row is printed through one %-template, not a dict.
+    come in groups of (lead value, a LevelTable's ``rows``); without a lead
+    the value is not printed.  Each group is turned into columns of Python
+    numbers once, and each row printed from them through one %-template.
+    Every number of a row is finite, as ``classify`` ensures.
     """
 
     def __init__(self, columns: Sequence[str] = LEVEL_COLUMNS, lead: Optional[str] = None):
@@ -656,7 +661,7 @@ class _LevelWriter:
         lines = [",".join(self.columns)]
         for value, rows in groups:
             head = _WIRE % value + "," if self.lead else ""
-            lines.extend([head + template % _fields(row)[:width] for row in rows])
+            lines.extend([head + template % row for row in zip(*_columns(rows)[:width])])
         return "\n".join(lines) + "\n"
 
     def to_json(self, groups: Iterable[tuple]) -> str:
@@ -667,21 +672,12 @@ class _LevelWriter:
         template, width = self.json_row, self.width
         parts = []
         for value, rows in groups:
-            lead = (_wire(value),) if self.lead else ()
             head = "    {\n"
             if self.lead:
-                head += f"      {json.dumps(self.lead)}: {json.dumps(lead[0])},\n"
-            for row in rows:
-                fields = _fields(row)
-                numbers = list(map(_wire, fields[2:width]))
-                # NaN and +-inf print as json.dumps spells them.  A finite
-                # sum rules them out; a sum that overflows only takes the
-                # slower path, which prints finite numbers the same.
-                if math.isfinite(sum(numbers)):
-                    parts.append(head + template % (*fields[:2], *numbers))
-                else:
-                    record = dict(zip(self.columns, (*lead, *fields[:2], *numbers)))
-                    parts.append("    " + json.dumps(record, indent=2).replace("\n", "\n    "))
+                head += f"      {json.dumps(self.lead)}: {json.dumps(_wire(value))},\n"
+            columns = _columns(rows)[:width]
+            numbers = (map(_wire, column) for column in columns[2:])
+            parts.extend([head + template % row for row in zip(*columns[:2], *numbers)])
         return "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
 
 
@@ -717,7 +713,7 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
         np.diagonal(evaluate(Plan(basis, (term,)), at_unit_tau))[interior]
         for term in compile_plan(h_tau(), basis).terms
     )
-    n_plus, n_minus = np.array(basis.states).T[:, interior]
+    n_plus, n_minus = basis.labels[interior].T
     scale = p.hbar**2 / (4 * p.m)
     # Overflowing values are caught below, so numpy need not warn of them.
     with np.errstate(over="ignore", invalid="ignore"):

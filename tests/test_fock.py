@@ -45,7 +45,6 @@ from ncphase.fock import (
     _LevelWriter,
     analytic_energy,
     build_ladder,
-    build_phase_space,
     classify,
     commuting_check,
     compile_plan,
@@ -87,6 +86,9 @@ def test_basis_enumeration_graded_lex():
         (0, 3), (1, 2), (2, 1), (3, 0),
     ]
     assert basis.dimension == 10
+    assert basis.labels.dtype == np.int64
+    assert basis.labels.tolist() == [list(state) for state in basis.states]
+    assert basis.grades.tolist() == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
 
 
 @pytest.mark.parametrize("cutoff", [1, 4, 9])
@@ -128,7 +130,8 @@ def scaled_phase_space(basis, p):
     and each pi matrix times l_p, the scales applied here, not by ``evaluate``."""
     ell_q, ell_p = math.sqrt(p.hbar / (p.m * p.omega)), math.sqrt(p.hbar * p.m * p.omega)
     scales = (ell_q, ell_q, ell_p, ell_p)
-    return tuple(ell * m.toarray() for ell, m in zip(scales, build_phase_space(basis)))
+    letters = ncphase.fock._letters(basis).values()
+    return tuple(ell * (m * 1j**k).toarray() for ell, (m, k, _half) in zip(scales, letters))
 
 
 def test_canonical_commutators_on_interior():
@@ -670,8 +673,8 @@ def _assert_same_outcomes(got, expected):
             assert (type(outcome), str(outcome)) == (type(reference), str(reference))
             continue
         assert isinstance(outcome, ncphase.fock.LevelTable)
-        assert [repr(dataclasses.astuple(row)) for row in outcome.rows] == [
-            repr(dataclasses.astuple(row)) for row in reference.rows]
+        assert outcome.rows.dtype == reference.rows.dtype
+        assert outcome.rows.tobytes() == reference.rows.tobytes()
         assert outcome.unclassified == reference.unclassified
 
 
@@ -866,6 +869,11 @@ def test_hamiltonian_matrix_is_exactly_real(point):
 # -- classification ------------------------------------------------------------------
 
 
+# The fields of a level table's rows, in order.
+_LEVEL_FIELDS = [("n_plus", np.int64), ("n_minus", np.int64), ("e_analytic", np.float64),
+                 ("e_numeric", np.complex128), ("residual", np.float64), ("overlap", np.float64)]
+
+
 def _classify_pair_by_pair(system, basis, p):
     """The oracle: each eigenpair's weights |v_i|^2, argmax and overlap taken
     on its own full-length vector, then a greedy claim, one pair at a time,
@@ -884,16 +892,17 @@ def _classify_pair_by_pair(system, basis, p):
             continue
         taken.add(best)
         n_plus, n_minus = basis.states[best]
-        rows.append(ncphase.fock.LevelRow(n_plus, n_minus, analytic_energy(n_plus, n_minus, p),
-                                          values[k], residuals[k], overlap))
-    rows.sort(key=lambda row: (row.n_plus + row.n_minus, row.n_plus))
-    return ncphase.fock.LevelTable(rows, unclassified)
+        rows.append((n_plus, n_minus, analytic_energy(n_plus, n_minus, p),
+                     values[k], residuals[k], overlap))
+    rows.sort(key=lambda row: (row[0] + row[1], row[0]))
+    return ncphase.fock.LevelTable(np.rec.fromrecords(rows, dtype=_LEVEL_FIELDS), unclassified)
 
 
 def _assert_classified_as_pair_by_pair(system, basis, p):
     expected = _classify_pair_by_pair(system, basis, p)
     table = classify(system, basis, p)
-    assert repr(table.rows) == repr(expected.rows)
+    assert table.rows.dtype == expected.rows.dtype
+    assert table.rows.tobytes() == expected.rows.tobytes()
     assert table.unclassified == expected.unclassified
 
 
@@ -1014,6 +1023,19 @@ def test_angular_splitting_at_tau_zero():
     table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(8)))
     split = table.row(1, 0).e_numeric.real - table.row(0, 1).e_numeric.real
     assert split == pytest.approx(0.05, abs=1e-10)
+
+
+def test_level_table_rows_are_one_record_array():
+    p = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
+    table = spectrum(p, compile_plan(build_hamiltonian(), FockBasis(12)))
+    assert isinstance(table.rows, np.recarray)
+    assert table.rows.dtype == np.dtype(_LEVEL_FIELDS)
+    # row() finds every label's own record, and None for a basis label that
+    # no pair claimed (grade 6 mixes at this point) or one outside the basis.
+    for record in table.rows:
+        assert table.row(int(record.n_plus), int(record.n_minus)).tobytes() == record.tobytes()
+    assert table.row(3, 3) is None
+    assert table.row(12, 1) is None
 
 
 def test_hermitian_limit():

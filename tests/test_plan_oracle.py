@@ -36,7 +36,7 @@ from ncphase.fock import (
     FockBasis,
     NumericError,
     ParameterPoint,
-    build_phase_space,
+    _letters,
     compile_plan,
     evaluate,
 )
@@ -72,8 +72,8 @@ def _matrices(basis, p):
     and each pi matrix times l_p."""
     ell_q, ell_p = math.sqrt(p.hbar / (p.m * p.omega)), math.sqrt(p.hbar * p.m * p.omega)
     scales = (ell_q, ell_q, ell_p, ell_p)
-    names = ("q1", "q2", "pi1", "pi2")
-    return {name: ell * m for name, ell, m in zip(names, scales, build_phase_space(basis))}
+    return {name: ell * (m * 1j**k)
+            for ell, (name, (m, k, _half)) in zip(scales, _letters(basis).items())}
 
 
 def _word_product(mats, word, d):
