@@ -246,36 +246,20 @@ def _tau_level_shift(n_plus, n_minus, p: ParameterPoint):
 
 @dataclass(frozen=True, eq=False)
 class Eigensystem:
-    """The eigenpairs of a matrix of order ``dimension``, sorted by (Re, Im)
-    of their values, equal values in block order: each pair's eigenvalue,
-    residual, and largest weight |v_i|^2 (``overlap``) with its basis index
-    i (``best``), the lowest one on a tie.  ``blocks`` holds each block's
-    basis indices, ascending, and its unit eigenvectors as columns; ``order``
-    maps each sorted position to its column among all blocks' columns in
-    turn.
+    """The eigenpairs of a matrix, sorted by (Re, Im) of their values, equal
+    values in block order: each pair's eigenvalue, residual, and largest
+    weight |v_i|^2 (``overlap``) of its unit eigenvector with that weight's
+    basis index i (``best``), the lowest one on a tie.  The eigenvectors
+    themselves are not kept: ``_solve_block`` reduces them to these.
     """
 
     values: np.ndarray
     residuals: np.ndarray
     overlap: np.ndarray
     best: np.ndarray
-    blocks: tuple
-    order: np.ndarray
-    dimension: int
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def vector(self, k: int) -> np.ndarray:
-        """The eigenvector of pair ``k`` at full length."""
-        column = int(self.order[k])
-        for support, vectors in self.blocks:
-            if column < vectors.shape[1]:
-                break
-            column -= vectors.shape[1]
-        vector = np.zeros(self.dimension, dtype=complex)
-        vector[support] = vectors[:, column]
-        return vector
 
 
 @functools.cache
@@ -287,19 +271,21 @@ def _pool() -> ThreadPoolExecutor:
 
 
 def _solve_block(blocks: list, bounds: Sequence[float]) -> list:
-    """Eigenvalues (complex), unit eigenvectors (columns) and residuals of
-    each n x n matrix of ``blocks``, or the NumericError that matrix raises:
-    its residual exceeds its entry of ``bounds`` or LAPACK did not converge.
+    """(values, residuals, overlap, best) of each n x n matrix of ``blocks``,
+    or the NumericError that matrix raises: its residual exceeds its entry
+    of ``bounds`` or LAPACK did not converge.  ``values`` are the complex
+    eigenvalues; ``overlap`` and ``best`` are each unit eigenvector's
+    largest weight |v_i|^2 and its block-local index i, the lowest on a tie.
 
     The matrices form one stack (k x n x n; a single one as a view) and
     ``blocks`` is emptied, so the stack is held here only.
     ``numpy.linalg.eig`` solves the whole stack in one call, looping in C; it
     releases the GIL while LAPACK runs, where ``scipy.linalg.eig`` holds it.
     Each matrix gets the bits of its own two-dimensional solve, so the
-    normalization and residuals below run per matrix, on eig's own output:
-    no block or vector array is copied.  It runs on pool threads, so it
-    calls no public ncphase function: the tracer in perfbench keeps a
-    single span stack.
+    normalization, residuals and weights below run per matrix, on eig's own
+    output: no block or vector array is copied, and no eigenvector outlives
+    the call.  It runs on pool threads, so it calls no public ncphase
+    function: the tracer in perfbench keeps a single span stack.
     """
     stack = blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
     blocks.clear()
@@ -325,11 +311,12 @@ def _solve_block(blocks: list, bounds: Sequence[float]) -> list:
         # vectors' interleaved real and imaginary parts, so the block is
         # never copied to complex.
         interleaved = real and np.iscomplexobj(block_vectors)
-        residuals = np.empty(len(block_values))
-        # The vectors are normalized in place and their residuals taken a
-        # slab of columns at a time, each column with the bits of the whole
-        # product, so the temporaries are n x width, not n x n (a block's
-        # complex vectors take 7.3 MB at N=50).
+        residuals, overlap = np.empty(len(block_values)), np.empty(len(block_values))
+        best = np.empty(len(block_values), dtype=int)
+        # The vectors are normalized in place and their residuals and
+        # weights taken a slab of columns at a time, each column with the
+        # bits of the whole block's, so the temporaries are n x width, not
+        # n x n (a block's complex vectors take 7.3 MB at N=50).
         width = max(1, 2**15 // len(block))  # columns per 512-KiB complex slab
         for start in range(0, len(block_values), width):
             cols = slice(start, start + width)
@@ -338,13 +325,15 @@ def _solve_block(blocks: list, bounds: Sequence[float]) -> list:
             product = (block @ slab.view(float)).view(complex) if interleaved else block @ slab
             with np.errstate(over="ignore", invalid="ignore"):
                 residuals[cols] = np.linalg.norm(product - slab * block_values[cols], axis=0)
+            weights = np.abs(slab) ** 2
+            best[cols], overlap[cols] = weights.argmax(axis=0), weights.max(axis=0)
         worst = float(residuals.max())
         if not worst <= bound:  # a NaN residual fails too
             solved.append(NumericError(
                 f"eigenpair residual {worst:.3e} exceeds {RESIDUAL_FACTOR:.1e} * ||H||"
             ))
         else:
-            solved.append((block_values.astype(complex), block_vectors, residuals))
+            solved.append((block_values.astype(complex), residuals, overlap, best))
     return solved
 
 
@@ -400,25 +389,20 @@ def _split(h: np.ndarray, last: Optional[list] = None) -> tuple:
     return bound, supports, blocks
 
 
-def _eigensystem(dimension: int, supports: list, solved: list) -> Eigensystem:
-    """The eigensystem of one matrix from its blocks' solves; the first
-    failed block's NumericError is raised.  The weights |v|^2 of each whole
-    block are taken at once, after the solves, so they stay below the
-    eigensolve's peak."""
-    blocks, parts = [], [(np.empty(0, complex), np.empty(0), np.empty(0), np.empty(0, int))]
+def _eigensystem(supports: list, solved: list) -> Eigensystem:
+    """The eigensystem of one matrix from its blocks' basis indices and
+    ``_solve_block`` results, each block-local ``best`` mapped to its basis
+    index; the first failed block's NumericError is raised."""
+    parts = [(np.empty(0, complex), np.empty(0), np.empty(0), np.empty(0, int))]
     for support, result in zip(supports, solved):
         if isinstance(result, NumericError):
             raise result
-        values, vectors, residuals = result
-        blocks.append((support, vectors))
-        weights = np.abs(vectors) ** 2
-        best = weights.argmax(axis=0)
-        parts.append((values, residuals, weights[best, np.arange(len(best))], support[best]))
+        values, residuals, overlap, best = result
+        parts.append((values, residuals, overlap, support[best]))
     values, residuals, overlap, best = map(np.concatenate, zip(*parts))
     # lexsort is stable: equal values keep their block order.
     order = np.lexsort((values.imag, values.real))
-    return Eigensystem(values[order], residuals[order], overlap[order], best[order],
-                       tuple(blocks), order, dimension)
+    return Eigensystem(values[order], residuals[order], overlap[order], best[order])
 
 
 def diagonalize(h: np.ndarray) -> Eigensystem:
@@ -431,8 +415,9 @@ def diagonalize(h: np.ndarray) -> Eigensystem:
     imaginary part is exactly zero is solved in real arithmetic.  Each block
     is a stack of one matrix for the solver that ``spectra`` shares: the
     calling thread solves the largest block while one job on a shared
-    one-thread pool solves the others.  Each block's eigenvectors are kept
-    as its solve returns them, at the block's basis indices.
+    one-thread pool solves the others.  Each block's solve reduces its
+    eigenvectors to their overlaps and best labels, which are mapped to the
+    block's basis indices; no eigenvector is returned.
 
     Every returned pair satisfies ||H v - lambda v|| <= RESIDUAL_FACTOR
     times ||H||; a violation, a non-finite or underflowing norm, a
@@ -441,9 +426,9 @@ def diagonalize(h: np.ndarray) -> Eigensystem:
     ``h`` is dropped once split, so a matrix the caller holds no reference
     to (``diagonalize(evaluate(plan, p))``) is freed before the eigensolve.
     """
-    split, dimension = _split(h), h.shape[0]
+    split = _split(h)
     del h
-    return _eigensystem(dimension, split[1], _solve([split])[0])
+    return _eigensystem(split[1], _solve([split])[0])
 
 
 def _solve(splits: list) -> list:
@@ -588,13 +573,13 @@ def spectra(points: Iterable[ParameterPoint], plan: Plan) -> Iterator:
 
 def _tables(batch: list, basis: FockBasis) -> Iterator:
     """Solve a batch of (point, its split or the error it raised), then
-    classify and yield each point's outcome in order."""
-    solved = _solve([split for _p, split in batch if isinstance(split, tuple)])[::-1]
+    classify and yield each point's outcome in order.  The solves hold no
+    eigenvectors, so the whole batch's are kept until its last table."""
+    solved = iter(_solve([split for _p, split in batch if isinstance(split, tuple)]))
     for p, outcome in batch:
         if isinstance(outcome, tuple):
-            try:  # a point's solves are popped, so they go once its table is built
-                system = _eigensystem(basis.dimension, outcome[1], solved.pop())
-                outcome = classify(system, basis, p)
+            try:
+                outcome = classify(_eigensystem(outcome[1], next(solved)), basis, p)
             except _POINT_ERRORS as exc:
                 outcome = exc
         yield outcome

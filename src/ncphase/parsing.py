@@ -64,17 +64,17 @@ def _tokenize(text: str) -> list:
             tokens.append(_Token(c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             numerator = int(text[start:i])
             if i < n and text[i] == "/":
                 j = i + 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or not text[j].isdecimal():
                     raise ParseError("expected digits after '/'", j)
                 i = j
-                while i < n and text[i].isdigit():
+                while i < n and text[i].isdecimal():
                     i += 1
                 denominator = int(text[j:i])
                 if denominator == 0:

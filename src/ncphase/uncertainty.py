@@ -40,7 +40,8 @@ class QuadratureError(RuntimeError):
 
 
 class MomentError(RuntimeError):
-    """Closed-form Gaussian moments out of range or off their quadrature."""
+    """Closed-form Gaussian moments or bounds out of range, or moments off
+    their quadrature."""
 
 
 QUAD_TOLERANCE = 1e-10
@@ -455,16 +456,19 @@ def brute_force_min_product(
 
 
 def uncertainty_report(p, y_mean: float, brute_force: dict | None = None) -> dict:
-    """JSON-ready report of the closed-form bounds at one <Y>."""
-    report = {
-        "hbar": p.hbar,
-        "theta": p.theta,
-        "tau": p.tau,
-        "y_mean": y_mean,
-        "delta_x_min": min_delta_x(p, y_mean),
-        "delta_py_min": min_delta_py(p, y_mean),
-        "squeezing_bound": squeezing_bound(p, y_mean),
-    }
+    """JSON-ready report of the closed-form bounds at one <Y>.  A bound that
+    overflows (``y_mean**2`` beyond the float range, or an infinite factor,
+    which times theta = 0 is NaN) raises MomentError naming it, so every
+    number of a report is finite."""
+    report = {"hbar": p.hbar, "theta": p.theta, "tau": p.tau, "y_mean": y_mean}
+    for name, bound in (("delta_x_min", min_delta_x), ("delta_py_min", min_delta_py),
+                        ("squeezing_bound", squeezing_bound)):
+        try:
+            report[name] = bound(p, y_mean)
+            if not math.isfinite(report[name]):
+                raise OverflowError
+        except OverflowError:
+            raise MomentError(f"{name} overflows at this parameter point") from None
     if brute_force is not None:
         report["brute_force"] = brute_force
     return report

@@ -463,6 +463,18 @@ def test_uncertainty_domain_error(capsys):
     assert "below 2" in err
 
 
+@pytest.mark.parametrize("flags", [
+    # tau <Y>^2 overflows: theta = 0 times inf is NaN, the others inf.
+    ["--hbar", "1e-20", "--tau", "1e10", "--y-mean", "1e150"],
+    # <Y>^2 itself overflows, which Python's float power raises.
+    ["--tau", "0.04", "--y-mean", "1e160"],
+])
+def test_uncertainty_overflowing_bound_is_a_numeric_failure(flags, capsys):
+    code, stdout, err = run(["uncertainty", *flags], capsys)
+    assert (code, stdout) == (EXIT_NUMERIC, "")
+    assert err == "numeric failure: delta_x_min overflows at this parameter point\n"
+
+
 def test_uncertainty_rejects_empty_sigma_grid(capsys):
     code, _o, err = run(
         ["uncertainty", "--tau", "0.04", "--brute-force", "--sigma-steps", "0"], capsys

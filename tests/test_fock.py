@@ -271,12 +271,17 @@ def test_diagonalize_sorts_by_real_part():
 
 
 def _python_sorted_pairs(h):
-    """Python's stable (Re, Im) sort of the eigenvalues of h's blocks, taken
-    in block order: (each sorted value's position before it, the values)."""
+    """Python's stable (Re, Im) sort of the pairs of h's blocks, taken in
+    block order: the sorted values, residuals and best basis indices."""
     split = ncphase.fock._split(h)
-    values = [v for result in ncphase.fock._solve([split])[0] for v in result[0].tolist()]
-    order = sorted(range(len(values)), key=lambda k: (values[k].real, values[k].imag))
-    return order, [values[k] for k in order]
+    pairs = [
+        (value, residual, int(support[best]))
+        for support, (values, residuals, _overlap, bests) in zip(
+            split[1], ncphase.fock._solve([split])[0])
+        for value, residual, best in zip(values.tolist(), residuals.tolist(), bests)
+    ]
+    pairs.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    return [list(column) for column in zip(*pairs)]
 
 
 @pytest.mark.parametrize("case", ["repeated-diagonal", "signed-zero-imaginary", "tau-zero-12"])
@@ -296,11 +301,13 @@ def test_diagonalize_orders_as_a_stable_python_sort(case):
         h = evaluate(compile_plan(build_hamiltonian(), FockBasis(12)),
                      ParameterPoint(theta=0.02, eta=0.03, tau=0.0))
     system = diagonalize(h)
-    order, values = _python_sorted_pairs(h)
-    assert system.order.tolist() == order
+    values, residuals, best = _python_sorted_pairs(h)
     assert repr(system.values.tolist()) == repr(values)
+    assert system.residuals.tolist() == residuals
+    assert system.best.tolist() == best
     if case == "repeated-diagonal":
-        assert order == [1, 3, 6, 2, 5, 0, 4]
+        # Each state is its own block, so best is the sorted order.
+        assert best == [1, 3, 6, 2, 5, 0, 4]
     elif case == "signed-zero-imaginary":
         assert [math.copysign(1.0, value.imag) for value in values] == [1.0, 1.0, -1.0, -1.0]
 
@@ -328,35 +335,34 @@ def _permuted_blocks(rng, sizes, complex_entries):
 @pytest.mark.parametrize("complex_entries", [True, False], ids=["complex", "real"])
 def test_diagonalize_matches_whole_matrix_eig(sizes, complex_entries):
     # The block-wise solve must reproduce the eigenvalues of one eig call on
-    # the whole matrix, and its embedded vectors must be eigenvectors of the
-    # whole matrix.  A real matrix (zero imaginary part) takes the real
-    # LAPACK path, a complex one the complex path.
+    # the whole matrix, each pair's best basis label and overlap must be
+    # those of the whole matrix's eigenvector of that value, and its residual
+    # must pass the bound the whole matrix's vectors pass.  A real matrix
+    # (zero imaginary part) takes the real LAPACK path, a complex one the
+    # complex path.
     rng = np.random.default_rng(len(sizes) + 2 * complex_entries)
     h = _permuted_blocks(rng, sizes, complex_entries)
     system = diagonalize(h)
     got = system.values
-    expected = scipy.linalg.eig(h, right=False)
+    expected, vectors = scipy.linalg.eig(h)
     distance = np.abs(got[:, None] - expected[None, :])
     rows, cols = scipy.optimize.linear_sum_assignment(distance)
     assert len(got) == len(expected) == h.shape[0]
     assert distance[rows, cols].max() <= 1e-10
-    for value, vector in zip(system.values, _vectors(system)):
-        assert vector.shape == (h.shape[0],)
-        residual = np.linalg.norm(h @ vector - value * vector)
-        assert residual <= 1e-10 * np.linalg.norm(h)
-
-
-def _vectors(system):
-    """Each pair's eigenvector at full length, one row per pair."""
-    return np.array([system.vector(k) for k in range(len(system))])
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    bound = 1e-10 * np.linalg.norm(h)
+    assert np.linalg.norm(h @ vectors - vectors * expected, axis=0).max() <= bound
+    assert system.residuals.max() <= bound
+    weights = np.abs(vectors[:, cols]) ** 2
+    assert system.best[rows].tolist() == weights.argmax(axis=0).tolist()
+    assert system.overlap[rows] == pytest.approx(weights.max(axis=0), abs=1e-10)
 
 
 def _scipy_block_system(h):
     """The oracle: one scipy.linalg.eig call per connected block, one after
     the other, sorted by Python's stable (Re, Im) sort of the pairs in
-    block order.  It is an Eigensystem of one block over every index, with
-    each eigenvector embedded at full length, and each pair's best label
-    and overlap taken from its own vector."""
+    block order, each pair's best label and overlap taken from its own
+    eigenvector embedded at full length."""
     d = h.shape[0]
     n_blocks, labels = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(h != 0), directed=False
@@ -381,9 +387,6 @@ def _scipy_block_system(h):
         residuals=np.array([pairs[k][1] for k in order]),
         overlap=np.array([w[b] for w, b in zip(weights, best)]),
         best=np.array(best, dtype=int),
-        blocks=((np.arange(d), np.array([vector for *_, vector in pairs]).T),),
-        order=np.array(order, dtype=int),
-        dimension=d,
     )
 
 
@@ -413,7 +416,7 @@ def test_diagonalize_matches_scipy_block_oracle(case):
     rows, cols = scipy.optimize.linear_sum_assignment(distance)
     assert len(got) == len(expected) == h.shape[0]
     assert distance[rows, cols].max() <= tolerance
-    # The oracle's block spans every index, so this also checks that a
+    # The oracle's argmax runs over every index, so this also checks that a
     # block-local argmax maps back to the same basis label.
     table, oracle = classify(got, basis, ACCEPTANCE_POINT), classify(expected, basis, ACCEPTANCE_POINT)
     assert [(r.n_plus, r.n_minus) for r in table.rows] == [
@@ -433,10 +436,7 @@ def test_diagonalize_repeats_bit_for_bit():
     h, _basis = _oracle_case("acceptance-16")
     first = diagonalize(h)
     for _ in range(19):
-        again = diagonalize(h)
-        assert np.array_equal(again.values, first.values)
-        assert np.array_equal(_vectors(again), _vectors(first))
-        assert np.array_equal(again.residuals, first.residuals)
+        _assert_same_systems([diagonalize(h)], [first])
 
 
 def test_pooled_block_failure_reaches_the_caller(monkeypatch):
@@ -510,10 +510,7 @@ def test_concurrent_callers_share_the_pool():
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
-    for k, system in enumerate(results):
-        expected = serial[k // 5]
-        assert np.array_equal(system.values, expected.values)
-        assert np.array_equal(_vectors(system), _vectors(expected))
+    _assert_same_systems(results, [system for system in serial for _ in range(5)])
 
 
 def test_pool_threads_call_no_public_function(monkeypatch):
@@ -578,11 +575,11 @@ def test_spectrum_drops_its_matrix_before_the_solve(monkeypatch):
 
 def test_block_solve_copies_neither_vectors_nor_block():
     # The N=40 even block (441 states) is real with complex eigenvalues.  Its
-    # solve holds eig's complex vectors and 512-KiB slabs beside them, and
-    # copies neither the vectors (a Fortran-ordered copy) nor the block (a
-    # complex copy for the residual product): the traced peak above entry
-    # stays within 1.75 complex n x n arrays (with either copy it reads
-    # 2.38-2.42).
+    # solve holds eig's complex vectors and 512-KiB slabs (and their
+    # weights) beside them, and copies neither the vectors (a Fortran-ordered
+    # copy) nor the block (a complex copy for the residual product): the
+    # traced peak above entry stays within 1.75 complex n x n arrays (with
+    # either copy it reads 2.38-2.42).
     plan = compile_plan(build_hamiltonian(), FockBasis(40))
     bound, supports, blocks = ncphase.fock._split(evaluate(plan, ACCEPTANCE_POINT))
     (block,) = [block for block in blocks if len(block) == 441]
@@ -599,10 +596,57 @@ def test_block_solve_copies_neither_vectors_nor_block():
     finally:
         if not tracing:
             tracemalloc.stop()
-    values, _vectors, residuals = result
+    values, residuals, overlap, best = result
     assert values.dtype == complex and values.imag.any()
     assert residuals.max() <= bound
+    assert len(overlap) == len(best) == len(block)
     assert peak <= 1.75 * np.dtype(complex).itemsize * len(block) ** 2
+
+
+def _own_eig_overlaps(h):
+    """The oracle: each connected block's own ``np.linalg.eig`` vectors (real
+    arithmetic where the block is real), each whole column divided by its
+    ``np.linalg.norm``, then the weights |v|^2 and their argmax at basis
+    indices; the pairs sorted by Python's stable (Re, Im) sort in block
+    order.  Each sorted pair's (value, overlap, best)."""
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(h != 0), directed=False
+    )
+    pairs = []
+    for label in range(n_blocks):
+        idx = np.flatnonzero(labels == label)
+        block = h[np.ix_(idx, idx)]
+        values, vectors = np.linalg.eig(block if block.imag.any() else block.real)
+        weights = np.abs(vectors / np.linalg.norm(vectors, axis=0)) ** 2
+        best = weights.argmax(axis=0)
+        pairs.extend(zip(values.astype(complex).tolist(), weights.max(axis=0).tolist(),
+                         idx[best].tolist()))
+    pairs.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    return [list(column) for column in zip(*pairs)]
+
+
+@pytest.mark.parametrize("case", ["acceptance-26", "complex-eigenvalues-40", "random-complex"])
+def test_block_solve_overlaps_match_each_blocks_own_vectors(case):
+    # The solve reduces its vectors to weights a slab of columns at a time;
+    # each pair's overlap and best label have the bits of its block's whole
+    # normalized vector.  At N=26 each parity block (196 and 182 states) is
+    # two slabs; the N=40 even block is real with complex eigenvalues, so
+    # its vectors go through the interleaved real product.
+    if case == "random-complex":
+        h = _permuted_blocks(np.random.default_rng(11), (30,), True)
+    else:
+        cutoff = 26 if case == "acceptance-26" else 40
+        h = evaluate(compile_plan(build_hamiltonian(), FockBasis(cutoff)), ACCEPTANCE_POINT)
+        if cutoff == 40:
+            (h,) = [block for block in ncphase.fock._split(h)[2] if len(block) == 441]
+            assert not np.iscomplexobj(h) and np.linalg.eigvals(h).imag.any()
+        else:
+            assert sorted(map(len, ncphase.fock._split(h)[2])) == [182, 196]
+    system = diagonalize(h)
+    values, overlap, best = _own_eig_overlaps(h)
+    assert system.values.tobytes() == np.array(values).tobytes()
+    assert system.overlap.tobytes() == np.array(overlap).tobytes()
+    assert system.best.tobytes() == np.array(best).tobytes()
 
 
 # -- stacked sweeps ------------------------------------------------------------------
@@ -662,8 +706,8 @@ def _assert_same_systems(got, expected):
     for system, reference in zip(got, expected):
         assert system.values.tobytes() == reference.values.tobytes()
         assert system.residuals.tobytes() == reference.residuals.tobytes()
-        for k in range(len(system)):
-            assert system.vector(k).tobytes() == reference.vector(k).tobytes()
+        assert system.overlap.tobytes() == reference.overlap.tobytes()
+        assert system.best.tobytes() == reference.best.tobytes()
 
 
 def _assert_same_outcomes(got, expected):
@@ -680,7 +724,8 @@ def _assert_same_outcomes(got, expected):
 
 @pytest.mark.parametrize("case", ["tau-from-zero-12", "undeformed-theta-8", "cross-10"])
 def test_spectra_gives_spectrum_bits(case, classified):
-    # Every eigenpair, full vector and level row of each point is spectrum's.
+    # Every eigenpair, its overlap and best label, and every level row of
+    # each point is spectrum's.
     plan, points = _sweep_case(case)
     expected = _point_by_point(points, plan)
     expected_systems = _taken(classified)
@@ -875,15 +920,10 @@ _LEVEL_FIELDS = [("n_plus", np.int64), ("n_minus", np.int64), ("e_analytic", np.
 
 
 def _classify_pair_by_pair(system, basis, p):
-    """The oracle: each eigenpair's weights |v_i|^2, argmax and overlap taken
-    on its own full-length vector, then a greedy claim, one pair at a time,
-    by descending overlap (a stable sort)."""
+    """The oracle: a greedy claim of each eigenpair's best label, one pair at
+    a time, by descending overlap (a stable sort)."""
     values, residuals = system.values.tolist(), system.residuals.tolist()
-    claims = []
-    for k in range(len(system)):
-        weights = np.abs(system.vector(k)) ** 2
-        best = int(np.argmax(weights))
-        claims.append((float(weights[best]), best, k))
+    claims = list(zip(system.overlap.tolist(), system.best.tolist(), range(len(system))))
     claims.sort(key=lambda item: -item[0])
     taken, rows, unclassified = set(), [], []
     for overlap, best, k in claims:
@@ -931,25 +971,32 @@ def test_classify_matches_the_pair_by_pair_oracle(case):
 
 
 def test_classify_breaks_ties_as_the_pair_by_pair_oracle():
-    # Four pairs of one hand-made block on the basis indices 2, 4 and 7.
-    # Within a pair, two labels share the largest weight and the lower one
-    # wins; across pairs, two share the largest overlap and the earlier pair
-    # claims the label.
+    # Four pairs of one hand-made block on the basis indices 2, 4 and 7, with
+    # the overlaps and block-local best indices of the columns (0.6, 0.8, 0),
+    # (0.8, 0.8, 0.1), (0, 0.8, 0.6) and (0.1j, 0, 0.9).  Pairs 0 and 2
+    # share the largest overlap and the label 4, and the earlier pair claims
+    # it.
     basis = FockBasis(4)
-    vectors = np.array([
-        [0.6, 0.8, 0.0, 0.1j],
-        [0.8, 0.8, 0.8, 0.0],
-        [0.0, 0.1, 0.6, 0.9],
-    ])
     system = ncphase.fock._eigensystem(
-        basis.dimension, [np.array([2, 4, 7])],
-        [(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex), vectors, np.zeros(4))],
+        [np.array([2, 4, 7])],
+        [(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex), np.zeros(4),
+          np.array([0.8, 0.8, 0.8, 0.9]) ** 2, np.array([1, 0, 1, 2]))],
     )
     _assert_classified_as_pair_by_pair(system, basis, ACCEPTANCE_POINT)
     table = classify(system, basis, ACCEPTANCE_POINT)
     assert [(basis.index[(row.n_plus, row.n_minus)], row.e_numeric) for row in table.rows] == [
         (2, 2.0), (4, 1.0), (7, 4.0)]
     assert table.unclassified == [2]
+
+
+def test_block_solve_breaks_weight_ties_to_the_lower_label():
+    # The eigenvector of 2 in the block on indices 0 and 2 is (1, 1)/sqrt(2):
+    # its two weights are one float, and the lower label wins.
+    h = np.array([[1.0, 0.0, 1.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    system = diagonalize(h)
+    assert system.values.tolist() == [1.0, 2.0, 2.0]
+    assert system.best.tolist() == [0, 0, 1]
+    assert system.overlap[1] == pytest.approx(0.5) and system.overlap[[0, 2]].tolist() == [1, 1]
 
 
 # An amplitude whose weight |v|^2 is the floor when the floor is patched to
@@ -963,22 +1010,23 @@ _AMPLITUDES = (0.0, _BELOW_FLOOR, _AT_FLOOR, -_AT_FLOOR, 0.6, 0.8j, 1.0)
 @st.composite
 def _random_systems(draw, dimension=10):
     """Eigensystems of up to three hand-made blocks of up to four pairs:
-    few amplitudes and labels, so overlaps and best labels repeat, and few
-    values, so the sort meets ties."""
+    few overlaps (weights of few amplitudes) and labels, so both repeat, and
+    few values, so the sort meets ties."""
     supports, solved = [], []
     for _ in range(draw(st.integers(0, 3))):
         support = sorted(draw(st.sets(st.integers(0, dimension - 1), min_size=1, max_size=4)))
         width = draw(st.integers(0, 4))
-        column = st.lists(st.sampled_from(_AMPLITUDES), min_size=len(support),
-                          max_size=len(support))
-        vectors = np.array(draw(st.lists(column, min_size=width, max_size=width)), dtype=complex)
-        values = draw(st.lists(st.sampled_from([1.0, 2.0, 2.0 + 0.5j, 2.0 - 0.5j]),
-                               min_size=width, max_size=width))
-        residuals = draw(st.lists(st.sampled_from([0.0, 1e-15]), min_size=width, max_size=width))
+
+        def pairs(strategy):
+            return np.array(draw(st.lists(strategy, min_size=width, max_size=width)))
+
+        values = pairs(st.sampled_from([1.0, 2.0, 2.0 + 0.5j, 2.0 - 0.5j])).astype(complex)
+        residuals = pairs(st.sampled_from([0.0, 1e-15])).astype(float)
+        overlap = np.abs(pairs(st.sampled_from(_AMPLITUDES)).astype(complex)) ** 2
+        best = pairs(st.integers(0, len(support) - 1)).astype(int)
         supports.append(np.array(support))
-        solved.append((np.array(values, dtype=complex),
-                       vectors.reshape(width, len(support)).T, np.array(residuals)))
-    return ncphase.fock._eigensystem(dimension, supports, solved)
+        solved.append((values, residuals, overlap, best))
+    return ncphase.fock._eigensystem(supports, solved)
 
 
 @settings(max_examples=150, deadline=None)

@@ -71,6 +71,18 @@ def test_syntax_error_carries_position():
         assert info.value.position == 2
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("\u00b2", "unexpected character '\u00b2'", 0),
+    ("q1^\u00b2", "unexpected character '\u00b2'", 3),
+    ("3/\u00b2", "expected digits after '/'", 2),
+])
+def test_superscript_digit_is_a_syntax_error(text, message, position):
+    # A superscript two is a digit to str.isdigit but not to int().
+    with pytest.raises(ParseError, match=f"^{message} \\(at position {position}\\)$") as info:
+        parse(text)
+    assert info.value.position == position
+
+
 def test_unknown_symbol_error():
     with pytest.raises(UnknownSymbolError) as info:
         parse("q1 + frobnicate")
