@@ -244,11 +244,13 @@ def _plan(policy: str, cutoff: int) -> Plan:
     """The Hamiltonian of a --policy text compiled over the cutoff's basis.
 
     Only the last (policy, cutoff) is kept, so in-process callers of main
-    that repeat them compile once.  A policy that does not resolve raises
-    before the kept plan is dropped; the kept plan is dropped before the
-    new one is compiled, so two plans are never held at once.
+    that repeat them compile once.  A policy that does not resolve or keeps
+    no term raises before the kept plan is dropped; the kept plan is dropped
+    before the new one is compiled, so two plans are never held at once.
     """
     hamiltonian = build_hamiltonian(resolve_policy(policy))
+    if hamiltonian.is_zero():  # caps on hbar, m or omega can drop every term
+        raise UsageError(f"policy {policy!r} keeps no term of the Hamiltonian")
     _plan.cache_clear()
     return compile_plan(hamiltonian, FockBasis(cutoff))
 

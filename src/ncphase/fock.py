@@ -2,8 +2,8 @@
 
 The basis is the helicity basis |n+, n-> with graded cutoff n+ + n- <= N,
 enumerated in graded lexicographic order (by grade, then by n+); that
-enumeration order is part of the wire format.  Dimension is
-(N+1)(N+2)/2.
+enumeration order is part of the wire format.  |n+, n-> is state
+s(s+1)/2 + n+ with s = n+ + n-, so the dimension is (N+1)(N+2)/2.
 
 Truncation locality: a polynomial of total degree d in (q, pi) has exact
 matrix elements between states with n+ + n- <= N - d, because no
@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
@@ -61,25 +62,24 @@ class ParameterPoint:
 
 
 class FockBasis:
-    """All |n+, n-> with n+ + n- <= cutoff, in graded-lex order."""
+    """All |n+, n-> with n+ + n- <= cutoff, in graded-lex order (``position``)."""
 
     def __init__(self, cutoff: int):
+        cutoff = operator.index(cutoff)
         if cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        self.cutoff = cutoff
-        self.states = [
-            (n_plus, grade - n_plus)
-            for grade in range(cutoff + 1)
-            for n_plus in range(grade + 1)
-        ]
-        self.index = {state: k for k, state in enumerate(self.states)}
-        # Row k is (n+, n-) of state k, as integers.
-        self.labels = np.array(self.states)
-        self.grades = self.labels.sum(axis=1)
+        self.cutoff, self.dimension = cutoff, self.position(0, cutoff + 1)
+        # Row k is (n+, n-) of state k; allocated first, so a cutoff too large fails at once.
+        self.labels = np.empty((self.dimension, 2), dtype=np.int64)
+        self.grades = np.repeat(np.arange(cutoff + 1), np.arange(1, cutoff + 2))
+        self.labels[:, 0] = np.arange(self.dimension) - self.position(0, self.grades)
+        self.labels[:, 1] = self.grades - self.labels[:, 0]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.states)
+    @staticmethod
+    def position(n_plus, n_minus):
+        """The index s(s+1)/2 + n+ of |n+, n->, s = n+ + n-: ints or int arrays."""
+        grade = n_plus + n_minus
+        return grade * (grade + 1) // 2 + n_plus
 
     def interior(self, margin: int) -> np.ndarray:
         """Boolean mask of states with grade <= cutoff - margin."""
@@ -88,7 +88,7 @@ class FockBasis:
 
 def build_ladder(basis: FockBasis):
     """The four helicity ladder matrices (A+, A-, A+dag, A-dag), sparse CSR,
-    float64.
+    float64, built from the basis labels and ``position`` by array operations.
 
     A+|n+, n-> = sqrt(n+) |n+-1, n->  and its three partners; the daggered
     matrices are exactly the transposes of the undaggered ones.
@@ -96,15 +96,11 @@ def build_ladder(basis: FockBasis):
     d = basis.dimension
 
     def lowering(axis: int) -> scipy.sparse.csr_matrix:
-        rows, cols, values = [], [], []
-        for state, col in basis.index.items():
-            if state[axis] >= 1:
-                lowered = list(state)
-                lowered[axis] -= 1
-                rows.append(basis.index[tuple(lowered)])
-                cols.append(col)
-                values.append(math.sqrt(state[axis]))
-        return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(d, d))
+        cols = np.flatnonzero(basis.labels[:, axis] >= 1)
+        values = np.sqrt(basis.labels[cols, axis])
+        lowered = basis.labels[cols]
+        lowered[:, axis] -= 1
+        return scipy.sparse.csr_matrix((values, (basis.position(*lowered.T), cols)), shape=(d, d))
 
     a_plus, a_minus = lowering(0), lowering(1)
     return a_plus, a_minus, a_plus.T.tocsr(), a_minus.T.tocsr()
@@ -146,13 +142,13 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
     """Compile a canonical-alphabet Expression over ``basis``.
 
     Each word becomes the chain of real sparse products of its letters'
-    matrices (``_letters``) from the left, starting at the identity; words
-    that share a prefix share its product, which is formed once.  A word
-    with k letters of power i is i^k times its chain: i^(k mod 2) goes into
-    the term's coefficient and (-1)^(k div 2) into the word.  The letters'
-    scales, l_q^a l_p^b = hbar^((a+b)/2) (m omega)^((b-a)/2), go into the
-    term's exponents.  Noncommutative-alphabet input is rejected: push it
-    through the Bopp shift first.
+    matrices (``_letters``) from the left, starting at the identity, formed
+    once per distinct word.  A word with k letters of power i is i^k times
+    its chain: i^(k mod 2) goes into the term's coefficient and
+    (-1)^(k div 2) into the word.  The letters' scales,
+    l_q^a l_p^b = hbar^((a+b)/2) (m omega)^((b-a)/2), go into the term's
+    exponents.  Noncommutative-alphabet input is rejected: push it through
+    the Bopp shift first.
 
     ``spectrum``, ``diagonal_check`` and ``commuting_check`` all take their
     matrices from plans made here, which only ``evaluate`` scales.
@@ -163,15 +159,13 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
             "substitute through the Bopp shift first"
         )
     letters = _letters(basis)
-    products = {(): scipy.sparse.identity(basis.dimension, format="csr")}
+    identity = scipy.sparse.identity(basis.dimension, format="csr")
     words, terms = {}, []
     for (word, powers), coef in e.sorted_terms():
-        for k in range(1, len(word) + 1):
-            if word[:k] not in products:
-                products[word[:k]] = products[word[: k - 1]] @ letters[word[k - 1]][0]
         if word not in words:
             turns = sum(letters[g][1] for g in word)
-            words[word] = 1j if turns % 2 else 1, (products[word] * (-1) ** (turns // 2)).tocoo()
+            chain = functools.reduce(operator.matmul, (letters[g][0] for g in word), identity)
+            words[word] = 1j if turns % 2 else 1, (chain * (-1) ** (turns // 2)).tocoo()
         phase, matrix = words[word]
         # Twice each exponent: the letters' half-exponents plus the term's own, doubled.
         half = map(sum, zip(*(letters[g][2] for g in word), [2 * exp for exp in powers]))
@@ -723,11 +717,13 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
         if not np.isfinite(errors).all():
             raise NumericError(f"{name} overflows at this parameter point")
         worst = float(errors.max(initial=0.0))
+        # Python ints, so the state prints as (n+, n-) whatever numpy's repr.
+        state = tuple(basis.labels[interior[errors.argmax()]].tolist())
         rows.append(
             {
                 "identity": name,
                 "max_rel_err": worst,
-                "worst_state": basis.states[interior[errors.argmax()]] if worst else None,
+                "worst_state": state if worst else None,
                 "tolerance": DIAGONAL_TOLERANCE,
                 "pass": worst <= DIAGONAL_TOLERANCE,
             }

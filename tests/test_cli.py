@@ -366,6 +366,25 @@ def test_a_failing_policy_keeps_the_last_plan(compiled, capsys):
     assert compiled == [6]
 
 
+EMPTY_POLICY = '{"caps": {"m": -5, "omega": -3}}'
+
+
+@pytest.mark.parametrize("command", [["spectrum"], SMALL_SWEEP], ids=["spectrum", "sweep"])
+def test_a_policy_that_keeps_no_term_is_a_usage_error(command, compiled, capsys):
+    # TruncationPolicy.of accepts caps on hbar, m and omega; these two drop
+    # every term of the Hamiltonian, which would print a table of zeros.
+    ncphase.cli._plan.cache_clear()
+    assert run([*SMALL_SWEEP, "--cutoff", "6"], capsys)[0] == EXIT_OK
+    kept = ncphase.cli._plan("default", 6)
+    assert run([*command, "--cutoff", "4", "--policy", EMPTY_POLICY], capsys) == (
+        EXIT_USAGE, "", f"usage error: policy {EMPTY_POLICY!r} keeps no term of the Hamiltonian\n")
+    assert ncphase.cli._plan("default", 6) is kept
+    assert compiled == [6]
+    # A cap that keeps some terms stays valid.
+    code, out, err = run([*command, "--cutoff", "4", "--policy", '{"caps": {"hbar": -5}}'], capsys)
+    assert (code, err) == (EXIT_OK, "") and out
+
+
 def test_a_new_key_drops_the_last_plan_before_compiling(monkeypatch, capsys):
     # Two plans are never held at once: when the new one is compiled, the
     # old one is gone.

@@ -79,16 +79,31 @@ def test_parameter_validation():
 
 def test_basis_enumeration_graded_lex():
     basis = FockBasis(3)
-    assert basis.states == [
-        (0, 0),
-        (0, 1), (1, 0),
-        (0, 2), (1, 1), (2, 0),
-        (0, 3), (1, 2), (2, 1), (3, 0),
+    assert basis.labels.tolist() == [
+        [0, 0],
+        [0, 1], [1, 0],
+        [0, 2], [1, 1], [2, 0],
+        [0, 3], [1, 2], [2, 1], [3, 0],
     ]
     assert basis.dimension == 10
     assert basis.labels.dtype == np.int64
-    assert basis.labels.tolist() == [list(state) for state in basis.states]
     assert basis.grades.tolist() == [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
+
+
+def graded_lex(cutoff):
+    """The reference enumeration: each (n+, n-) by grade, then by n+."""
+    return [(n_plus, grade - n_plus) for grade in range(cutoff + 1) for n_plus in range(grade + 1)]
+
+
+def test_basis_labels_and_position_match_the_nested_loop():
+    for cutoff in range(1, 61):
+        basis, states = FockBasis(cutoff), graded_lex(cutoff)
+        assert basis.labels.tolist() == [list(state) for state in states]
+        assert basis.grades.tolist() == [sum(state) for state in states]
+        assert basis.dimension == len(states)
+        # position inverts the enumeration, on ints and on arrays.
+        assert [basis.position(*state) for state in states] == list(range(len(states)))
+        assert basis.position(*basis.labels.T).tolist() == list(range(len(states)))
 
 
 @pytest.mark.parametrize("cutoff", [1, 4, 9])
@@ -99,6 +114,11 @@ def test_basis_dimension_formula(cutoff):
 def test_basis_cutoff_validation():
     with pytest.raises(ValueError):
         FockBasis(0)
+    with pytest.raises(TypeError):
+        FockBasis(4.0)
+    # (d x 2) labels of 71 PiB: the first allocation fails, before any other.
+    with pytest.raises(MemoryError):
+        FockBasis(10**8)
 
 
 # -- ladders ---------------------------------------------------------------------
@@ -107,13 +127,13 @@ def test_basis_cutoff_validation():
 def test_ladder_matrix_elements():
     basis = FockBasis(6)
     a_plus, a_minus, a_plus_dag, a_minus_dag = (m.toarray() for m in build_ladder(basis))
-    assert a_plus[basis.index[(0, 0)], basis.index[(1, 0)]] == pytest.approx(1.0)
-    assert a_plus_dag[basis.index[(2, 1)], basis.index[(1, 1)]] == pytest.approx(
+    assert a_plus[basis.position(0, 0), basis.position(1, 0)] == pytest.approx(1.0)
+    assert a_plus_dag[basis.position(2, 1), basis.position(1, 1)] == pytest.approx(
         math.sqrt(2)
     )
     # vacuum annihilation: the (0, n-) columns of A+ vanish
     for n_minus in range(5):
-        col = a_plus[:, basis.index[(0, n_minus)]]
+        col = a_plus[:, basis.position(0, n_minus)]
         assert np.all(col == 0)
 
 
@@ -123,6 +143,36 @@ def test_daggers_are_conjugate_transposes():
     assert np.array_equal(a_plus_dag, a_plus.conj().T)
     assert np.array_equal(a_minus_dag, a_minus.conj().T)
     assert np.allclose(a_plus @ a_minus, a_minus @ a_plus)
+
+
+def _ladder_per_state(basis):
+    """The reference ladders: each lowering matrix from a loop over the
+    states, looking each lowered state up in a dict."""
+    index = {state: k for k, state in enumerate(graded_lex(basis.cutoff))}
+    d = len(index)
+
+    def lowering(axis):
+        rows, cols, values = [], [], []
+        for state, col in index.items():
+            if state[axis] >= 1:
+                lowered = list(state)
+                lowered[axis] -= 1
+                rows.append(index[tuple(lowered)])
+                cols.append(col)
+                values.append(math.sqrt(state[axis]))
+        return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(d, d))
+
+    a_plus, a_minus = lowering(0), lowering(1)
+    return a_plus, a_minus, a_plus.T.tocsr(), a_minus.T.tocsr()
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 12, 16, 33, 50, 80])
+def test_build_ladder_has_the_bytes_of_the_per_state_loop(cutoff):
+    basis = FockBasis(cutoff)
+    for got, want in zip(build_ladder(basis), _ladder_per_state(basis)):
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
 def scaled_phase_space(basis, p):
@@ -165,7 +215,7 @@ def test_evaluate_core_hamiltonian_diagonal():
     h = evaluate(compile_plan(h_core(), basis), p)
     keep = basis.interior(2)
     diag = np.real(np.diag(h))
-    for state, on, value in zip(basis.states, keep, diag):
+    for state, on, value in zip(basis.labels.tolist(), keep, diag):
         if on:
             expected = p.hbar * p.omega * (state[0] + state[1] + 1)
             assert value == pytest.approx(expected, rel=1e-12)
@@ -183,7 +233,7 @@ def test_evaluate_angular_momentum_diagonal():
     p = ParameterPoint(hbar=1.9)
     got = evaluate(compile_plan(parse("q2*pi1 - q1*pi2"), basis), p)
     keep = basis.interior(2)
-    for state, on, value in zip(basis.states, keep, np.diag(got)):
+    for state, on, value in zip(basis.labels.tolist(), keep, np.diag(got)):
         if on:
             assert value == pytest.approx(p.hbar * (state[0] - state[1]), abs=1e-12)
     # off-diagonal part vanishes everywhere, not only on the interior
@@ -214,9 +264,9 @@ def test_truncation_locality():
     m_large = evaluate(compile_plan(h, large), p)
     degree = 4
     keep_small = [
-        i for i, s in enumerate(small.states) if s[0] + s[1] <= small.cutoff - degree
+        i for i, s in enumerate(small.labels.tolist()) if s[0] + s[1] <= small.cutoff - degree
     ]
-    keep_large = [large.index[small.states[i]] for i in keep_small]
+    keep_large = [large.position(*small.labels[i]) for i in keep_small]
     assert np.allclose(
         m_small[np.ix_(keep_small, keep_small)],
         m_large[np.ix_(keep_large, keep_large)],
@@ -239,10 +289,10 @@ def test_analytic_energy_on_arrays_has_the_scalar_bits(tau):
     # classify calls it once on the claimed labels' integer arrays.
     p = ParameterPoint(theta=0.02, eta=0.03, tau=tau)
     basis = FockBasis(50)
-    n_plus, n_minus = np.array(basis.states).T
+    n_plus, n_minus = basis.labels.T
     got = analytic_energy(n_plus, n_minus, p)
     assert got.dtype == float
-    assert repr(got.tolist()) == repr([analytic_energy(a, b, p) for a, b in basis.states])
+    assert repr(got.tolist()) == repr([analytic_energy(a, b, p) for a, b in graded_lex(50)])
 
 
 # -- diagonalization ----------------------------------------------------------------
@@ -922,6 +972,7 @@ _LEVEL_FIELDS = [("n_plus", np.int64), ("n_minus", np.int64), ("e_analytic", np.
 def _classify_pair_by_pair(system, basis, p):
     """The oracle: a greedy claim of each eigenpair's best label, one pair at
     a time, by descending overlap (a stable sort)."""
+    states = graded_lex(basis.cutoff)
     values, residuals = system.values.tolist(), system.residuals.tolist()
     claims = list(zip(system.overlap.tolist(), system.best.tolist(), range(len(system))))
     claims.sort(key=lambda item: -item[0])
@@ -931,7 +982,7 @@ def _classify_pair_by_pair(system, basis, p):
             unclassified.append(k)
             continue
         taken.add(best)
-        n_plus, n_minus = basis.states[best]
+        n_plus, n_minus = states[best]
         rows.append((n_plus, n_minus, analytic_energy(n_plus, n_minus, p),
                      values[k], residuals[k], overlap))
     rows.sort(key=lambda row: (row[0] + row[1], row[0]))
@@ -984,7 +1035,7 @@ def test_classify_breaks_ties_as_the_pair_by_pair_oracle():
     )
     _assert_classified_as_pair_by_pair(system, basis, ACCEPTANCE_POINT)
     table = classify(system, basis, ACCEPTANCE_POINT)
-    assert [(basis.index[(row.n_plus, row.n_minus)], row.e_numeric) for row in table.rows] == [
+    assert [(basis.position(row.n_plus, row.n_minus), row.e_numeric) for row in table.rows] == [
         (2, 2.0), (4, 1.0), (7, 4.0)]
     assert table.unclassified == [2]
 
@@ -1177,7 +1228,7 @@ def test_true_quartic_diagonal():
     p = ParameterPoint(hbar=1.7, m=2.3, omega=0.9)
     quartic, _linear, _squared = _sector_diagonals(basis, p)
     scale = p.hbar**2 / (8 * p.m)
-    for state, on, value in zip(basis.states, basis.interior(4), np.diag(quartic)):
+    for state, on, value in zip(basis.labels.tolist(), basis.interior(4), np.diag(quartic)):
         if on:
             n_plus, n_minus = state
             s = n_plus + n_minus
@@ -1190,7 +1241,7 @@ def test_true_linear_diagonal():
     basis = FockBasis(10)
     p = ParameterPoint(hbar=0.8, m=1.9, omega=2.4)
     _quartic, linear, _squared = _sector_diagonals(basis, p)
-    for _state, on, value in zip(basis.states, basis.interior(2), np.diag(linear)):
+    for on, value in zip(basis.interior(2), np.diag(linear)):
         if on:
             assert value.real == pytest.approx(p.hbar**2 / (2 * p.m), rel=1e-12)
 
@@ -1200,7 +1251,7 @@ def test_true_squared_diagonal():
     p = ParameterPoint(hbar=1.1, m=0.6, omega=1.8)
     _quartic, _linear, squared = _sector_diagonals(basis, p)
     scale = p.hbar**2 / (8 * p.m)
-    for state, on, value in zip(basis.states, basis.interior(4), np.diag(squared)):
+    for state, on, value in zip(basis.labels.tolist(), basis.interior(4), np.diag(squared)):
         if on:
             n_plus, n_minus = state
             s = n_plus + n_minus
@@ -1249,7 +1300,7 @@ def test_diagonal_check_matches_the_hand_built_products():
     p = ParameterPoint(hbar=1.7, m=2.3, omega=0.9)
     quartic, linear, squared = (np.diag(m) for m in _sector_diagonals(basis, p))
     keep = basis.interior(4)
-    n_plus, n_minus = np.array(basis.states).T
+    n_plus, n_minus = basis.labels.T
     scale = p.hbar**2 / (4 * p.m)
     oracle = {
         "diag(m omega^2 q2^2 q1^2)": (
@@ -1266,7 +1317,9 @@ def test_diagonal_check_matches_the_hand_built_products():
         diag, expected = oracle[row["identity"]]
         errors = np.where(keep, abs(diag - expected) / expected, 0.0)
         assert row["max_rel_err"] == pytest.approx(errors.max(), rel=1e-12)
-        at_worst = errors[basis.index[row["worst_state"]]]
+        # Python ints, so verify prints the state as (n+, n-).
+        assert [type(n) for n in row["worst_state"]] == [int, int]
+        at_worst = errors[basis.position(*row["worst_state"])]
         assert at_worst == pytest.approx(errors.max(), rel=1e-12)
 
 

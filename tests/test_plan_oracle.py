@@ -6,7 +6,7 @@ multiplies the term's coefficient by its parameter monomial with the
 letters' scales folded in (``folded_powers``: l_q = sqrt(hbar/(m omega))
 per q letter, l_p = sqrt(hbar m omega) per pi letter), and sums the
 products as complex sparse matrices, densified once at the end.  The plan
-forms each prefix once as a real chain, keeps each word as a real matrix
+forms each distinct word once as a real chain, keeps it as a real matrix
 with its factor i in the coefficient, and sums into a dense array, float64
 where every scaled coefficient is real; but it forms the same products,
 scales the same numbers and adds them in the same order, so the matrices
