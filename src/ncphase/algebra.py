@@ -16,14 +16,17 @@ Normal ordering brings every word to nondecreasing generator rank by
 building it letter by letter from a product that is already ordered: a new
 letter goes into its sorted place, and passing each higher-ranked letter s
 leaves the central [s, g] times the word without s, which is still sorted.
-Words that share a prefix share its ordered product.
+Passing a run of m equal letters s leaves one such word, m times.  Words that
+share a prefix share its ordered product.  A commutator [a, b] is built from
+the ordered operand N(a): [u, g] for a sorted word u is a sum of brackets
+times shorter sorted words, and the Leibniz rule adds the other letters of
+each word of b, so the leading words of a*b and b*a are never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
@@ -88,7 +91,9 @@ def powers_of(**exponents: int) -> Powers:
 
 
 def _add_powers(a: Powers, b: Powers) -> Powers:
-    return tuple(map(add, a, b))
+    # Spelled out, one entry per parameter: four times faster than
+    # tuple(map(add, a, b)), and it runs once per term of every product.
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4], a[5] + b[5])
 
 
 def _validate_powers(powers: Powers) -> None:
@@ -143,13 +148,7 @@ class Expression:
                         f"generator {g!r} does not belong to alphabet {alphabet!r}"
                     )
             clean[(tuple(word), tuple(powers))] = coef
-        # A purely scalar expression is alphabet-agnostic.
-        if not any(word for (word, _p) in clean):
-            alphabet = None
-        self = object.__new__(cls)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "terms", clean)
-        return self
+        return _trusted(alphabet, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expression is immutable")
@@ -202,7 +201,7 @@ class Expression:
         for key, coef in other.terms.items():
             acc = merged.get(key)
             merged[key] = coef if acc is None else acc + coef
-        return Expression(alpha, merged)
+        return _trusted(alpha, merged)
 
     __radd__ = __add__
 
@@ -213,16 +212,12 @@ class Expression:
         return _as_expression(other) + (-self)
 
     def __neg__(self) -> "Expression":
-        return Expression(
-            self.alphabet, {key: -coef for key, coef in self.terms.items()}
-        )
+        return _trusted(self.alphabet, {key: -coef for key, coef in self.terms.items()})
 
     def __mul__(self, other) -> "Expression":
         if isinstance(other, _COEFFICIENT_TYPES):
             c = _as_coefficient(other)
-            return Expression(
-                self.alphabet, {key: coef * c for key, coef in self.terms.items()}
-            )
+            return _trusted(self.alphabet, {key: coef * c for key, coef in self.terms.items()})
         other = _as_expression(other)
         alpha = _unify_alphabets(self.alphabet, other.alphabet)
         out: dict = {}
@@ -232,7 +227,7 @@ class Expression:
                 coef = ca * cb
                 acc = out.get(key)
                 out[key] = coef if acc is None else acc + coef
-        return Expression(alpha, out)
+        return _trusted(alpha, out)
 
     def __rmul__(self, other) -> "Expression":
         if isinstance(other, _COEFFICIENT_TYPES):
@@ -276,6 +271,28 @@ class Expression:
         )
 
     __repr__ = __str__
+
+
+_set_alphabet = Expression.alphabet.__set__
+_set_terms = Expression.terms.__set__
+
+
+def _trusted(alphabet: Optional[str], terms: dict) -> Expression:
+    """An Expression over a term map that is valid by construction: tuple
+    keys, every word over ``alphabet`` and every exponent vector allowed, as
+    in the results of arithmetic on expressions and of normal ordering.
+
+    The public constructor checks each term and then ends here.  Zero
+    coefficients are dropped, and a purely scalar expression is
+    alphabet-agnostic, so its alphabet is None.
+    """
+    clean = {key: coef for key, coef in terms.items() if not coef.is_zero()}
+    if not any(word for (word, _p) in clean):
+        alphabet = None
+    self = object.__new__(Expression)
+    _set_alphabet(self, alphabet)
+    _set_terms(self, clean)
+    return self
 
 
 def _as_expression(value) -> Expression:
@@ -324,6 +341,21 @@ class AlgebraTable:
                 raise AlgebraError("commutators must be central (scalar-valued)")
             checked[(hi, lo)] = expr
         self.entries = checked
+        # The bracket lookups of _insert.  For each letter g and each letter
+        # s it does not commute with, the (powers, coefficient) pairs of the
+        # central term that moving g past s leaves: [s, g] for s of higher
+        # rank as g is appended (``_after``), [g, s] for s of lower rank as
+        # it is prepended (``_before``), and [s, g] for every s in [u, g]
+        # (``_commuted``).
+        self._after = {g: {} for g in self.alphabet}
+        self._before = {g: {} for g in self.alphabet}
+        self._commuted = {g: {} for g in self.alphabet}
+        for (hi, lo), expr in checked.items():
+            pairs = tuple((p, c) for (_w, p), c in expr.terms.items())
+            self._after.setdefault(lo, {})[hi] = pairs
+            self._before.setdefault(hi, {})[lo] = pairs
+            self._commuted.setdefault(lo, {})[hi] = pairs
+            self._commuted.setdefault(hi, {})[lo] = tuple((p, -c) for p, c in pairs)
 
     def commutator_of(self, a: str, b: str) -> Expression:
         """The scalar Expression [a, b]."""
@@ -377,7 +409,7 @@ def _accumulate(out: dict, key, coef: GaussianRational) -> None:
 
 def _add_scaled(out: dict, form: dict, coef: GaussianRational, powers: Powers) -> None:
     """Add coef * (parameter monomial) * form into ``out``, word by word."""
-    if coef == GR_ONE and powers == ZERO_POWERS:  # e.g. the q1 of x = q1 - ...
+    if coef == GR_ONE and powers == ZERO_POWERS:
         for key, c in form.items():
             _accumulate(out, key, c)
         return
@@ -385,37 +417,81 @@ def _add_scaled(out: dict, form: dict, coef: GaussianRational, powers: Powers) -
         _accumulate(out, (word, _add_powers(p, powers)), c * coef)
 
 
-def _append(form: dict, g: str, table: AlgebraTable) -> dict:
-    """The normal-ordered product form * g, for a normal-ordered ``form``.
+def _scaled(form: dict, coef: GaussianRational, powers: Powers) -> dict:
+    """coef * (parameter monomial) * form, word by word."""
+    if coef == GR_ONE and powers == ZERO_POWERS:  # e.g. the q1 of x = q1 - ...
+        return form
+    return {(word, _add_powers(p, powers)): c * coef for (word, p), c in form.items()}
 
-    g goes into its sorted place in each word u = s_1...s_k.  Moving it left
-    past each letter s_i of higher rank leaves the central [s_i, g] times u
-    without s_i, a word that is still sorted, so no term needs re-sorting.
+
+def _insert(form: dict, g: str, brackets: Mapping, out: dict, placed: bool = True) -> dict:
+    """Add to ``out``, and return it, what moving g into each word of the
+    normal-ordered ``form`` leaves: the word with g in its sorted place when
+    ``placed``, and for each letter s that ``brackets`` lists, the central
+    bracket it maps s to times the word without s.
+
+    Every word this adds is sorted, so no term needs re-sorting.  Equal
+    letters of a sorted word stand in one run, and dropping any of the m
+    letters of a run leaves the same word, so a run adds m times its
+    bracket once.
     """
     r = _RANK[g]
-    out: dict = {}
+    get = out.get
     for (word, powers), coef in form.items():
-        j = len(word)
-        while j and _RANK[word[j - 1]] > r:
-            j -= 1
-        _accumulate(out, (word[:j] + (g,) + word[j:], powers), coef)
-        for i in range(j, len(word)):
-            comm = table.entries.get((word[i], g))
-            if comm is not None:
+        n = len(word)
+        if placed:
+            j = n
+            while j and _RANK[word[j - 1]] > r:
+                j -= 1
+            key = (word[:j] + (g,) + word[j:], powers)
+            acc = get(key)
+            out[key] = coef if acc is None else acc + coef
+        i = 0
+        while i < n:
+            s = word[i]
+            end = i + 1
+            while end < n and word[end] == s:
+                end += 1
+            bracket = brackets.get(s)
+            if bracket is not None:
                 rest = word[:i] + word[i + 1 :]
-                for (_scalar, p), c in comm.terms.items():
-                    _accumulate(out, (rest, _add_powers(powers, p)), coef * c)
+                run = coef if end == i + 1 else coef * (end - i)
+                for p, c in bracket:
+                    key = (rest, _add_powers(powers, p))
+                    acc = get(key)
+                    out[key] = run * c if acc is None else acc + run * c
+            i = end
     return out
 
 
+def _append(form: dict, g: str, table: AlgebraTable, out: Optional[dict] = None) -> dict:
+    """The normal-ordered product form * g, added into ``out`` (a new term
+    map when None): g moves left past each letter s of higher rank, which
+    leaves [s, g]."""
+    return _insert(form, g, table._after[g], {} if out is None else out)
+
+
+def _prepend(g: str, form: dict, table: AlgebraTable) -> dict:
+    """The normal-ordered product g * form: g moves right past each letter s
+    of lower rank, which leaves [g, s]."""
+    return _insert(form, g, table._before[g], {})
+
+
 def _times_image(form: dict, image: Expression, table: AlgebraTable) -> dict:
-    """The normal-ordered product form * image, one image word at a time."""
+    """The normal-ordered product form * image, one image word at a time.
+
+    Each word scales ``form`` first, so its last letter is appended straight
+    into the result.
+    """
     out: dict = {}
     for (word, powers), coef in image.terms.items():
-        part = form
-        for g in word:
+        if not word:
+            _add_scaled(out, form, coef, powers)
+            continue
+        part = _scaled(form, coef, powers)
+        for g in word[:-1]:
             part = _append(part, g, table)
-        _add_scaled(out, part, coef, powers)
+        _append(part, word[-1], table, out)
     return out
 
 
@@ -431,10 +507,13 @@ def _image_of(images: Mapping[str, Expression], g: str, table: AlgebraTable) -> 
     return image
 
 
-def normal_order(e: Expression, table: AlgebraTable,
-                 images: Optional[Mapping[str, Expression]] = None) -> Expression:
-    """Rewrite every word to nondecreasing generator rank, after replacing
-    each generator g by ``images[g]`` when a mapping is given.
+# The empty word with coefficient 1: the form every product starts from.
+_UNIT = {((), ZERO_POWERS): GR_ONE}
+
+
+def _ordered(e: Expression, table: AlgebraTable,
+             images: Optional[Mapping[str, Expression]] = None) -> dict:
+    """The term map of normal_order(e, table, images).
 
     The words are walked in sorted order as a prefix trie: forms[k] is the
     normal-ordered product of the first k letters (or their images) of the
@@ -442,13 +521,8 @@ def normal_order(e: Expression, table: AlgebraTable,
     appended by ``_append``, which keeps the product ordered.  A word ends
     by adding its form times the term's coefficient and parameter powers.
     """
-    if images is None and e.alphabet not in (None, table.name):
-        raise MixedAlphabetError(
-            f"expression over {e.alphabet!r} cannot be ordered by the "
-            f"{table.name!r} table"
-        )
     out: dict = {}
-    forms = [{((), ZERO_POWERS): GR_ONE}]
+    forms = [_UNIT]
     previous: Word = ()
     for (word, powers), coef in sorted(e.terms.items(), key=lambda item: item[0][0]):
         k = 0
@@ -462,12 +536,54 @@ def normal_order(e: Expression, table: AlgebraTable,
                 forms.append(_times_image(forms[-1], _image_of(images, g, table), table))
         _add_scaled(out, forms[-1], coef, powers)
         previous = word
-    return Expression(table.name, out)
+    return out
+
+
+def normal_order(e: Expression, table: AlgebraTable,
+                 images: Optional[Mapping[str, Expression]] = None) -> Expression:
+    """Rewrite every word to nondecreasing generator rank, after replacing
+    each generator g by ``images[g]`` when a mapping is given."""
+    if images is None and e.alphabet not in (None, table.name):
+        raise MixedAlphabetError(
+            f"expression over {e.alphabet!r} cannot be ordered by the "
+            f"{table.name!r} table"
+        )
+    return _trusted(table.name, _ordered(e, table, images))
 
 
 def commutator(a: Expression, b: Expression, table: AlgebraTable) -> Expression:
-    """normal_order(a*b - b*a)."""
-    return normal_order(a * b - b * a, table)
+    """normal_order(a*b - b*a), built from the ordered operand N(a).
+
+    For a sorted word u, [u, g] is the sum over the letters s of u of the
+    central [s, g] times u without s, so [N(a), g] takes one pass and no
+    product.  By the Leibniz rule [a, g_1...g_k] is the sum over j of
+    g_1...g_{j-1} [a, g_j] g_{j+1}...g_k, so each word of b prepends and
+    appends its other letters to [N(a), g_j].  The leading words of a*b and
+    b*a, which cancel, are never built.  b is the operand with the shorter
+    words, by [a, b] = -[b, a].
+    """
+    a, b = _as_expression(a), _as_expression(b)
+    if _unify_alphabets(a.alphabet, b.alphabet) not in (None, table.name):
+        # Operands over another alphabet fail to order, unless a*b - b*a
+        # cancels before ordering; that route keeps both outcomes.
+        return normal_order(a * b - b * a, table)
+    swapped = b.max_word_length() > a.max_word_length()
+    if swapped:
+        a, b = b, a
+    ordered = _ordered(a, table)
+    commuted: dict = {}  # [N(a), g] per letter g
+    out: dict = {}
+    for (word, powers), coef in b.terms.items():
+        for j, g in enumerate(word):
+            if g not in commuted:
+                commuted[g] = _insert(ordered, g, table._commuted[g], {}, placed=False)
+            part = commuted[g]
+            for h in word[j + 1 :]:
+                part = _append(part, h, table)
+            for h in reversed(word[:j]):
+                part = _prepend(h, part, table)
+            _add_scaled(out, part, -coef if swapped else coef, powers)
+    return _trusted(table.name, out)
 
 
 def jacobi(a: Expression, b: Expression, c: Expression, table: AlgebraTable) -> Expression:
@@ -485,7 +601,7 @@ def formal_adjoint(e: Expression) -> Expression:
     All lowercase generators are self-adjoint and the parameters are real,
     so the formal dagger needs no further data.
     """
-    return Expression(
+    return _trusted(
         e.alphabet,
         {
             (tuple(reversed(word)), powers): coef.conjugate()
@@ -577,7 +693,7 @@ UNDEFORMED_POLICY = TruncationPolicy.of(caps={"theta": 0, "eta": 0, "tau": 0})
 
 
 def truncate(e: Expression, policy: TruncationPolicy) -> Expression:
-    return Expression(
+    return _trusted(
         e.alphabet,
         {
             (word, powers): coef

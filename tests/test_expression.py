@@ -1,5 +1,6 @@
 """Core expression arithmetic, normal ordering, adjoints, truncation."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from ncphase.algebra import (
     MixedAlphabetError,
     TruncationPolicy,
     UNDEFORMED_POLICY,
+    commutator,
     formal_adjoint,
     normal_order,
     powers_of,
@@ -68,6 +70,53 @@ def test_init_cannot_rewrite_an_expression():
 def test_mixed_alphabet_rejected():
     with pytest.raises(MixedAlphabetError):
         Expression.generator("q1") * Expression.generator("x")
+
+
+@pytest.mark.parametrize("powers, message", [
+    ((0, 0, 0, -1, 0, 0), "negative exponent not allowed for theta"),
+    ((0, 0, 0, 0, -1, 0), "negative exponent not allowed for eta"),
+    ((0, 0, 0, 0, 0, -2), "negative exponent not allowed for tau"),
+    ((0, 0, 0), "exponent vector must have one entry per parameter"),
+])
+def test_public_constructor_checks_every_exponent_vector(powers, message):
+    with pytest.raises(AlgebraError, match=message):
+        Expression("canonical", {(("q1",), powers): GR_I})
+
+
+def test_public_constructor_checks_every_letter():
+    with pytest.raises(MixedAlphabetError, match="generator 'x' does not belong"):
+        Expression("canonical", {(("q1", "x"), powers_of()): GR_I})
+
+
+def test_results_store_no_zero_and_a_scalar_has_no_alphabet():
+    # Sums, commutators and normal ordering build their results without the
+    # public checks, so they must still drop what cancels.
+    x, y = Expression.generator("x"), Expression.generator("y")
+    cancelled = [
+        x - x,
+        commutator(x, x, NONCOMMUTATIVE),
+        normal_order(x * y - y * x - i_times(theta=1), NONCOMMUTATIVE),
+        -(x * 0),
+    ]
+    for e in cancelled:
+        assert e.terms == {} and e.alphabet is None
+    # Only the scalar survives, so the result is alphabet-agnostic.
+    scalar = normal_order(x * y - y * x, NONCOMMUTATIVE)
+    assert scalar == i_times(theta=1) and scalar.alphabet is None
+    partial = normal_order(y * x - x * y + x, NONCOMMUTATIVE)
+    assert partial.alphabet == "noncommutative"
+    assert all(not coef.is_zero() for coef in partial.terms.values())
+
+
+def test_pickle_round_trip_goes_through_the_checks():
+    e = normal_order(parse("Py*X*X + 1/2*theta*Y"), NONCOMMUTATIVE)
+    assert pickle.loads(pickle.dumps(e)) == e
+    # Unpickling calls the public constructor, so a term map that no
+    # operation can produce is still rejected there.
+    forged = normal_order(Expression.generator("q1"), CANONICAL)
+    object.__setattr__(forged, "terms", {(("q1",), (0, 0, 0, -1, 0, 0)): GR_I})
+    with pytest.raises(AlgebraError, match="negative exponent not allowed for theta"):
+        pickle.loads(pickle.dumps(forged))
 
 
 def test_negative_exponents_only_for_dimensional_parameters():

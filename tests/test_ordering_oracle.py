@@ -1,5 +1,6 @@
 """The ordered prefix walk of ``normal_order`` and ``substitute`` against the
-rewrite-stack reference they replaced.
+rewrite-stack reference they replaced, and ``commutator`` against ordering
+a*b - b*a.
 
 The reference below is the earlier implementation: ``reference_normal_order``
 applies g_i g_j -> g_j g_i + [g_i, g_j] (rank g_i > rank g_j) until no word
@@ -25,10 +26,13 @@ from ncphase.algebra import (
     Expression,
     MissingImageError,
     MixedAlphabetError,
+    NONCOMMUTATIVE,
+    commutator,
     normal_order,
     rank,
 )
 from ncphase.maps import BOPP, flipped_bopp, named_operator, substitute
+from ncphase.parsing import parse
 from ncphase.rationals import GaussianRational
 
 
@@ -90,6 +94,66 @@ def test_normal_order_matches_the_rewrite_stack(case):
     got = normal_order(e, table)
     assert got.terms == reference_normal_order(e, table).terms
     assert all(list(word) == sorted(word, key=rank) for word, _p in got.terms)
+
+
+# Long runs of one letter, which the random words above rarely draw: moving a
+# letter past a run of m equal letters adds m times one bracket.
+_RUNS = {
+    "canonical": ["pi2^5*q2", "q1*pi1^6*q1", "pi1^3*q1^3", "pi2^4*pi1^3*q2^2*q1",
+                  "pi1^3*pi2^4*q1*q2*pi1"],
+    "noncommutative": ["py^3*x*y^2", "y^4*x^2", "px^5*x", "py^6*px*y", "px^3*py^3*x^2*y"],
+}
+
+
+@pytest.mark.parametrize("alphabet, text",
+                         [(a, text) for a in sorted(_RUNS) for text in _RUNS[a]])
+def test_runs_of_equal_letters_match_the_rewrite_stack(alphabet, text):
+    table = TABLES[alphabet]
+    e = parse(text)
+    assert normal_order(e, table).terms == reference_normal_order(e, table).terms
+    for g in ALPHABETS[alphabet]:
+        letter = Expression.generator(g)
+        for a, b in ((e, letter), (letter, e)):
+            assert commutator(a, b, table).terms == \
+                reference_normal_order(a * b - b * a, table).terms
+
+
+def _operands(alphabet):
+    """Expressions of the alphabet, pure scalars and zero."""
+    scalar = st.builds(lambda coef, powers: Expression.from_scalar(coef, **dict(zip(PARAMS, powers))),
+                       _COEFFICIENTS, _POWERS)
+    return st.one_of(_expressions(alphabet, max_length=5, max_terms=3), scalar,
+                     st.just(Expression.zero()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(ALPHABETS)).flatmap(
+    lambda alphabet: st.tuples(st.just(alphabet), _operands(alphabet),
+                               st.one_of(st.none(), _operands(alphabet)))))
+def test_commutator_matches_ordering_the_difference(case):
+    alphabet, a, b = case
+    b = a if b is None else b  # equal operands as well
+    table = TABLES[alphabet]
+    got = commutator(a, b, table)
+    want = normal_order(a * b - b * a, table)
+    assert got.terms == want.terms and got.alphabet == want.alphabet
+
+
+def test_commutator_keeps_the_outcome_outside_the_alphabet():
+    x, q1, q2 = (Expression.generator(g) for g in ("x", "q1", "q2"))
+    with pytest.raises(MixedAlphabetError, match="^cannot mix alphabets 'noncommutative' and 'canonical'$"):
+        commutator(x, q1, NONCOMMUTATIVE)
+    with pytest.raises(MixedAlphabetError, match="^cannot mix alphabets 'canonical' and 'noncommutative'$"):
+        commutator(q1, x, NONCOMMUTATIVE)
+    # A plain number commutes with everything, whatever the table.
+    for zero in (commutator(2, q1, NONCOMMUTATIVE), commutator(q1, Fraction(1, 2), NONCOMMUTATIVE)):
+        assert zero.is_zero() and zero.alphabet is None
+    # Operands of the other table's alphabet cannot be ordered, unless their
+    # products cancel before ordering.
+    with pytest.raises(MixedAlphabetError,
+                       match="^expression over 'canonical' cannot be ordered by the 'noncommutative' table$"):
+        commutator(q1, q2, NONCOMMUTATIVE)
+    assert commutator(q1, q1, NONCOMMUTATIVE).is_zero()
 
 
 _CAPITALS = st.lists(
