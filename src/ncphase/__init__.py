@@ -44,6 +44,7 @@ from .fock import (
 )
 from .hamiltonian import (
     build_hamiltonian,
+    by_order,
     h_core,
     h_tau,
     h_theta_eta,

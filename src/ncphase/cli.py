@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +57,7 @@ from .fock import (
     spectra,
     spectrum,
 )
-from .hamiltonian import build_hamiltonian, h_tau, h_theta_eta, reference_hamiltonian
+from .hamiltonian import build_hamiltonian, by_order, reference_hamiltonian
 from .maps import BOPP, flipped_bopp, named_operator, substitute
 from .parsing import parse
 from .rationals import GaussianRational
@@ -79,14 +80,16 @@ EXIT_NUMERIC = 3
 # ---------------------------------------------------------------------------
 
 
-def _verify_cases(bopp: Mapping[str, Expression], cutoff: int, point: ParameterPoint) -> list:
+def _verify_cases(bopp: Mapping[str, Expression], plan: Plan, point: ParameterPoint) -> list:
     """Every verify check in report order, as (suite, name, value, expected,
     status): the row takes ``status`` when value == expected, else "fail".
 
     An identity compares two expressions and reports what is left of
     value - expected.  A check made by another layer (algebra and PT
     invariance, the diagonal identities) has the value (verdict, residual
-    text) and expects the passing verdict.
+    text) and expects the passing verdict.  Only the truncation row reads
+    ``bopp``: the PT rows read the default Hamiltonian under the standard
+    Bopp shift, split by ``by_order``, and the diagonal rows read ``plan``.
     """
     x, y, px, py = (substitute(parse(name), bopp) for name in ("x", "y", "px", "py"))
     X, Y, Px, Py = (named_operator(name) for name in ("X", "Y", "Px", "Py"))
@@ -103,7 +106,8 @@ def _verify_cases(bopp: Mapping[str, Expression], cutoff: int, point: ParameterP
         GaussianRational(0, Fraction(1, 4)), theta=1, eta=1, hbar=-1
     )
     zero = Expression.zero()
-    full = reference_hamiltonian()
+    full = build_hamiltonian(DEFAULT_POLICY)
+    pieces = by_order(full)
     cases = [
         ("flat-closure", "[x, y]", commutator(x, y, CANONICAL), parse("i*theta"), "pass"),
         ("flat-closure", "[x, px]", commutator(x, px, CANONICAL),
@@ -138,23 +142,22 @@ def _verify_cases(bopp: Mapping[str, Expression], cutoff: int, point: ParameterP
         ("adjoint", "Py^dag = Py - 2 i tau hbar Y", adjoint(Py),
          nc("Py - 2*i*tau*hbar*Y"), "pass"),
         ("hamiltonian", "default truncation equals the three named pieces",
-         build_hamiltonian(DEFAULT_POLICY, bopp=bopp), full, "pass"),
+         full if bopp is BOPP else build_hamiltonian(DEFAULT_POLICY, bopp=bopp),
+         reference_hamiltonian(), "pass"),
     ]
     for row in check_algebra_invariance(NONCOMMUTATIVE, P_THETA_ETA_T):
         cases.append(("symmetry", f"{P_THETA_ETA_T.kind} preserves {row['relation']}",
                       (row["preserved"], row["residual"]), True, "pass"))
     for name, expression, variant, expected in (
         (f"full Hamiltonian invariant under {P_THETA_ETA_T.kind}", full, P_THETA_ETA_T, True),
-        (f"angular coupling anti-invariant under {PT.kind}",
-         normal_order(h_theta_eta(), CANONICAL), PT, False),
-        (f"tau correction invariant under {PT.kind}",
-         normal_order(h_tau(), CANONICAL), PT, True),
+        (f"angular coupling anti-invariant under {PT.kind}", pieces["h_theta_eta"], PT, False),
+        (f"tau correction invariant under {PT.kind}", pieces["h_tau"], PT, True),
     ):
         verdict = is_invariant(expression, variant)
         cases.append(
             ("symmetry", name, (verdict, f"is_invariant={verdict}"), expected, "pass")
         )
-    for row in diagonal_check(FockBasis(cutoff), point)["identities"]:
+    for row in diagonal_check(plan, point)["identities"]:
         residual = f"max_rel_err={row['max_rel_err']:.12g} at {row['worst_state']}"
         cases.append(
             ("diagonal-identities", row["identity"], (row["pass"], residual), True, "pass")
@@ -166,8 +169,10 @@ def cmd_verify(args) -> int:
     _check_cutoff(args.cutoff)
     bopp = flipped_bopp() if args.debug_flip_epsilon else BOPP
     point = _point_from_args(args)
+    # The plan spectrum solves at this cutoff, which a later spectrum reuses.
+    plan = _plan("default", args.cutoff)
     checks = []
-    for suite, name, value, expected, status in _verify_cases(bopp, args.cutoff, point):
+    for suite, name, value, expected, status in _verify_cases(bopp, plan, point):
         if isinstance(value, Expression):
             residual = str(value - expected)
         else:
@@ -239,18 +244,37 @@ def _check_finite(flag: str, value: float, positive: bool = False) -> None:
         raise UsageError(f"{flag} must be {kind}")
 
 
+def _memory_bytes() -> float:
+    """This machine's physical memory in bytes, inf where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 @functools.lru_cache(maxsize=1)
 def _plan(policy: str, cutoff: int) -> Plan:
-    """The Hamiltonian of a --policy text compiled over the cutoff's basis.
+    """The Hamiltonian of a --policy text compiled over the cutoff's basis:
+    the plan that spectrum, sweep and verify all read.
 
     Only the last (policy, cutoff) is kept, so in-process callers of main
     that repeat them compile once.  A policy that does not resolve or keeps
-    no term raises before the kept plan is dropped; the kept plan is dropped
-    before the new one is compiled, so two plans are never held at once.
+    no term, or a cutoff whose dense matrix (``evaluate``'s, d x d float64)
+    exceeds this machine's memory, raises before the kept plan is dropped
+    and before the basis or any sparse matrix is built; the kept plan is
+    dropped before the new one is compiled, so two plans are never held at
+    once.
     """
     hamiltonian = build_hamiltonian(resolve_policy(policy))
     if hamiltonian.is_zero():  # caps on hbar, m or omega can drop every term
         raise UsageError(f"policy {policy!r} keeps no term of the Hamiltonian")
+    dimension = FockBasis.position(0, cutoff + 1)
+    needed, memory = 8 * dimension**2, _memory_bytes()
+    if needed > memory:
+        raise NumericError(
+            f"cutoff {cutoff} needs a {dimension} x {dimension} matrix of {needed:.3g} bytes, "
+            f"more than the {memory:.3g} bytes of memory here"
+        )
     _plan.cache_clear()
     return compile_plan(hamiltonian, FockBasis(cutoff))
 

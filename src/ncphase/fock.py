@@ -26,7 +26,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 
 from .algebra import PARAMS, Expression, MixedAlphabetError
-from .hamiltonian import h_core, h_tau, h_theta_eta
+from .hamiltonian import PIECES, piece_of
 
 
 class NumericError(RuntimeError):
@@ -151,7 +151,8 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
     the Bopp shift first.
 
     ``spectrum``, ``diagonal_check`` and ``commuting_check`` all take their
-    matrices from plans made here, which only ``evaluate`` scales.
+    matrices from plans made here, which only ``evaluate`` scales: the two
+    reports read the pieces of the very plan ``spectrum`` solves.
     """
     if e.alphabet == "noncommutative":
         raise MixedAlphabetError(
@@ -675,29 +676,47 @@ def level_table_csv(table: LevelTable) -> str:
 # Reference-identity reports
 # ---------------------------------------------------------------------------
 
+
+def _pieces(plan: Plan) -> dict:
+    """The plan's terms split by ``hamiltonian.piece_of``, as ``by_order``
+    splits an Expression: each piece name maps to a plan over the same
+    basis, without terms if no term has its order."""
+    groups = {name: [] for name in PIECES.values()}
+    for term in plan.terms:
+        name = piece_of(term[1])
+        if name is not None:
+            groups[name].append(term)
+    return {name: Plan(plan.basis, tuple(terms)) for name, terms in groups.items()}
+
+
 DIAGONAL_TOLERANCE = 1e-10
 
 
-def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
+def diagonal_check(plan: Plan, p: ParameterPoint) -> dict:
     """Measure the three tau-sector diagonal identities on interior states.
 
-    Each identity compares the diagonal of one term of ``h_tau``'s compiled
-    plan, evaluated alone at ``p`` with tau = 1 (which divides the tau
-    prefactor out exactly), against its bundled closed form, on states with
-    grade <= cutoff - 4 where degree-4 words are truncation-exact.  The
-    fourth row checks that the three diagonals sum to the closed-form level
-    shift.  So the report measures the very terms ``spectrum`` solves.  A
-    row's worst state is the first of its largest error, None if every
-    error is 0.  A cutoff below 4 (no interior) raises ValueError.
+    Each identity compares the diagonal of one of the plan's three pure-tau
+    terms (its ``h_tau`` piece), evaluated alone at ``p`` with tau = 1
+    (which divides the tau prefactor out exactly), against its bundled
+    closed form, on states with grade <= cutoff - 4 where degree-4 words
+    are truncation-exact.  The fourth row checks that the three diagonals
+    sum to the closed-form level shift.  So a plan of ``build_hamiltonian``
+    is measured on the very terms ``spectrum`` solves.  A row's worst state
+    is the first of its largest error, None if every error is 0.  A cutoff
+    below 4 (no interior), or a plan without the three pure-tau terms (the
+    undeformed policy's), raises ValueError.
     """
+    basis = plan.basis
     at_unit_tau = replace(p, tau=1.0)
     interior = np.flatnonzero(basis.interior(4))
     if not interior.size:
         raise ValueError(f"cutoff {basis.cutoff} leaves no state inside the interior margin 4")
-    # The terms in sorted order: q2 pi2, q2^2 q1^2, q2^2 pi2^2.
+    terms = _pieces(plan)["h_tau"].terms
+    if len(terms) != 3:
+        raise ValueError(f"the plan has {len(terms)} pure-tau terms, not the 3 of h_tau")
+    # The terms in sorted order: q2 pi2, q1^2 q2^2, q2^2 pi2^2.
     linear, quartic, squared = (
-        np.diagonal(evaluate(Plan(basis, (term,)), at_unit_tau))[interior]
-        for term in compile_plan(h_tau(), basis).terms
+        np.diagonal(evaluate(Plan(basis, (term,)), at_unit_tau))[interior] for term in terms
     )
     n_plus, n_minus = basis.labels[interior].T
     scale = p.hbar**2 / (4 * p.m)
@@ -741,21 +760,24 @@ def diagonal_check(basis: FockBasis, p: ParameterPoint) -> dict:
 COMMUTING_TOLERANCE = 1e-8
 
 
-def commuting_check(basis: FockBasis, p: ParameterPoint) -> dict:
-    """Interior Frobenius norms of the pairwise piece commutators.
+def commuting_check(plan: Plan, p: ParameterPoint) -> dict:
+    """Interior Frobenius norms of the pairwise commutators of the plan's
+    pieces (``_pieces``).
 
     The core/angular commutator vanishes identically; the tau/angular pair
     is claimed to vanish by the source material but does not (the measured
     relative norm is reported); the core/tau pair carries no claim and is
     recorded as observed.  The pieces are evaluated with theta = eta = tau
     = 1, which divides out their prefactors and leaves each relative norm.
+    A plan that lacks a piece raises ValueError.
     """
     unit = replace(p, theta=1.0, eta=1.0, tau=1.0)
-    pieces = {
-        "h_core": (evaluate(compile_plan(h_core(), basis), unit), 2),
-        "h_theta_eta": (evaluate(compile_plan(h_theta_eta(), basis), unit), 2),
-        "h_tau": (evaluate(compile_plan(h_tau(), basis), unit), 4),
-    }
+    degrees = {"h_core": 2, "h_theta_eta": 2, "h_tau": 4}  # each piece's word degree
+    pieces = {}
+    for name, piece in _pieces(plan).items():
+        if not piece.terms:
+            raise ValueError(f"the plan has no {name} term")
+        pieces[name] = evaluate(piece, unit), degrees[name]
     combos = [
         ("h_core", "h_theta_eta", True),
         ("h_tau", "h_theta_eta", True),
@@ -766,7 +788,7 @@ def commuting_check(basis: FockBasis, p: ParameterPoint) -> dict:
         a, deg_a = pieces[left]
         b, deg_b = pieces[right]
         margin = deg_a + deg_b
-        keep = basis.interior(margin)
+        keep = plan.basis.interior(margin)
         comm = (a @ b - b @ a)[np.ix_(keep, keep)]
         norm_a = np.linalg.norm(a[np.ix_(keep, keep)])
         norm_b = np.linalg.norm(b[np.ix_(keep, keep)])
@@ -781,4 +803,4 @@ def commuting_check(basis: FockBasis, p: ParameterPoint) -> dict:
                 "pass": (relative <= COMMUTING_TOLERANCE) if claimed_zero else None,
             }
         )
-    return {"cutoff": basis.cutoff, "pairs": rows}
+    return {"cutoff": plan.basis.cutoff, "pairs": rows}

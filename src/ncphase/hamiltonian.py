@@ -9,16 +9,21 @@ result coincides, coefficient by coefficient, with the three named pieces:
 * ``h_theta_eta``  (eta/2m hbar + m omega^2 theta/2 hbar)(q2 pi1 - q1 pi2)
 * ``h_tau``        tau (m omega^2 q2^2 q1^2 - (i hbar/m) q2 pi2
                         + (1/m) q2^2 pi2^2)
+
+``PIECES`` names the piece of each deformation order, and ``by_order``
+splits any Hamiltonian by it.  Only ``reference_hamiltonian`` reads the
+hand-written pieces; every numeric report reads the pieces of the built one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 from .algebra import (
     CANONICAL,
     DEFAULT_POLICY,
+    PARAMS,
     Expression,
     TruncationPolicy,
     normal_order,
@@ -76,6 +81,36 @@ def build_hamiltonian(
     potential = (X * X + Y * Y) * Expression.from_scalar(Fraction(1, 2), m=1, omega=2)
     canonical = substitute(kinetic + potential, bopp)
     return truncate(canonical, policy)
+
+
+# The named piece of each (theta, eta, tau) exponent triple; a term of any
+# other order belongs to no piece.
+PIECES = {
+    (0, 0, 0): "h_core",
+    (1, 0, 0): "h_theta_eta",
+    (0, 1, 0): "h_theta_eta",
+    (0, 0, 1): "h_tau",
+}
+
+_DEFORMATIONS = slice(PARAMS.index("theta"), PARAMS.index("tau") + 1)
+
+
+def piece_of(exponents: Sequence) -> Optional[str]:
+    """The ``PIECES`` name of a term with these exponents over ``PARAMS``,
+    or None: an Expression term's powers, or a compiled plan term's
+    exponents, whose theta, eta and tau entries are the term's own."""
+    return PIECES.get(tuple(exponents[_DEFORMATIONS]))
+
+
+def by_order(h: Expression) -> dict:
+    """The terms of ``h`` split by ``piece_of``: each piece name maps to the
+    Expression of its terms (zero if none), and the other terms are dropped."""
+    groups = {name: {} for name in PIECES.values()}
+    for key, coef in h.terms.items():
+        name = piece_of(key[1])
+        if name is not None:
+            groups[name][key] = coef
+    return {name: Expression(h.alphabet, terms) for name, terms in groups.items()}
 
 
 def reference_hamiltonian() -> Expression:

@@ -136,7 +136,7 @@ def test_criterion_3_diagonal_identities():
     holds.  The criterion is asserted as stated and fails honestly.
     """
     start = time.perf_counter()
-    result = diagonal_check(FockBasis(16), ParameterPoint())
+    result = diagonal_check(compile_plan(build_hamiltonian(), FockBasis(16)), ParameterPoint())
     elapsed = time.perf_counter() - start
     worst = max(row["max_rel_err"] for row in result["identities"])
     ok = all(row["pass"] for row in result["identities"]) and elapsed < 5.0

@@ -517,6 +517,24 @@ def test_unallocatable_grid_is_a_numeric_failure(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["verify"], ["spectrum"], ["sweep", "--param", "tau"]],
+                         ids=["verify", "spectrum", "sweep"])
+def test_a_cutoff_whose_matrix_cannot_exist_is_refused_before_any_sparse_work(
+        command, monkeypatch, capsys):
+    # At cutoff 5000 the dense matrix would take 12,507,501^2 floats (1.25e15
+    # bytes), more than any machine's memory: the plan all three commands
+    # read is refused in one line before its letters are built.
+    def refuse(basis):
+        raise AssertionError(f"letters built over {basis.dimension} states")
+
+    monkeypatch.setattr(ncphase.fock, "_letters", refuse)
+    code, out, err = run([*command, "--cutoff", "5000"], capsys)
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith(
+        "numeric failure: cutoff 5000 needs a 12507501 x 12507501 matrix of 1.25e+15 bytes, ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("sigma", ["5000", "7000", "10000"])
 def test_wide_centred_packet_passes_its_quadrature_check(sigma, capsys):

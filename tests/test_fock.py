@@ -15,6 +15,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import Future, ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,10 +33,12 @@ from ncphase.algebra import (
     FIRST_ORDER_CROSS_POLICY,
     PARAMS,
     UNDEFORMED_POLICY,
+    Expression,
+    TruncationPolicy,
     commutator,
     normal_order,
 )
-from ncphase.cli import EXIT_VERIFY_FAILED, main
+from ncphase.cli import EXIT_OK, EXIT_VERIFY_FAILED, main
 from ncphase.fock import (
     Eigensystem,
     FockBasis,
@@ -55,7 +58,7 @@ from ncphase.fock import (
     spectra,
     spectrum,
 )
-from ncphase.hamiltonian import build_hamiltonian, h_core, h_tau, h_theta_eta
+from ncphase.hamiltonian import build_hamiltonian, h_core, h_tau, h_theta_eta, piece_of
 from ncphase.maps import BOPP, substitute
 from ncphase.parsing import parse
 
@@ -1272,6 +1275,11 @@ def test_vacuum_quartic_matches_gaussian_moments():
 # -- reference-identity reports ------------------------------------------------------
 
 
+def default_plan(cutoff: int, policy=DEFAULT_POLICY) -> Plan:
+    """The plan spectrum solves: the built Hamiltonian over FockBasis(cutoff)."""
+    return compile_plan(build_hamiltonian(policy), FockBasis(cutoff))
+
+
 def test_diagonal_check_detects_the_reference_mismatch():
     """The bundled closed forms disagree with the exact diagonals.
 
@@ -1279,7 +1287,7 @@ def test_diagonal_check_detects_the_reference_mismatch():
     grade-dependent amount (the exact diagonals are quadratic in the grade,
     the reference forms linear), so the report must fail them honestly.
     """
-    report = diagonal_check(FockBasis(12), ParameterPoint())
+    report = diagonal_check(default_plan(12), ParameterPoint())
     by_name = {row["identity"]: row for row in report["identities"]}
     assert by_name["diag(-(i hbar/m) q2 pi2)"]["pass"]
     assert not by_name["diag(m omega^2 q2^2 q1^2)"]["pass"]
@@ -1291,7 +1299,7 @@ def test_diagonal_check_detects_the_reference_mismatch():
 
 
 def test_diagonal_check_matches_the_hand_built_products():
-    # The report reads h_tau's compiled terms; the oracle multiplies the
+    # The report reads the plan's pure-tau terms; the oracle multiplies the
     # scaled phase-space matrices by hand.  Where the bundled closed forms
     # fail, both measure the same errors.  States that tie in exact
     # arithmetic ((6, 0) and (0, 6)) may split by roundoff, so the reported
@@ -1311,7 +1319,8 @@ def test_diagonal_check_matches_the_hand_built_products():
             quartic + linear + squared,
             p.hbar**2 / (2 * p.m) * (2 * n_plus * n_minus + n_plus + n_minus + 2)),
     }
-    failing = [row for row in diagonal_check(basis, p)["identities"] if not row["pass"]]
+    plan = compile_plan(build_hamiltonian(), basis)
+    failing = [row for row in diagonal_check(plan, p)["identities"] if not row["pass"]]
     assert [row["identity"] for row in failing] == list(oracle)
     for row in failing:
         diag, expected = oracle[row["identity"]]
@@ -1323,28 +1332,38 @@ def test_diagonal_check_matches_the_hand_built_products():
         assert at_worst == pytest.approx(errors.max(), rel=1e-12)
 
 
-def test_diagonal_check_builds_no_phase_space_matrices(monkeypatch, capsys):
-    # Only compile_plan may build the phase-space letters: diagonal_check
-    # and verify measure h_tau's compiled plan, not products of their own.
-    build = ncphase.fock._letters
+@pytest.mark.parametrize("policy", [FIRST_ORDER_CROSS_POLICY, TruncationPolicy.of()],
+                         ids=["cross", "untruncated"])
+def test_diagonal_check_reads_the_same_tau_terms_under_every_deforming_policy(policy):
+    # The plan exponents keep theta, eta and tau unscaled, so the pure-tau
+    # terms are the same three under every policy that keeps them, and the
+    # cross and second-order terms belong to no piece.
+    p = ParameterPoint(hbar=1.3, m=0.7, theta=0.02, eta=0.03, tau=0.005)
+    assert diagonal_check(default_plan(10, policy), p) == diagonal_check(default_plan(10), p)
 
-    def for_compile_plan_only(*args):
-        caller = sys._getframe(1).f_code
-        if caller is not ncphase.fock.compile_plan.__code__:
-            raise AssertionError(f"_letters called from {caller.co_name}")
-        return build(*args)
 
-    monkeypatch.setattr(ncphase.fock, "_letters", for_compile_plan_only)
-    report = diagonal_check(FockBasis(8), ParameterPoint())
-    assert len(report["identities"]) == 4
+def test_verify_then_spectrum_compile_the_letters_once(monkeypatch, capsys):
+    # verify measures the plan spectrum solves, taken from the CLI's last
+    # plan: in one process a spectrum at the same cutoff compiles nothing.
+    ncphase.cli._plan.cache_clear()
+    build, calls = ncphase.fock._letters, []
+
+    def counting(basis):
+        calls.append(basis.cutoff)
+        return build(basis)
+
+    monkeypatch.setattr(ncphase.fock, "_letters", counting)
     assert main(["verify", "--cutoff", "6"]) == EXIT_VERIFY_FAILED
     checks = json.loads(capsys.readouterr().out)["checks"]
     assert sum(c["suite"] == "diagonal-identities" for c in checks) == 4
+    assert main(["spectrum", "--cutoff", "6", "--tau", "0.005"]) == EXIT_OK
+    assert capsys.readouterr().out
+    assert calls == [6]
 
 
 def test_commuting_check_report():
     point = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
-    report = commuting_check(FockBasis(12), point)
+    report = commuting_check(default_plan(12), point)
     by_pair = {row["pair"]: row for row in report["pairs"]}
     core_angular = by_pair["[h_core, h_theta_eta]"]
     assert core_angular["pass"] and core_angular["relative_norm"] <= 1e-10
@@ -1359,15 +1378,16 @@ def test_commuting_check_report():
 def test_commuting_check_reports_the_discrepancy_where_the_pieces_vanish():
     # At theta = eta = tau = 0 the deformed pieces vanish at the point, but
     # the check divides their prefactors out: the tau/angular pair still
-    # fails, with the relative norm measured by hand at the acceptance
-    # point, where no piece vanishes.
+    # fails, with the relative norm measured by hand, on the hand-written
+    # pieces, at the acceptance point, where no piece vanishes.
     basis = FockBasis(12)
     acceptance = ParameterPoint(theta=0.02, eta=0.03, tau=0.005)
     keep = np.ix_(*[basis.interior(6)] * 2)
     a, b = (evaluate(compile_plan(piece(), basis), acceptance) for piece in (h_tau, h_theta_eta))
     want = np.linalg.norm((a @ b - b @ a)[keep]) / (np.linalg.norm(a[keep]) * np.linalg.norm(b[keep]))
+    plan = compile_plan(build_hamiltonian(), basis)
     for point in (ParameterPoint(), ParameterPoint(theta=0.02, eta=0.03)):
-        by_pair = {row["pair"]: row for row in commuting_check(basis, point)["pairs"]}
+        by_pair = {row["pair"]: row for row in commuting_check(plan, point)["pairs"]}
         tau_angular = by_pair["[h_tau, h_theta_eta]"]
         assert tau_angular["pass"] is False
         assert tau_angular["relative_norm"] == pytest.approx(want, rel=1e-12)
@@ -1377,26 +1397,71 @@ def test_commuting_check_reports_the_discrepancy_where_the_pieces_vanish():
 def test_diagonal_check_needs_a_nonempty_interior():
     # Below cutoff 4 no state lies within the margin of the degree-4 words.
     with pytest.raises(ValueError, match="interior margin 4"):
-        diagonal_check(FockBasis(3), ParameterPoint())
-    assert len(diagonal_check(FockBasis(4), ParameterPoint())["identities"]) == 4
+        diagonal_check(default_plan(3), ParameterPoint())
+    assert len(diagonal_check(default_plan(4), ParameterPoint())["identities"]) == 4
+
+
+def test_the_reports_need_the_pieces_they_measure():
+    # The undeformed policy keeps no pure-tau or angular term: each report
+    # says so in one line instead of measuring an empty piece.
+    plan = default_plan(6, UNDEFORMED_POLICY)
+    with pytest.raises(ValueError) as diagonal:
+        diagonal_check(plan, ParameterPoint())
+    assert str(diagonal.value) == "the plan has 0 pure-tau terms, not the 3 of h_tau"
+    with pytest.raises(ValueError) as commuting:
+        commuting_check(plan, ParameterPoint())
+    assert str(commuting.value) == "the plan has no h_theta_eta term"
+
+
+def _reweighted(piece: str, word: tuple, factor: Fraction) -> Plan:
+    """The N=12 default plan with one term's coefficient times ``factor``:
+    the term of ``word`` in ``piece``."""
+    h = build_hamiltonian()
+    terms = dict(h.terms)
+    (key,) = [key for key in terms if key[0] == word and piece_of(key[1]) == piece]
+    terms[key] = terms[key] * factor
+    return compile_plan(Expression(h.alphabet, terms), FockBasis(12))
+
+
+def test_diagonal_tolerance_rejects_a_relative_error_of_1e_7():
+    # The q2 pi2 coefficient off by 1e-7 gives a linear diagonal of
+    # 0.50000005 where 1/2 is exact: its row must fail at 1e-10.
+    plan = _reweighted("h_tau", ("q2", "pi2"), Fraction(10**7 + 1, 10**7))
+    rows = {row["identity"]: row for row in diagonal_check(plan, ParameterPoint())["identities"]}
+    linear = rows["diag(-(i hbar/m) q2 pi2)"]
+    assert linear["max_rel_err"] == pytest.approx(1e-7, rel=1e-6)
+    assert linear["pass"] is False
+
+
+def test_commuting_tolerance_rejects_a_relative_norm_of_1e_7():
+    # A q1^2 weight off by 1e-5 breaks the core's rotation symmetry: the
+    # core/angular commutator's relative norm is 1.42e-7, which must fail
+    # at 1e-8.
+    plan = _reweighted("h_core", ("q1", "q1"), Fraction(10**5 + 1, 10**5))
+    rows = {row["pair"]: row for row in commuting_check(plan, ParameterPoint())["pairs"]}
+    core_angular = rows["[h_core, h_theta_eta]"]
+    assert core_angular["relative_norm"] == pytest.approx(1.42e-7, rel=1e-2)
+    assert core_angular["pass"] is False
 
 
 def test_tau_terms_keep_their_scale_at_a_large_mass():
     # Each tau term's scale is the one monomial tau hbar^2/m, so at m = 1e200
     # no term underflows to 0: the failing rows read as at unit scales.
-    basis = FockBasis(8)
+    plan = default_plan(8)
     unit, heavy = ParameterPoint(tau=0.005), ParameterPoint(m=1e200, tau=0.005)
-    rows = [[row for row in diagonal_check(basis, p)["identities"] if not row["pass"]]
+    rows = [[row for row in diagonal_check(plan, p)["identities"] if not row["pass"]]
             for p in (unit, heavy)]
     assert [row["identity"] for row in rows[0]] == [row["identity"] for row in rows[1]]
     assert len(rows[0]) == 3
     for at_unit, at_heavy in zip(*rows):
         assert at_heavy["max_rel_err"] == pytest.approx(at_unit["max_rel_err"], rel=1e-12)
         assert at_heavy["worst_state"] == at_unit["worst_state"]
-    for term in compile_plan(h_tau(), basis).terms:
-        plan = Plan(basis, (term,))
+    tau_terms = [term for term in plan.terms if piece_of(term[1]) == "h_tau"]
+    assert len(tau_terms) == 3
+    for term in tau_terms:
+        one = Plan(plan.basis, (term,))
         scale = heavy.tau * heavy.hbar**2 / heavy.m
-        got, want = evaluate(plan, heavy), scale * evaluate(plan, ParameterPoint(tau=1.0))
+        got, want = evaluate(one, heavy), scale * evaluate(one, ParameterPoint(tau=1.0))
         assert got.any()
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 

@@ -4,16 +4,23 @@ import copy
 import pickle
 from fractions import Fraction
 
+import pytest
+
 from ncphase.algebra import (
     CANONICAL,
     DEFAULT_POLICY,
     FIRST_ORDER_CROSS_POLICY,
     UNDEFORMED_POLICY,
+    Expression,
+    TruncationPolicy,
     normal_order,
     powers_of,
 )
+from ncphase.fock import FockBasis, _pieces, compile_plan
 from ncphase.hamiltonian import (
+    PIECES,
     build_hamiltonian,
+    by_order,
     h_core,
     h_tau,
     h_theta_eta,
@@ -53,6 +60,42 @@ def test_tau_piece_coefficients():
     assert e.terms[(("q2", "q2", "pi2", "pi2"), powers_of(tau=1, m=-1))] == one
     assert e.terms[(("q2", "pi2"), powers_of(tau=1, hbar=1, m=-1))] == GaussianRational(0, -1)
     assert len(e.terms) == 3
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, FIRST_ORDER_CROSS_POLICY, TruncationPolicy.of()],
+                         ids=["default", "cross", "untruncated"])
+def test_by_order_recovers_the_named_pieces(policy):
+    # One table names every piece: the built Hamiltonian's terms of orders
+    # 1, theta, eta and tau are the hand-written pieces, whatever higher
+    # orders the policy keeps beside them.
+    pieces = by_order(build_hamiltonian(policy))
+    assert list(pieces) == ["h_core", "h_theta_eta", "h_tau"]
+    for name, written in zip(pieces, (h_core, h_theta_eta, h_tau)):
+        assert pieces[name] == normal_order(written(), CANONICAL)
+
+
+def test_by_order_drops_other_orders_and_keeps_empty_pieces():
+    assert set(PIECES) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    pieces = by_order(build_hamiltonian(UNDEFORMED_POLICY))
+    assert pieces["h_core"] == normal_order(h_core(), CANONICAL)
+    assert pieces["h_theta_eta"].is_zero() and pieces["h_tau"].is_zero()
+    cross = Expression.word(["q1", "pi2"]) * Expression.from_scalar(1, theta=1, tau=1)
+    assert all(piece.is_zero() for piece in by_order(cross).values())
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, FIRST_ORDER_CROSS_POLICY, TruncationPolicy.of()],
+                         ids=["default", "cross", "untruncated"])
+def test_a_plan_splits_as_its_hamiltonian_does(policy):
+    # The plan exponents keep theta, eta and tau as the term's own, so each
+    # piece of a compiled plan is the compiled piece of the Hamiltonian.
+    basis = FockBasis(5)
+    plan_pieces = _pieces(compile_plan(build_hamiltonian(policy), basis))
+    for name, piece in by_order(build_hamiltonian(policy)).items():
+        alone = compile_plan(piece, basis).terms
+        split = plan_pieces[name].terms
+        assert [term[:2] for term in split] == [term[:2] for term in alone]
+        for (*_, got), (*_, want) in zip(split, alone):
+            assert (got != want).nnz == 0
 
 
 def test_zero_caps_policy_gives_core_only():
