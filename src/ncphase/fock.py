@@ -131,11 +131,29 @@ class Plan:
     an odd word), and its real word matrix at unit scales (sparse COO,
     float64).  The word matrices depend only on the basis, so one plan
     serves every parameter point: ``evaluate(plan, p)`` multiplies each
-    coefficient by its monomial at ``p`` and sums.
+    coefficient by its monomial at ``p`` and sums.  ``layout`` is what that
+    sum needs of the terms beyond their numbers, computed on first use.
     """
 
     basis: FockBasis
     terms: tuple
+
+    @functools.cached_property
+    def layout(self) -> tuple:
+        """One pair per term, in ``terms`` order: its nonzero exponents as
+        (parameter, exponent) pairs in ``PARAMS`` order, and the flat indices
+        row * d + col of its word's entries in a d x d array.  Terms with one
+        word share its indices.  Nothing here depends on the point."""
+        d = self.basis.dimension
+        flat = {}
+        layout = []
+        for _coef, exponents, word in self.terms:
+            if id(word) not in flat:
+                # As intp, which numpy indexes with without converting per call.
+                flat[id(word)] = word.row.astype(np.intp) * d + word.col
+            powers = tuple((name, exp) for name, exp in zip(PARAMS, exponents) if exp)
+            layout.append((powers, flat[id(word)]))
+        return tuple(layout)
 
 
 def compile_plan(e: Expression, basis: FockBasis) -> Plan:
@@ -183,34 +201,32 @@ def evaluate(plan: Plan, p: ParameterPoint) -> np.ndarray:
     Each coefficient is multiplied by its monomial, one nonzero exponent at
     a time in ``PARAMS`` order, so a zero coefficient stays zero; a power
     that overflows raises NumericError naming it (``hbar^2 overflows at
-    this parameter point``).  Terms are added in order, entry by entry, so
-    the result equals the sparse sum of the complex unit-scale word
-    matrices times the scaled coefficients bit for bit.  An overflowing
-    entry raises NumericError.  An Expression is realized as
+    this parameter point``).  Terms are added in order into one flat d*d
+    array at their ``Plan.layout`` indices, entry by entry, so the result
+    equals the sparse sum of the complex unit-scale word matrices times the
+    scaled coefficients bit for bit.  An overflowing entry raises
+    NumericError.  An Expression is realized as
     ``evaluate(compile_plan(e, basis), p)``.
     """
     values = p.values()
     scaled = []
-    for coef, exponents, _word in plan.terms:
-        for pname, exp in zip(PARAMS, exponents):
-            if exp:
-                try:
-                    coef *= values[pname] ** exp
-                except OverflowError:
-                    raise NumericError(
-                        f"{pname}^{exp:g} overflows at this parameter point"
-                    ) from None
+    for (coef, *_), (powers, _flat) in zip(plan.terms, plan.layout):
+        for pname, exp in powers:
+            try:
+                coef *= values[pname] ** exp
+            except OverflowError:
+                raise NumericError(f"{pname}^{exp:g} overflows at this parameter point") from None
         scaled.append(coef)
     real = all(coef.imag == 0 for coef in scaled)
     d = plan.basis.dimension
-    out = np.zeros((d, d), dtype=float if real else complex)
+    out = np.zeros(d * d, dtype=float if real else complex)
     # Overflowing entries are caught below, so numpy need not warn of them.
     with np.errstate(over="ignore", invalid="ignore"):
-        for coef, (*_, word) in zip(scaled, plan.terms):
-            out[word.row, word.col] += word.data * (coef.real if real else coef)
+        for coef, (*_, word), (_powers, flat) in zip(scaled, plan.terms, plan.layout):
+            out[flat] += word.data * (coef.real if real else coef)
     if not np.isfinite(out).all():
         raise NumericError("matrix entries overflow at this parameter point")
-    return out
+    return out.reshape(d, d)
 
 
 def analytic_energy(n_plus, n_minus, p: ParameterPoint):
@@ -333,25 +349,35 @@ def _solve_block(blocks: list, bounds: Sequence[float]) -> list:
 
 
 def _supports(pattern: np.ndarray, last: Optional[list]) -> list:
-    """The basis indices of each connected block of a nonzero pattern, each
-    ascending, the blocks in the order of their lowest index.
+    """The connected blocks of a d x d nonzero pattern, in the order of
+    their lowest basis index: each block's basis indices, ascending, with
+    the flat indices row * d + col of its entries in row order (int32 where
+    d * d fits), which gather the block from the flattened matrix.
 
-    ``last``, if given, is [pattern, supports] of the pattern before: the
-    same pattern gets the same supports back, and another one replaces them.
+    The graph is the pattern's nonzero positions as a CSR matrix, its
+    ``indptr`` counted from their rows.  ``last``, if given, is [pattern,
+    blocks] of the pattern before: the same pattern gets the same blocks
+    back, and another one replaces them.
     """
     if last is not None and np.array_equal(pattern, last[0]):
         return last[1]
-    # csgraph would copy a dense input as float, dropping imaginary parts.
-    n_blocks, labels = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(pattern), directed=False
-    )
+    d = len(pattern)
+    dtype = np.int32 if d * d <= np.iinfo(np.int32).max else np.intp
+    rows, cols = np.nonzero(pattern)
+    indptr = np.zeros(d + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=d), out=indptr[1:])
+    graph = scipy.sparse.csr_matrix((np.ones(len(cols)), cols.astype(dtype), indptr), shape=(d, d))
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
     # A stable sort groups the indices by label, each group ascending; the
     # piece after the last group's end is empty.
     ends = np.cumsum(np.bincount(labels, minlength=n_blocks))
-    supports = np.split(np.argsort(labels, kind="stable"), ends)[:-1]
+    blocks = []
+    for support in np.split(np.argsort(labels, kind="stable"), ends)[:-1]:
+        gather = support.astype(dtype)
+        blocks.append((support, (gather[:, None] * dtype(d) + gather).ravel()))
     if last is not None:
-        last[:] = pattern, supports
-    return supports
+        last[:] = pattern, blocks
+    return blocks
 
 
 def _split(h: np.ndarray, last: Optional[list] = None) -> tuple:
@@ -359,9 +385,10 @@ def _split(h: np.ndarray, last: Optional[list] = None) -> tuple:
     and each block gathered (``diagonalize`` describes them).  ``last`` is
     ``_supports``'s, for a caller that splits matrices in turn.
 
-    A float64 matrix, or a complex one whose imaginary part is exactly zero,
-    gives real blocks, at half the memory of complex ones; only in a complex
-    matrix is each block's imaginary part tested.
+    Each block is gathered from the flattened matrix with one ``take`` at
+    its ``_supports`` indices.  A real block, or a complex one whose
+    imaginary part is exactly zero, is kept as float64, at half the memory
+    of a complex one.
     """
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("matrix must be square")
@@ -374,13 +401,14 @@ def _split(h: np.ndarray, last: Optional[list] = None) -> tuple:
     # Else every residual would underflow to 0 too and pass the bound.
     if norm == 0 and h.any():
         raise NumericError("matrix norm underflows at this parameter point")
-    supports = _supports(h != 0, last)
-    # On a float array .imag would allocate a matrix of zeros.
-    real = not np.iscomplexobj(h) or not h.imag.any()
-    blocks = []
-    for idx in supports:
-        rows = np.ix_(idx, idx)
-        blocks.append(h.real[rows] if real or not h.imag[rows].any() else h[rows])
+    supports, blocks, flat = [], [], h.ravel()
+    for support, gather in _supports(h != 0, last):
+        block = flat.take(gather).reshape(len(support), len(support))
+        # On a float block .imag would allocate a matrix of zeros.
+        if np.iscomplexobj(block) and not block.imag.any():
+            block = block.real.copy()
+        supports.append(support)
+        blocks.append(block)
     return bound, supports, blocks
 
 
@@ -549,7 +577,8 @@ def spectra(points: Iterable[ParameterPoint], plan: Plan) -> Iterator:
 
     Each point's matrix is evaluated, checked as ``diagonalize`` checks it,
     split into its blocks and dropped; a point whose exact nonzero pattern
-    is the previous point's reuses its block supports.  Blocks at the same
+    is the previous point's reuses its block supports and their gather
+    indices.  Blocks at the same
     basis indices form one stack (k x n x n) that ``numpy.linalg.eig``
     solves in one call: the calling thread solves the largest stack while
     one pool job solves the others.  The stacks are solved whenever the

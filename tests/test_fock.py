@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -382,6 +383,52 @@ def _permuted_blocks(rng, sizes, complex_entries):
         start += size
     perm = rng.permutation(d)
     return h[np.ix_(perm, perm)]
+
+
+def _ix_split(h):
+    """The oracle: the connected blocks of h's nonzero pattern, each
+    gathered with its own np.ix_, from h.real where the whole matrix or the
+    block has no imaginary part."""
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(h != 0), directed=False
+    )
+    supports = [np.flatnonzero(labels == label) for label in range(n_blocks)]
+    real = not np.iscomplexobj(h) or not h.imag.any()
+    blocks = []
+    for idx in supports:
+        rows = np.ix_(idx, idx)
+        blocks.append(h.real[rows] if real or not h.imag[rows].any() else h[rows])
+    return supports, blocks
+
+
+@pytest.mark.parametrize("case", ["mixed-complex", "real-as-complex", "real", "tau-zero-12"])
+def test_split_gathers_the_ix_blocks_bitwise(case):
+    # A complex matrix with a block whose imaginary part is exactly zero
+    # gives that block as float64 and the others as complex; each block has
+    # the oracle's dtype and bytes, and the supports are its too.
+    rng = np.random.default_rng(13)
+    if case == "tau-zero-12":
+        point = ParameterPoint(theta=0.02, eta=0.03, tau=0.0)
+        h = evaluate(compile_plan(build_hamiltonian(), FockBasis(12)), point)
+    else:
+        h = _permuted_blocks(rng, (7, 1, 12, 5), False)
+        if case == "mixed-complex":
+            # The 7 x 7 and 12 x 12 blocks get an imaginary part.
+            labels = scipy.sparse.csgraph.connected_components(h != 0, directed=False)[1]
+            sizes = np.bincount(labels)[labels]
+            h += 0.5j * (h != 0) * ((sizes == 7) | (sizes == 12))[:, None]
+        elif case == "real":
+            h = h.real.copy()
+    supports, blocks = _ix_split(h)
+    bound, got_supports, got_blocks = ncphase.fock._split(h)
+    assert bound == ncphase.fock.RESIDUAL_FACTOR * np.linalg.norm(h)
+    if case == "mixed-complex":
+        assert {block.dtype for block in got_blocks} == {np.dtype(float), np.dtype(complex)}
+    assert len(got_supports) == len(supports) and len(got_blocks) == len(blocks)
+    for support, block, got_support, got_block in zip(supports, blocks, got_supports, got_blocks):
+        assert got_support.tobytes() == support.tobytes()
+        assert got_block.dtype == block.dtype and got_block.shape == block.shape
+        assert got_block.tobytes() == block.tobytes()
 
 
 @pytest.mark.parametrize("sizes", [(7, 1, 12, 5), (20,)], ids=["blocks", "coupled"])
@@ -885,6 +932,57 @@ def test_spectra_residual_failure_stays_with_its_point(monkeypatch, classified):
     expected_systems = _taken(classified)
     _assert_same_outcomes(list(spectra(points, plan)), expected)
     _assert_same_systems(classified, expected_systems)
+
+
+def _shift_first_value(monkeypatch, target, shift):
+    """Wrap numpy.linalg.eig so that each stacked matrix equal to ``target``
+    gets its first eigenvalue moved by ``shift``: that eigenpair's residual
+    becomes |shift| to rounding, its unit vector being unchanged."""
+    eig = np.linalg.eig
+
+    def shifting(a):
+        values, vectors = eig(a)
+        for k, matrix in enumerate(a):
+            if matrix.shape == target.shape and np.array_equal(matrix, target):
+                values[k, 0] += shift
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eig", shifting)
+
+
+_RESIDUAL_FAILURE = r"^eigenpair residual (\S+) exceeds 1\.0e-08 \* \|\|H\|\|$"
+
+
+@pytest.mark.parametrize("ratio, fails", [(1e-7, True), (1e-9, False)])
+def test_residual_gate_sits_at_its_factor(monkeypatch, ratio, fails):
+    # An eigenpair with residual 1e-7 ||H|| fails the bound 1e-8 ||H||, and
+    # one with 1e-9 ||H|| passes it: the gate is neither 100 times looser
+    # nor 10,000 times tighter than documented.
+    h = evaluate(compile_plan(build_hamiltonian(), FockBasis(8)), ACCEPTANCE_POINT)
+    norm = np.linalg.norm(h)
+    _shift_first_value(monkeypatch, ncphase.fock._split(h)[2][0], ratio * norm)
+    if fails:
+        with pytest.raises(NumericError, match=_RESIDUAL_FAILURE) as failure:
+            diagonalize(h)
+        worst = float(re.match(_RESIDUAL_FAILURE, str(failure.value)).group(1))
+    else:
+        worst = diagonalize(h).residuals.max()
+    assert worst == pytest.approx(ratio * norm, rel=1e-3)
+
+
+def test_spectra_residual_gate_fails_that_point_only(monkeypatch):
+    # One pair of the fourth point's first block has residual 1e-7 ||H||:
+    # that point fails as spectrum fails it, and the others keep the tables
+    # they have without the shift.
+    plan, points = _sweep_case("theta-8")
+    h = evaluate(plan, points[3])
+    clean = _point_by_point(points, plan)
+    _shift_first_value(monkeypatch, ncphase.fock._split(h)[2][0], 1e-7 * np.linalg.norm(h))
+    got = list(spectra(points, plan))
+    assert [isinstance(outcome, Exception) for outcome in got] == [k == 3 for k in range(6)]
+    assert re.match(_RESIDUAL_FAILURE, str(got[3]))
+    _assert_same_outcomes(got, clean[:3] + [got[3]] + clean[4:])
+    _assert_same_outcomes(_point_by_point(points, plan), got)
 
 
 def test_spectra_resolves_a_failed_stack_matrix_by_matrix(monkeypatch, classified):

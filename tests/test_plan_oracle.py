@@ -16,6 +16,11 @@ must be equal bit for bit, not merely close.
 the phase-space matrices scaled to the point's own (hbar, m, omega) here,
 each unit-scale q matrix times l_q and each pi matrix times l_p, and must
 agree with the plan to rounding.
+
+``two_d_evaluate`` is the per-term loop ``evaluate`` ran before the plan
+had a layout: it adds each term into a 2-D array at its word's (row, col).
+``evaluate`` adds the same numbers into a flat array at the plan's flat
+indices, so the two must agree bit for bit.
 """
 
 import math
@@ -36,6 +41,7 @@ from ncphase.fock import (
     FockBasis,
     NumericError,
     ParameterPoint,
+    Plan,
     _letters,
     compile_plan,
     evaluate,
@@ -255,5 +261,102 @@ def test_pickled_plan_evaluates_bitwise(policy, hamiltonians):
     plan = compile_plan(hamiltonians[policy], FockBasis(8))
     back = pickle.loads(pickle.dumps(plan))
     assert [term[:2] for term in back.terms] == [term[:2] for term in plan.terms]
+    for p in UNIT_POINTS + SCALED_POINTS:
+        assert evaluate(back, p).tobytes() == evaluate(plan, p).tobytes()
+
+
+def two_d_evaluate(plan, p):
+    """Each coefficient times its monomial, one nonzero exponent at a time
+    in PARAMS order, and each term added into a 2-D array at its word's
+    (row, col), in term order."""
+    values = p.values()
+    scaled = []
+    for coef, exponents, _word in plan.terms:
+        for pname, exp in zip(PARAMS, exponents):
+            if exp:
+                try:
+                    coef *= values[pname] ** exp
+                except OverflowError:
+                    raise NumericError(
+                        f"{pname}^{exp:g} overflows at this parameter point"
+                    ) from None
+        scaled.append(coef)
+    real = all(coef.imag == 0 for coef in scaled)
+    d = plan.basis.dimension
+    out = np.zeros((d, d), dtype=float if real else complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coef, (*_, word) in zip(scaled, plan.terms):
+            out[word.row, word.col] += word.data * (coef.real if real else coef)
+    if not np.isfinite(out).all():
+        raise NumericError("matrix entries overflow at this parameter point")
+    return out
+
+
+@pytest.mark.parametrize("cutoff", (4, 12, 50))
+@pytest.mark.parametrize("policy", sorted(POLICIES) + ["untruncated"])
+def test_flat_layout_adds_as_the_two_d_loop_bitwise(policy, cutoff, hamiltonians):
+    plan = compile_plan(hamiltonians[policy], FockBasis(cutoff))
+    for p in UNIT_POINTS + SCALED_POINTS:
+        got = evaluate(plan, p)
+        want = two_d_evaluate(plan, p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_flat_layout_adds_a_complex_plan_as_the_two_d_loop_bitwise():
+    plan = compile_plan(parse("q1*q1 + i*hbar*q1"), FockBasis(12))
+    for p in UNIT_POINTS + SCALED_POINTS:
+        got = evaluate(plan, p)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == two_d_evaluate(plan, p).tobytes()
+
+
+@pytest.mark.parametrize("p", [ParameterPoint(tau=1.7e308), ParameterPoint(hbar=1e308)],
+                         ids=["entries", "power"])
+def test_flat_layout_fails_an_overflow_as_the_two_d_loop(p, hamiltonians):
+    plan = compile_plan(hamiltonians["default"], FockBasis(12))
+    with pytest.raises(NumericError) as want:
+        two_d_evaluate(plan, p)
+    with pytest.raises(NumericError) as got:
+        evaluate(plan, p)
+    assert str(got.value) == str(want.value)
+
+
+def test_layout_is_computed_once_per_plan(hamiltonians):
+    plan = compile_plan(hamiltonians["default"], FockBasis(6))
+    assert "layout" not in vars(plan)
+    evaluate(plan, UNIT_POINTS[0])
+    layout = plan.layout
+    for p in UNIT_POINTS + SCALED_POINTS:
+        evaluate(plan, p)
+        assert plan.layout is layout
+    assert len(layout) == len(plan.terms)
+    # Terms with one word share its flat indices.
+    assert layout[1][1] is layout[2][1] and layout[4][1] is layout[5][1]
+    for (_coef, exponents, word), (powers, flat) in zip(plan.terms, layout):
+        assert powers == tuple((name, exp) for name, exp in zip(PARAMS, exponents) if exp)
+        assert flat.tolist() == (word.row * plan.basis.dimension + word.col).tolist()
+
+
+def test_one_term_plan_gets_its_own_layout(hamiltonians):
+    # diagonal_check evaluates one term of a plan as a plan of its own.
+    plan = compile_plan(hamiltonians["default"], FockBasis(6))
+    evaluate(plan, UNIT_POINTS[0])
+    for k, term in enumerate(plan.terms):
+        alone = Plan(plan.basis, (term,))
+        assert alone.layout is not plan.layout
+        assert alone.layout[0][0] == plan.layout[k][0]
+        assert alone.layout[0][1].tolist() == plan.layout[k][1].tolist()
+        p = SCALED_POINTS[0]
+        assert evaluate(alone, p).tobytes() == two_d_evaluate(alone, p).tobytes()
+
+
+def test_plan_pickled_after_evaluate_evaluates_bitwise(hamiltonians):
+    plan = compile_plan(hamiltonians["cross"], FockBasis(8))
+    evaluate(plan, UNIT_POINTS[0])
+    back = pickle.loads(pickle.dumps(plan))
+    assert len(back.layout) == len(plan.layout)
+    for (powers, flat), (want_powers, want_flat) in zip(back.layout, plan.layout):
+        assert powers == want_powers and flat.tobytes() == want_flat.tobytes()
     for p in UNIT_POINTS + SCALED_POINTS:
         assert evaluate(back, p).tobytes() == evaluate(plan, p).tobytes()

@@ -194,6 +194,16 @@ def test_pure_weight_too_sharp_for_the_node_cap_raises():
     assert 0 < info.value.estimate < math.inf
 
 
+def test_slow_convergence_between_the_tolerances_raises():
+    # exp(-|y|) has its kink at the node u = 0, so the rule converges only
+    # as n^-2: at 2^16 nodes the last change, about 1.15e-9 of the integral
+    # 2, lies above QUAD_TOLERANCE (1e-10) and below 1e-6, so the rule must
+    # raise here rather than return 2.0000000004.
+    with pytest.raises(QuadratureError) as info:
+        _integrate(lambda y: np.exp(-np.abs(y)))
+    assert 1e-10 < info.value.estimate < 1e-6
+
+
 def test_import_does_not_load_scipy_integrate():
     code = "import sys, ncphase; print('scipy.integrate' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
