@@ -21,16 +21,28 @@ share a prefix share its ordered product.  A commutator [a, b] is built from
 the ordered operand N(a): [u, g] for a sorted word u is a sum of brackets
 times shorter sorted words, and the Leibniz rule adds the other letters of
 each word of b, so the leading words of a*b and b*a are never built.
+
+A sorted word is fixed by its letter counts, so while one call orders, a
+term is keyed by one int of biased fixed-width fields: the four letter
+counts, the six exponents and the power of the table's bracket denominator,
+with the width derived from the call's own operands.  Placing or dropping a
+letter and multiplying by a monomial are each one int add, and the length of
+a run is a shift and a mask.  Each coefficient is a pair of ints, a Gaussian
+integer over one denominator for the whole call: the images and brackets are
+scaled by the lcm of their denominators, and each input word's coefficient
+to the lcm over the words of its denominator times its images'.  Each output
+term is unpacked and reduced once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .rationals import GR_I, GR_ONE, GaussianRational
+from .rationals import GR_I, GR_ONE, GaussianRational, _reduced
 
 # Parameter alphabet; the exponent vector of every term follows this order.
 PARAMS = ("hbar", "m", "omega", "theta", "eta", "tau")
@@ -341,21 +353,37 @@ class AlgebraTable:
                 raise AlgebraError("commutators must be central (scalar-valued)")
             checked[(hi, lo)] = expr
         self.entries = checked
-        # The bracket lookups of _insert.  For each letter g and each letter
-        # s it does not commute with, the (powers, coefficient) pairs of the
-        # central term that moving g past s leaves: [s, g] for s of higher
-        # rank as g is appended (``_after``), [g, s] for s of lower rank as
-        # it is prepended (``_before``), and [s, g] for every s in [u, g]
-        # (``_commuted``).
-        self._after = {g: {} for g in self.alphabet}
-        self._before = {g: {} for g in self.alphabet}
-        self._commuted = {g: {} for g in self.alphabet}
+        # The brackets as the ordering engine reads them: over the lcm of
+        # their denominators, one (powers, re, im) triple of Gaussian
+        # integers per term of each [s, g] that is not zero; and the largest
+        # exponent magnitude a bracket carries.
+        self._denominator = lcm(*(coef._d for expr in checked.values()
+                                  for coef in expr.terms.values()))
+        brackets = {}
         for (hi, lo), expr in checked.items():
-            pairs = tuple((p, c) for (_w, p), c in expr.terms.items())
-            self._after.setdefault(lo, {})[hi] = pairs
-            self._before.setdefault(hi, {})[lo] = pairs
-            self._commuted.setdefault(lo, {})[hi] = pairs
-            self._commuted.setdefault(hi, {})[lo] = tuple((p, -c) for p, c in pairs)
+            scale = self._denominator
+            terms = tuple((p, c._a * (scale // c._d), c._b * (scale // c._d))
+                          for (_w, p), c in expr.terms.items())
+            if terms:
+                brackets[(hi, lo)] = terms
+                brackets[(lo, hi)] = tuple((p, -re, -im) for p, re, im in terms)
+        self._brackets = brackets
+        self._exponent = max((abs(x) for terms in brackets.values()
+                              for p, _re, _im in terms for x in p), default=0)
+        # For each letter g, the (rank, pair) of each letter s that moving g
+        # past leaves a bracket for: [s, g] for s of higher rank as g is
+        # appended, [g, s] for s of lower rank as it is prepended, and
+        # [s, g] for every s in [u, g].
+        names = self.alphabet
+
+        def passing(pairs):
+            return tuple((rank(s), pair) for s, pair in pairs if pair in brackets)
+
+        self._passes = (
+            tuple(passing((s, (s, g)) for s in names[rank(g) + 1 :]) for g in names),
+            tuple(passing((s, (g, s)) for s in names[: rank(g)]) for g in names),
+            tuple(passing((s, (s, g)) for s in names if s != g) for g in names),
+        )
 
     def commutator_of(self, a: str, b: str) -> Expression:
         """The scalar Expression [a, b]."""
@@ -402,96 +430,101 @@ TABLES = {"canonical": CANONICAL, "noncommutative": NONCOMMUTATIVE}
 # ---------------------------------------------------------------------------
 
 
-def _accumulate(out: dict, key, coef: GaussianRational) -> None:
-    acc = out.get(key)
-    out[key] = coef if acc is None else acc + coef
+# An exponent field of a packed key holds its exponent v, |v| < 2**(w - 1),
+# as v + 2**(w - 1), so the width w is one bit more than the largest
+# magnitude needs; the count and denominator fields hold their values as
+# they are.
+_SIGN_BIT = 1
+# The fields of a packed key, from the lowest: the count of each of the four
+# letters of the alphabet, the exponent of each parameter of PARAMS, and the
+# power of the table's bracket denominator.
+_EXPONENT_FIELD = 4
+_DENOMINATOR_FIELD = _EXPONENT_FIELD + len(PARAMS)
 
 
-def _add_scaled(out: dict, form: dict, coef: GaussianRational, powers: Powers) -> None:
-    """Add coef * (parameter monomial) * form into ``out``, word by word."""
-    if coef == GR_ONE and powers == ZERO_POWERS:
-        for key, c in form.items():
-            _accumulate(out, key, c)
-        return
-    for (word, p), c in form.items():
-        _accumulate(out, (word, _add_powers(p, powers)), c * coef)
+class _Layout:
+    """The packed keys of one ordering call.
 
-
-def _scaled(form: dict, coef: GaussianRational, powers: Powers) -> dict:
-    """coef * (parameter monomial) * form, word by word."""
-    if coef == GR_ONE and powers == ZERO_POWERS:  # e.g. the q1 of x = q1 - ...
-        return form
-    return {(word, _add_powers(p, powers)): c * coef for (word, p), c in form.items()}
-
-
-def _insert(form: dict, g: str, brackets: Mapping, out: dict, placed: bool = True) -> dict:
-    """Add to ``out``, and return it, what moving g into each word of the
-    normal-ordered ``form`` leaves: the word with g in its sorted place when
-    ``placed``, and for each letter s that ``brackets`` lists, the central
-    bracket it maps s to times the word without s.
-
-    Every word this adds is sorted, so no term needs re-sorting.  Equal
-    letters of a sorted word stand in one run, and dropping any of the m
-    letters of a run leaves the same word, so a run adds m times its
-    bracket once.
+    A normal-ordered word is fixed by its letter counts, so a term is keyed
+    by one int of equal-width fields (see ``_EXPONENT_FIELD``).  ``letters``
+    bounds the letters a term can hold and the brackets it can carry, and
+    ``exponent`` the magnitude of any exponent it can reach, so no field
+    leaves its width: placing a letter adds its unit, and multiplying by a
+    monomial adds the monomial's packed delta.
     """
-    r = _RANK[g]
+
+    def __init__(self, table: AlgebraTable, letters: int, exponent: int):
+        width = max(letters, exponent).bit_length() + _SIGN_BIT
+        bias = 1 << (width - 1)
+        self.table = table
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.bias = bias
+        self.units = units = (1, 1 << width, 1 << 2 * width, 1 << 3 * width)
+        self.base = self.monomial((bias,) * len(PARAMS))
+        carried = 1 << (width * _DENOMINATOR_FIELD) if table._denominator != 1 else 0
+        # The (shift, unit, packed bracket terms) of each letter s in the
+        # table's passes of each letter g (``AlgebraTable._passes``).
+        monomial = self.monomial
+        packed = {pair: tuple([(monomial(p) + carried, re, im) for p, re, im in terms])
+                  for pair, terms in table._brackets.items()}
+        self.after, self.before, self.commuted = [
+            tuple([tuple([(width * r, units[r], packed[pair]) for r, pair in letter])
+                   for letter in passes])
+            for passes in table._passes]
+
+    def monomial(self, powers: Powers) -> int:
+        """The packed delta that multiplies a term by the monomial ``powers``."""
+        w = self.width
+        hbar, m, omega, theta, eta, tau = powers
+        return ((((((((((tau << w) + eta) << w) + theta) << w) + omega) << w) + m) << w)
+                + hbar) << (w * _EXPONENT_FIELD)
+
+
+def _extent(e: Expression) -> tuple:
+    """The length of the longest word of ``e`` and the largest magnitude of
+    its exponents."""
+    letters = exponent = 0
+    for word, powers in e.terms:
+        letters = max(letters, len(word))
+        exponent = max(exponent, max(powers), -min(powers))
+    return letters, exponent
+
+
+def _insert(form: dict, unit: Optional[int], brackets: tuple, mask: int, out: dict,
+            scale: Optional[tuple] = None) -> dict:
+    """Add to ``out``, and return it, what moving a letter g into each term
+    of the packed normal-ordered ``form`` leaves: the term with g placed
+    (its key plus ``unit``) unless ``unit`` is None, and for each letter s
+    of ``brackets`` that the word holds, the central bracket it maps s to
+    times the word without s.  A ``scale`` (delta, re, im) first multiplies
+    each term by (re + i*im) and the monomial of the packed ``delta``.
+
+    Placing a letter is one add, so every word stays sorted.  Dropping any
+    of the m letters of a run of s leaves the same word, so a run adds m
+    times its bracket once; m is the count field of s.
+    """
     get = out.get
-    for (word, powers), coef in form.items():
-        n = len(word)
-        if placed:
-            j = n
-            while j and _RANK[word[j - 1]] > r:
-                j -= 1
-            key = (word[:j] + (g,) + word[j:], powers)
-            acc = get(key)
-            out[key] = coef if acc is None else acc + coef
-        i = 0
-        while i < n:
-            s = word[i]
-            end = i + 1
-            while end < n and word[end] == s:
-                end += 1
-            bracket = brackets.get(s)
-            if bracket is not None:
-                rest = word[:i] + word[i + 1 :]
-                run = coef if end == i + 1 else coef * (end - i)
-                for p, c in bracket:
-                    key = (rest, _add_powers(powers, p))
-                    acc = get(key)
-                    out[key] = run * c if acc is None else acc + run * c
-            i = end
-    return out
-
-
-def _append(form: dict, g: str, table: AlgebraTable, out: Optional[dict] = None) -> dict:
-    """The normal-ordered product form * g, added into ``out`` (a new term
-    map when None): g moves left past each letter s of higher rank, which
-    leaves [s, g]."""
-    return _insert(form, g, table._after[g], {} if out is None else out)
-
-
-def _prepend(g: str, form: dict, table: AlgebraTable) -> dict:
-    """The normal-ordered product g * form: g moves right past each letter s
-    of lower rank, which leaves [g, s]."""
-    return _insert(form, g, table._before[g], {})
-
-
-def _times_image(form: dict, image: Expression, table: AlgebraTable) -> dict:
-    """The normal-ordered product form * image, one image word at a time.
-
-    Each word scales ``form`` first, so its last letter is appended straight
-    into the result.
-    """
-    out: dict = {}
-    for (word, powers), coef in image.terms.items():
-        if not word:
-            _add_scaled(out, form, coef, powers)
-            continue
-        part = _scaled(form, coef, powers)
-        for g in word[:-1]:
-            part = _append(part, g, table)
-        _append(part, word[-1], table, out)
+    if scale is not None:
+        delta, sr, si = scale
+    for key, (a, b) in form.items():
+        if scale is not None:
+            key += delta
+            a, b = a * sr - b * si, a * si + b * sr
+        if unit is not None:
+            placed = key + unit
+            acc = get(placed)
+            out[placed] = (a, b) if acc is None else (acc[0] + a, acc[1] + b)
+        for shift, drop, pairs in brackets:
+            m = key >> shift & mask
+            if m:
+                rest = key - drop
+                ma, mb = a * m, b * m
+                for delta_p, cr, ci in pairs:
+                    k = rest + delta_p
+                    re, im = ma * cr - mb * ci, ma * ci + mb * cr
+                    acc = get(k)
+                    out[k] = (re, im) if acc is None else (acc[0] + re, acc[1] + im)
     return out
 
 
@@ -507,36 +540,121 @@ def _image_of(images: Mapping[str, Expression], g: str, table: AlgebraTable) -> 
     return image
 
 
-# The empty word with coefficient 1: the form every product starts from.
-_UNIT = {((), ZERO_POWERS): GR_ONE}
+def _factors(e: Expression, images: Mapping[str, Expression], table: AlgebraTable) -> dict:
+    """The image of each generator of ``e``, in the order of the prefix walk,
+    over the lcm L of its denominators: g maps to (L, image terms), one
+    (powers, re, im, letter ranks) tuple of Gaussian integers per term."""
+    factors = {}
+    for word, _powers in sorted(e.terms):
+        for g in word:
+            if g not in factors:
+                image = _image_of(images, g, table)
+                scale = lcm(*(c._d for c in image.terms.values()))
+                factors[g] = scale, tuple(
+                    (p, c._a * (scale // c._d), c._b * (scale // c._d),
+                     tuple(_RANK[h] for h in w))
+                    for (w, p), c in image.terms.items())
+    return factors
 
 
-def _ordered(e: Expression, table: AlgebraTable,
-             images: Optional[Mapping[str, Expression]] = None) -> dict:
-    """The term map of normal_order(e, table, images).
-
-    The words are walked in sorted order as a prefix trie: forms[k] is the
-    normal-ordered product of the first k letters (or their images) of the
-    current word, shared by every word with that prefix, and each letter is
-    appended by ``_append``, which keeps the product ordered.  A word ends
-    by adding its form times the term's coefficient and parameter powers.
-    """
+def _times_image(form: dict, image: tuple, layout: _Layout) -> dict:
+    """The packed normal-ordered product form * image, one image word at a
+    time.  Each word scales ``form`` as its first letter moves in, and its
+    last letter is placed straight into the result."""
     out: dict = {}
-    forms = [_UNIT]
+    units, after, mask = layout.units, layout.after, layout.mask
+    for scale, ranks in image:
+        if not ranks:
+            _insert(form, 0, (), mask, out, scale)
+            continue
+        part = form
+        for r in ranks[:-1]:
+            part = _insert(part, units[r], after[r], mask, {}, scale)
+            scale = None
+        _insert(part, units[ranks[-1]], after[ranks[-1]], mask, out, scale)
+    return out
+
+
+def _ordered(e: Expression, layout: _Layout, factors: Optional[dict] = None) -> tuple:
+    """(form, D): the packed term map of normal_order(e, table, images),
+    with Gaussian-integer numerators over the common denominator D.
+
+    ``factors`` holds the images as ``_factors`` returns them.  The words are
+    walked in sorted order as a prefix trie: forms[k] is the normal-ordered
+    product of the first k letters (or their scaled images) of the current
+    word, shared by every word with that prefix.  A word ends by adding its
+    form times the term's coefficient, over D, and its parameter powers.
+    """
+    terms = sorted(e.terms.items(), key=lambda item: item[0][0])
+    # The denominator of each word's product: its coefficient's times its
+    # images'.
+    dens = []
+    for (word, _powers), coef in terms:
+        d = coef._d
+        if factors is not None:
+            for g in word:
+                d *= factors[g][0]
+        dens.append(d)
+    denominator = lcm(*dens)
+    if factors is not None:
+        images = {g: tuple(((layout.monomial(p), re, im), ranks) for p, re, im, ranks in image)
+                  for g, (_scale, image) in factors.items()}
+    units, after, mask = layout.units, layout.after, layout.mask
+    out: dict = {}
+    forms = [{layout.base: (1, 0)}]
     previous: Word = ()
-    for (word, powers), coef in sorted(e.terms.items(), key=lambda item: item[0][0]):
+    for ((word, powers), coef), d in zip(terms, dens):
         k = 0
         while k < len(word) and k < len(previous) and word[k] == previous[k]:
             k += 1
         del forms[k + 1 :]
         for g in word[k:]:
-            if images is None:
-                forms.append(_append(forms[-1], g, table))
+            if factors is None:
+                r = _RANK[g]
+                forms.append(_insert(forms[-1], units[r], after[r], mask, {}))
             else:
-                forms.append(_times_image(forms[-1], _image_of(images, g, table), table))
-        _add_scaled(out, forms[-1], coef, powers)
+                forms.append(_times_image(forms[-1], images[g], layout))
+        f = denominator // d
+        _insert(forms[-1], 0, (), mask, out, (layout.monomial(powers), coef._a * f, coef._b * f))
         previous = word
-    return out
+    return out, denominator
+
+
+def _unpacked(form: dict, layout: _Layout, denominator: int) -> dict:
+    """The Expression term map of a packed form whose numerators are over
+    ``denominator``: each term's word from its counts, its powers from its
+    exponent fields and its coefficient reduced once."""
+    width, mask, bias = layout.width, layout.mask, layout.bias
+    g0, g1, g2, g3 = layout.table.alphabet
+    carried = layout.table._denominator
+    counted = width * _EXPONENT_FIELD
+    counts_mask = (1 << counted) - 1
+    words: dict = {}
+    monomials: dict = {}
+    terms: dict = {}
+    for key, (a, b) in form.items():
+        if not a and not b:
+            continue
+        counts = key & counts_mask
+        word = words.get(counts)
+        if word is None:
+            word = words[counts] = (
+                (g0,) * (counts & mask) + (g1,) * (counts >> width & mask)
+                + (g2,) * (counts >> 2 * width & mask) + (g3,) * (counts >> 3 * width))
+        fields = key >> counted
+        monomial = monomials.get(fields)
+        if monomial is None:
+            powers = (
+                (fields & mask) - bias, (fields >> width & mask) - bias,
+                (fields >> 2 * width & mask) - bias, (fields >> 3 * width & mask) - bias,
+                (fields >> 4 * width & mask) - bias, (fields >> 5 * width & mask) - bias)
+            monomial = monomials[fields] = (
+                powers, denominator * carried ** (fields >> 6 * width))
+        powers, d = monomial
+        coef = _reduced(a, b, d)
+        acc = terms.get((word, powers))
+        terms[(word, powers)] = coef if acc is None else acc + coef
+    return terms
 
 
 def normal_order(e: Expression, table: AlgebraTable,
@@ -548,7 +666,16 @@ def normal_order(e: Expression, table: AlgebraTable,
             f"expression over {e.alphabet!r} cannot be ordered by the "
             f"{table.name!r} table"
         )
-    return _trusted(table.name, _ordered(e, table, images))
+    letters, exponent = _extent(e)
+    factors = None
+    if images is not None:
+        factors = _factors(e, images, table)
+        terms = [term for _scale, image in factors.values() for term in image]
+        exponent += letters * max((abs(x) for p, *_ in terms for x in p), default=0)
+        letters *= max((len(ranks) for *_, ranks in terms), default=0)
+    layout = _Layout(table, letters, exponent + letters * table._exponent)
+    form, denominator = _ordered(e, layout, factors)
+    return _trusted(table.name, _unpacked(form, layout, denominator))
 
 
 def commutator(a: Expression, b: Expression, table: AlgebraTable) -> Expression:
@@ -570,20 +697,32 @@ def commutator(a: Expression, b: Expression, table: AlgebraTable) -> Expression:
     swapped = b.max_word_length() > a.max_word_length()
     if swapped:
         a, b = b, a
-    ordered = _ordered(a, table)
+    (a_letters, a_exponent), (b_letters, b_exponent) = _extent(a), _extent(b)
+    letters = a_letters + b_letters
+    layout = _Layout(table, letters, a_exponent + b_exponent + letters * table._exponent)
+    ordered, denominator = _ordered(a, layout)
+    units, after, before, mask = layout.units, layout.after, layout.before, layout.mask
+    # b's coefficients over their common denominator, the sign of the swap
+    # included.
+    common = lcm(*(coef._d for coef in b.terms.values()))
+    sign = -1 if swapped else 1
     commuted: dict = {}  # [N(a), g] per letter g
     out: dict = {}
     for (word, powers), coef in b.terms.items():
+        f = sign * (common // coef._d)
+        scale = (layout.monomial(powers), coef._a * f, coef._b * f)
         for j, g in enumerate(word):
-            if g not in commuted:
-                commuted[g] = _insert(ordered, g, table._commuted[g], {}, placed=False)
-            part = commuted[g]
+            part = commuted.get(g)
+            if part is None:
+                part = commuted[g] = _insert(ordered, None, layout.commuted[_RANK[g]], mask, {})
             for h in word[j + 1 :]:
-                part = _append(part, h, table)
+                r = _RANK[h]
+                part = _insert(part, units[r], after[r], mask, {})
             for h in reversed(word[:j]):
-                part = _prepend(h, part, table)
-            _add_scaled(out, part, -coef if swapped else coef, powers)
-    return _trusted(table.name, out)
+                r = _RANK[h]
+                part = _insert(part, units[r], before[r], mask, {})
+            _insert(part, 0, (), mask, out, scale)
+    return _trusted(table.name, _unpacked(out, layout, denominator * common))
 
 
 def jacobi(a: Expression, b: Expression, c: Expression, table: AlgebraTable) -> Expression:

@@ -24,6 +24,7 @@ from .algebra import (
     PARAMS,
     POSITION_GENERATORS,
     TABLES,
+    _trusted,
     commutator,
     normal_order,
 )
@@ -44,8 +45,9 @@ _THETA = PARAMS.index("theta")
 _ETA = PARAMS.index("eta")
 
 
-def apply(e: Expression, variant: PTVariant) -> Expression:
-    """Term-wise sign map and conjugation, then normal ordering."""
+def _sign_map(e: Expression, variant: PTVariant) -> Expression:
+    """Term-wise sign map and conjugation.  Every word maps to itself, so a
+    normal-ordered expression maps to a normal-ordered one."""
     out = {}
     for (word, powers), coef in e.terms.items():
         sign = -1 if sum(1 for g in word if g in POSITION_GENERATORS) % 2 else 1
@@ -55,7 +57,12 @@ def apply(e: Expression, variant: PTVariant) -> Expression:
             sign = -sign
         value = coef.conjugate()
         out[(word, powers)] = value if sign == 1 else -value
-    result = Expression(e.alphabet, out)
+    return _trusted(e.alphabet, out)
+
+
+def apply(e: Expression, variant: PTVariant) -> Expression:
+    """Term-wise sign map and conjugation, then normal ordering."""
+    result = _sign_map(e, variant)
     if result.alphabet is None:
         return result
     return normal_order(result, TABLES[result.alphabet])
@@ -63,10 +70,9 @@ def apply(e: Expression, variant: PTVariant) -> Expression:
 
 def is_invariant(e: Expression, variant: PTVariant) -> bool:
     """True iff the transformation fixes the normal-ordered expression."""
-    if e.alphabet is None:
-        return apply(e, variant) == e
-    ordered = normal_order(e, TABLES[e.alphabet])
-    return apply(ordered, variant) == ordered
+    if e.alphabet is not None:
+        e = normal_order(e, TABLES[e.alphabet])
+    return _sign_map(e, variant) == e
 
 
 def check_algebra_invariance(table: AlgebraTable, variant: PTVariant) -> list:

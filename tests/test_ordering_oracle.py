@@ -23,6 +23,7 @@ from ncphase.algebra import (
     PARAMS,
     TABLES,
     UNDEFORMED_POLICY,
+    AlgebraTable,
     Expression,
     MissingImageError,
     MixedAlphabetError,
@@ -205,3 +206,96 @@ def test_images_are_checked():
     half = Expression.from_scalar(Fraction(1, 2))
     assert normal_order(Expression.word(("x", "x"), 4), CANONICAL,
                         {"x": half}) == Expression.from_scalar(1)
+
+
+# -- what the packed engine must keep exact ----------------------------------------
+
+def _scalar(re, im=0, **powers):
+    return Expression.from_scalar(GaussianRational(Fraction(re), Fraction(im)), **powers)
+
+
+# Brackets that are not Gaussian integers: the engine carries the power of
+# their common denominator.  One bracket has two terms.  _NUMERIC's brackets
+# are pure numbers, so no exponent bounds its key fields, only its letters.
+_FRACTIONAL = AlgebraTable("noncommutative", {
+    ("y", "x"): _scalar(Fraction(1, 3), Fraction(-2, 5)),
+    ("px", "x"): _scalar(Fraction(-3, 4), hbar=1) + _scalar(0, Fraction(1, 6), eta=1),
+    ("py", "y"): _scalar(Fraction(2, 7), hbar=1),
+    ("py", "px"): _scalar(0, Fraction(-5, 3), eta=1, tau=1),
+})
+_NUMERIC = AlgebraTable("canonical", {
+    ("pi1", "q1"): _scalar(Fraction(1, 3), Fraction(-2, 5)),
+    ("pi2", "q2"): _scalar(-1),
+})
+
+
+@settings(max_examples=30, deadline=None)
+@given(_expressions("noncommutative", max_length=6, max_terms=3))
+def test_fractional_brackets_match_the_rewrite_stack(e):
+    assert normal_order(e, _FRACTIONAL).terms == reference_normal_order(e, _FRACTIONAL).terms
+
+
+# Operands whose coefficients have different denominators.
+_MIXED = [
+    ("1/3*x*px + 2/7*i*theta*y", "(5/6-1/4*i)*py*x + 1/5*hbar*px"),
+    ("(1/3-2/5*i)*y*y*x", "3/7*px*py + 1/9*eta*x"),
+]
+
+
+@pytest.mark.parametrize("table", [NONCOMMUTATIVE, _FRACTIONAL], ids=["integer", "fractional"])
+@pytest.mark.parametrize("texts", _MIXED)
+def test_commutator_with_mixed_denominators_in_both_orders(texts, table):
+    a, b = (parse(text) for text in texts)
+    for left, right in ((a, b), (b, a)):
+        assert commutator(left, right, table).terms == \
+            reference_normal_order(left * right - right * left, table).terms
+
+
+# Images over the denominators 3 and 7, with a scalar term and a two-letter word.
+_OVER_HBAR = _scalar(1, hbar=-1)
+_IMAGES = {
+    "x": parse("1/3*q1") + parse("2/7*pi2*q1") * _OVER_HBAR,
+    "y": parse("q2 + 5/3*tau") - parse("1/7*theta*pi1") * _OVER_HBAR,
+    "px": parse("pi1 + 1/3*i*eta*q2"),
+    "py": parse("1/7*pi2*pi2 - q1"),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_expressions("noncommutative", max_length=3, max_terms=3))
+def test_images_with_denominators_match_expand_then_order(e):
+    assert normal_order(e, CANONICAL, _IMAGES).terms == reference_substitute(e, _IMAGES).terms
+
+
+# Exponents far beyond any fixed field width: each call sizes its own.
+_HUGE = 10**30
+
+
+@pytest.mark.parametrize("alphabet", sorted(ALPHABETS))
+def test_huge_exponents_match_the_references(alphabet):
+    table = TABLES[alphabet]
+    big = _scalar(Fraction(2, 3), 1, hbar=_HUGE, m=-_HUGE, omega=_HUGE)
+    small = _scalar(Fraction(-1, 5), m=_HUGE, omega=-_HUGE, hbar=-_HUGE)
+    names = ALPHABETS[alphabet]
+    e = big * Expression.word(names[::-1]) + small * Expression.word(names[2:] + names[:2])
+    assert normal_order(e, table).terms == reference_normal_order(e, table).terms
+    partner = small * Expression.word(names[::-2]) + Expression.generator(names[1])
+    for a, b in ((e, partner), (partner, e)):
+        assert commutator(a, b, table).terms == \
+            reference_normal_order(a * b - b * a, table).terms
+    if alphabet == "noncommutative":
+        assert substitute(e, BOPP).terms == reference_substitute(e, BOPP).terms
+
+
+@pytest.mark.parametrize("table, text", [
+    (_NUMERIC, "pi1^300*q1"),
+    (_FRACTIONAL, "y^300*x"),
+    (NONCOMMUTATIVE, "py^300*y"),
+], ids=["numeric", "fractional", "noncommutative"])
+def test_a_run_of_300_letters_matches_the_rewrite_stack(table, text):
+    e = parse(text)
+    assert normal_order(e, table).terms == reference_normal_order(e, table).terms
+    run, letter = (parse(part) for part in text.split("*"))
+    for a, b in ((run, letter), (letter, run)):
+        assert commutator(a, b, table).terms == \
+            reference_normal_order(a * b - b * a, table).terms

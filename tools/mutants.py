@@ -27,6 +27,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ALGEBRA = "src/ncphase/algebra.py"
 FOCK = "src/ncphase/fock.py"
 UNCERTAINTY = "src/ncphase/uncertainty.py"
 
@@ -51,6 +52,18 @@ MUTANTS = (
     # The flat indices row * d + col must hold d * d.
     ("layout-index-int16", FOCK, "word.row.astype(np.intp)", "word.row.astype(np.int16)"),
     ("gather-index-int16", FOCK, "dtype = np.int32 if d * d", "dtype = np.int16 if d * d"),
+    # The packed keys of normal ordering: each field must hold its signed
+    # value, each call sizes its own fields, and a bracket denominator that
+    # is not 1 is carried in its own field.
+    ("_SIGN_BIT-0", ALGEBRA, "_SIGN_BIT = 1\n", "_SIGN_BIT = 0\n"),
+    ("key-bias-0", ALGEBRA, "bias = 1 << (width - 1)\n", "bias = 0\n"),
+    ("key-width-fixed-24", ALGEBRA, "width = max(letters, exponent).bit_length() + _SIGN_BIT\n",
+     "width = 24\n"),
+    ("key-width-without-letters", ALGEBRA, "max(letters, exponent).bit_length()",
+     "exponent.bit_length()"),
+    ("denominator-not-carried", ALGEBRA,
+     "carried = 1 << (width * _DENOMINATOR_FIELD) if table._denominator != 1 else 0",
+     "carried = 0"),
 )
 
 BY_DESIGN = [
