@@ -252,18 +252,19 @@ def _memory_bytes() -> float:
         return math.inf
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=4)
 def _plan(policy: str, cutoff: int) -> Plan:
     """The Hamiltonian of a --policy text compiled over the cutoff's basis:
     the plan that spectrum, sweep and verify all read.
 
-    Only the last (policy, cutoff) is kept, so in-process callers of main
-    that repeat them compile once.  A policy that does not resolve or keeps
-    no term, or a cutoff whose dense matrix (``evaluate``'s, d x d float64)
-    exceeds this machine's memory, raises before the kept plan is dropped
-    and before the basis or any sparse matrix is built; the kept plan is
-    dropped before the new one is compiled, so two plans are never held at
-    once.
+    The last four (policy, cutoff) keys are kept, so in-process callers of
+    main that repeat one compile it once: a spectrum at N = 16, 32 and 50,
+    over and over, compiles each cutoff once.  A fifth key drops the least
+    recently used plan; the N = 50 default plan takes 2.7 MiB with its
+    layout, a fifth of the dense matrix ``evaluate`` makes of it.  A policy that does not
+    resolve or keeps no term, or a cutoff whose dense matrix (``evaluate``'s,
+    d x d float64) exceeds this machine's memory, raises before the basis
+    or any word matrix is built and leaves the kept plans as they are.
     """
     hamiltonian = build_hamiltonian(resolve_policy(policy))
     if hamiltonian.is_zero():  # caps on hbar, m or omega can drop every term
@@ -275,7 +276,6 @@ def _plan(policy: str, cutoff: int) -> Plan:
             f"cutoff {cutoff} needs a {dimension} x {dimension} matrix of {needed:.3g} bytes, "
             f"more than the {memory:.3g} bytes of memory here"
         )
-    _plan.cache_clear()
     return compile_plan(hamiltonian, FockBasis(cutoff))
 
 
@@ -301,7 +301,7 @@ SWEEP_COLUMNS = LEVEL_COLUMNS[:6]
 def cmd_sweep(args) -> int:
     """Write the level rows of ``--steps`` points from ``--from`` to ``--to``.
 
-    The plan is compiled once, or taken from ``_plan``'s last key;
+    The plan is compiled once, or taken from ``_plan``'s kept ones;
     ``spectra`` solves all points as stacks, one ``numpy.linalg.eig`` call
     per block stack.  A point that fails is
     reported with its error and the others are still written.

@@ -9,6 +9,11 @@ Truncation locality: a polynomial of total degree d in (q, pi) has exact
 matrix elements between states with n+ + n- <= N - d, because no
 intermediate state of the word product can cross the cutoff.  All interior
 assertions rely on that margin.
+
+The layer needs numpy alone.  Its sparse matrices (the ladders, the
+letters and each plan's words) are (rows, cols, values) arrays in CSR
+order, multiplied by ``_product`` with the bits and entry order of scipy's
+sparse product, and a matrix splits into blocks by ``_components``.
 """
 
 from __future__ import annotations
@@ -19,11 +24,9 @@ import math
 import operator
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .algebra import PARAMS, Expression, MixedAlphabetError
 from .hamiltonian import PIECES, piece_of
@@ -86,39 +89,111 @@ class FockBasis:
         return self.grades <= self.cutoff - margin
 
 
-def build_ladder(basis: FockBasis):
-    """The four helicity ladder matrices (A+, A-, A+dag, A-dag), sparse CSR,
-    float64, built from the basis labels and ``position`` by array operations.
+def _index_dtype(largest: int):
+    """int32 where ``largest`` fits in it, as scipy's sparse indices are, else intp."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.intp
 
-    A+|n+, n-> = sqrt(n+) |n+-1, n->  and its three partners; the daggered
-    matrices are exactly the transposes of the undaggered ones.
+
+def build_ladder(basis: FockBasis) -> tuple:
+    """The four helicity ladder matrices (A+, A-, A+dag, A-dag), built from
+    the basis labels and ``position`` by array operations.
+
+    Each is a (rows, cols, values) triple of arrays in CSR order, by row and
+    then by column: int32 indices (intp where the dimension exceeds int32)
+    and float64 values.  A+|n+, n-> = sqrt(n+) |n+-1, n->  and its three
+    partners; the daggered matrices are exactly the transposes of the
+    undaggered ones.  Each matrix has at most one entry per row and column.
     """
-    d = basis.dimension
+    dtype = _index_dtype(basis.dimension)
 
-    def lowering(axis: int) -> scipy.sparse.csr_matrix:
+    def lowering(axis: int) -> tuple:
         cols = np.flatnonzero(basis.labels[:, axis] >= 1)
         values = np.sqrt(basis.labels[cols, axis])
         lowered = basis.labels[cols]
         lowered[:, axis] -= 1
-        return scipy.sparse.csr_matrix((values, (basis.position(*lowered.T), cols)), shape=(d, d))
+        return basis.position(*lowered.T).astype(dtype), cols.astype(dtype), values
 
-    a_plus, a_minus = lowering(0), lowering(1)
-    return a_plus, a_minus, a_plus.T.tocsr(), a_minus.T.tocsr()
+    # A state's index and its lowered state's both ascend with it, so each
+    # matrix and its transpose are in CSR order as built.
+    (a_rows, a_cols, a_values), (b_rows, b_cols, b_values) = lowering(0), lowering(1)
+    return ((a_rows, a_cols, a_values), (b_rows, b_cols, b_values),
+            (a_cols, a_rows, a_values), (b_cols, b_rows, b_values))
 
 
 def _letters(basis: FockBasis) -> dict:
     """The phase-space generators as real matrices: each name maps to (R, k,
-    half), the generator being i^k R times its scale, with R float64 sparse
-    CSR at unit scales and the scale's half-exponents over ``PARAMS``."""
-    a_plus, a_minus, a_plus_dag, a_minus_dag = build_ladder(basis)
+    half), the generator being i^k R times its scale, with R a float64
+    (rows, cols, values) triple in CSR order at unit scales and the scale's
+    half-exponents over ``PARAMS``.
+
+    Each letter is half a signed sum of the four ladders.  The ladders share
+    no position, so the letters share one pattern, and each entry is one
+    ladder's value times +-0.5, exactly.
+    """
+    ladders = build_ladder(basis)
+    rows, cols, values = map(np.concatenate, zip(*ladders))
+    sizes = [len(ladder[2]) for ladder in ladders]
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+
+    def letter(signs: tuple) -> tuple:  # signs of (A+, A-, A+dag, A-dag), halved
+        return rows, cols, (values * np.repeat(signs, sizes))[order]
+
     # l_q = sqrt(hbar/(m omega)) and l_p = sqrt(hbar m omega)
     l_q, l_p = (1, -1, -1, 0, 0, 0), (1, 1, 1, 0, 0, 0)
     return {
-        "q1": (0.5 * (a_plus + a_minus + a_plus_dag + a_minus_dag), 0, l_q),
-        "q2": (-0.5 * (a_plus - a_minus - a_plus_dag + a_minus_dag), 1, l_q),
-        "pi1": (-0.5 * (a_plus + a_minus - a_plus_dag - a_minus_dag), 1, l_p),
-        "pi2": (-0.5 * (a_plus - a_minus + a_plus_dag - a_minus_dag), 0, l_p),
+        "q1": (letter((0.5, 0.5, 0.5, 0.5)), 0, l_q),
+        "q2": (letter((-0.5, 0.5, 0.5, -0.5)), 1, l_q),
+        "pi1": (letter((-0.5, -0.5, 0.5, 0.5)), 1, l_p),
+        "pi2": (letter((-0.5, 0.5, -0.5, 0.5)), 0, l_p),
     }
+
+
+def _product(left: tuple, right: tuple, d: int) -> tuple:
+    """left @ right for d x d (rows, cols, values) triples in CSR order, with
+    the bits and the entry order of scipy's ``csr_matmat`` (SMMP; Bank &
+    Douglas, Adv. Comput. Math. 1 (1993) 127).
+
+    Each entry (i, k) is 0.0 plus its terms left[i, j] * right[j, k], added
+    over the left entries of row i in their stored order and, for each, the
+    right entries of row j in theirs.  Each product row stores its entries
+    in reverse order of their first term, and entries that sum to exactly 0
+    are dropped.  The indices keep the left factor's dtype.
+    """
+    l_rows, l_cols, l_values = left
+    r_rows, r_cols, r_values = right
+    r_ptr = np.zeros(d + 1, dtype=np.intp)
+    np.cumsum(np.bincount(r_rows, minlength=d), out=r_ptr[1:])
+    # Every term, in the order the SMMP loop visits it.
+    counts = r_ptr[l_cols + 1] - r_ptr[l_cols]
+    entry = np.repeat(np.arange(len(l_cols)), counts)
+    through = np.arange(len(entry)) + np.repeat(r_ptr[l_cols] + counts - np.cumsum(counts), counts)
+    keys = l_rows[entry].astype(np.int64) * d + r_cols[through]
+    terms = l_values[entry] * r_values[through]
+    # The terms of each entry side by side, in visiting order, added one
+    # rank at a time across the entries.
+    order = np.argsort(keys, kind="stable")
+    keys, terms = keys[order], terms[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    lengths = np.diff(starts, append=len(keys))
+    sums = np.zeros(len(starts))
+    for rank in range(lengths.max(initial=0)):
+        more = np.flatnonzero(lengths > rank)
+        sums[more] += terms[starts[more] + rank]
+    rows, cols = np.divmod(keys[starts], d)
+    stored = np.lexsort((-order[starts], rows))
+    stored = stored[sums[stored] != 0]
+    return rows[stored].astype(l_rows.dtype), cols[stored].astype(l_rows.dtype), sums[stored]
+
+
+class _Word(NamedTuple):
+    """A plan's real word matrix at unit scales: its entries' rows and
+    columns (``_index_dtype`` of d) and values (float64), in the order
+    scipy's ``tocoo`` gives the same chain of CSR products."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,11 +203,12 @@ class Plan:
     ``terms`` holds, in ``Expression.sorted_terms`` order, one tuple per
     term: its coefficient as a complex number, its exponent vector over
     ``PARAMS`` with its letters' scales folded in (integers, or halves for
-    an odd word), and its real word matrix at unit scales (sparse COO,
-    float64).  The word matrices depend only on the basis, so one plan
-    serves every parameter point: ``evaluate(plan, p)`` multiplies each
-    coefficient by its monomial at ``p`` and sums.  ``layout`` is what that
-    sum needs of the terms beyond their numbers, computed on first use.
+    an odd word), and its real word matrix at unit scales (``.row``,
+    ``.col`` and ``.data`` arrays).  The word matrices depend only on the
+    basis, so one plan serves every parameter point: ``evaluate(plan, p)``
+    multiplies each coefficient by its monomial at ``p`` and sums.
+    ``layout`` is what that sum needs of the terms beyond their numbers,
+    computed on first use.
     """
 
     basis: FockBasis
@@ -159,10 +235,12 @@ class Plan:
 def compile_plan(e: Expression, basis: FockBasis) -> Plan:
     """Compile a canonical-alphabet Expression over ``basis``.
 
-    Each word becomes the chain of real sparse products of its letters'
-    matrices (``_letters``) from the left, starting at the identity, formed
-    once per distinct word.  A word with k letters of power i is i^k times
-    its chain: i^(k mod 2) goes into the term's coefficient and
+    Each word becomes the chain of real sparse products (``_product``) of
+    its letters' matrices (``_letters``) from the left, starting at the
+    identity, with the bits and entry order the same chain of scipy CSR
+    products has; each distinct word is formed once, and each prefix that
+    words share is multiplied once.  A word with k letters of power i is
+    i^k times its chain: i^(k mod 2) goes into the term's coefficient and
     (-1)^(k div 2) into the word.  The letters' scales,
     l_q^a l_p^b = hbar^((a+b)/2) (m omega)^((b-a)/2), go into the term's
     exponents.  Noncommutative-alphabet input is rejected: push it through
@@ -178,13 +256,17 @@ def compile_plan(e: Expression, basis: FockBasis) -> Plan:
             "substitute through the Bopp shift first"
         )
     letters = _letters(basis)
-    identity = scipy.sparse.identity(basis.dimension, format="csr")
-    words, terms = {}, []
+    d = basis.dimension
+    index = np.arange(d, dtype=_index_dtype(d))
+    chains, words, terms = {(): (index, index, np.ones(d))}, {}, []
     for (word, powers), coef in e.sorted_terms():
         if word not in words:
+            for k in range(1, len(word) + 1):
+                if word[:k] not in chains:
+                    chains[word[:k]] = _product(chains[word[:k - 1]], letters[word[k - 1]][0], d)
+            rows, cols, values = chains[word]
             turns = sum(letters[g][1] for g in word)
-            chain = functools.reduce(operator.matmul, (letters[g][0] for g in word), identity)
-            words[word] = 1j if turns % 2 else 1, (chain * (-1) ** (turns // 2)).tocoo()
+            words[word] = 1j if turns % 2 else 1, _Word(rows, cols, values * (-1) ** (turns // 2))
         phase, matrix = words[word]
         # Twice each exponent: the letters' half-exponents plus the term's own, doubled.
         half = map(sum, zip(*(letters[g][2] for g in word), [2 * exp for exp in powers]))
@@ -348,31 +430,49 @@ def _solve_block(blocks: list, bounds: Sequence[float]) -> list:
     return solved
 
 
+def _components(rows: np.ndarray, cols: np.ndarray, d: int) -> np.ndarray:
+    """The lowest node of each node's connected component in the undirected
+    graph on d nodes whose edges join rows[e] and cols[e].
+
+    Each round hooks, for every edge between two trees, the larger root onto
+    the smaller one, and then jumps each node to its grandparent until every
+    node points at its root.  A node points only at lower nodes, so each
+    tree's root is its lowest node; edges inside one tree are dropped.
+    """
+    parent = np.arange(d)
+    while True:
+        a, b = parent[rows], parent[cols]
+        between = a != b
+        if not between.any():
+            return parent
+        rows, cols, a, b = rows[between], cols[between], a[between], b[between]
+        parent[np.maximum(a, b)] = np.minimum(a, b)
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+
+
 def _supports(pattern: np.ndarray, last: Optional[list]) -> list:
     """The connected blocks of a d x d nonzero pattern, in the order of
     their lowest basis index: each block's basis indices, ascending, with
     the flat indices row * d + col of its entries in row order (int32 where
     d * d fits), which gather the block from the flattened matrix.
 
-    The graph is the pattern's nonzero positions as a CSR matrix, its
-    ``indptr`` counted from their rows.  ``last``, if given, is [pattern,
-    blocks] of the pattern before: the same pattern gets the same blocks
-    back, and another one replaces them.
+    ``last``, if given, is [pattern, blocks] of the pattern before: the same
+    pattern gets the same blocks back, and another one replaces them.
     """
     if last is not None and np.array_equal(pattern, last[0]):
         return last[1]
     d = len(pattern)
-    dtype = np.int32 if d * d <= np.iinfo(np.int32).max else np.intp
-    rows, cols = np.nonzero(pattern)
-    indptr = np.zeros(d + 1, dtype=dtype)
-    np.cumsum(np.bincount(rows, minlength=d), out=indptr[1:])
-    graph = scipy.sparse.csr_matrix((np.ones(len(cols)), cols.astype(dtype), indptr), shape=(d, d))
-    n_blocks, labels = scipy.sparse.csgraph.connected_components(graph, directed=False)
-    # A stable sort groups the indices by label, each group ascending; the
-    # piece after the last group's end is empty.
-    ends = np.cumsum(np.bincount(labels, minlength=n_blocks))
+    dtype = _index_dtype(d * d)
+    lowest = _components(*np.divmod(np.flatnonzero(pattern), d), d)
+    # A stable sort groups the indices by their lowest one, each group
+    # ascending; the piece after the last group's end is empty.
+    sizes = np.bincount(lowest)
     blocks = []
-    for support in np.split(np.argsort(labels, kind="stable"), ends)[:-1]:
+    for support in np.split(np.argsort(lowest, kind="stable"), np.cumsum(sizes[sizes > 0]))[:-1]:
         gather = support.astype(dtype)
         blocks.append((support, (gather[:, None] * dtype(d) + gather).ravel()))
     if last is not None:

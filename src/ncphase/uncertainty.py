@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import wofz
 
 
 class QuadratureError(RuntimeError):
@@ -312,6 +311,9 @@ def _weighted_sums(a: float, sigma: float, tau: float) -> tuple:
     alpha, beta = a * root, sigma * root
     pole = 1j - alpha  # (i - alpha)/beta = zeta
     if beta * _SERIES_RADIUS > abs(pole):
+        # Imported here, so that only this branch loads scipy.
+        from scipy.special import wofz
+
         w = complex(wofz(pole / beta))
         s0 = math.pi * w.real / root
         return s0, -math.pi * w.imag / tau, (_SQRT_PI * sigma - s0) / tau

@@ -325,9 +325,9 @@ SMALL_SWEEP = ["sweep", "--param", "tau", "--from", "0", "--to", "0.01", "--step
 
 
 def test_repeated_commands_reuse_the_last_plan(compiled, capsys):
-    # The CLI keeps the plan of its last (--policy text, --cutoff): a repeated
-    # sweep, and a spectrum of the same key, compile nothing, and each gives
-    # the bytes of a freshly compiled plan.
+    # The CLI keeps the plans of its last four (--policy text, --cutoff)
+    # keys: a repeated sweep, and a spectrum of the same key, compile
+    # nothing, and each gives the bytes of a freshly compiled plan.
     ncphase.cli._plan.cache_clear()
     first = run([*SMALL_SWEEP, "--cutoff", "6"], capsys)
     assert compiled == [6]
@@ -343,15 +343,18 @@ def test_a_new_cutoff_or_policy_text_compiles_once(compiled, capsys):
     ncphase.cli._plan.cache_clear()
     for extra in (["--cutoff", "6"], ["--cutoff", "7"], ["--cutoff", "7"],
                   ["--cutoff", "7", "--policy", "cross"],
-                  ["--cutoff", "7", "--policy", "cross"]):
+                  ["--cutoff", "7", "--policy", "cross"],
+                  ["--cutoff", "7", "--policy", "default"]):
         assert run([*SMALL_SWEEP, *extra], capsys)[0] == EXIT_OK
+    # --policy default is the key of a bare --cutoff 7, which is kept.
     assert compiled == [6, 7, 7]
     # The same policy under another text is another key.
-    assert run([*SMALL_SWEEP, "--cutoff", "7", "--policy", "default"], capsys)[0] == EXIT_OK
+    cross = '{"caps": {"theta": 1, "eta": 1, "tau": 1}}'
+    assert run([*SMALL_SWEEP, "--cutoff", "7", "--policy", cross], capsys)[0] == EXIT_OK
     assert run([*SMALL_SWEEP, "--cutoff", "7", "--policy", " \"default\""], capsys)[0] \
         == EXIT_USAGE
     assert compiled == [6, 7, 7, 7]
-    assert ncphase.cli._plan.cache_info().currsize == 1
+    assert ncphase.cli._plan.cache_info().currsize == 4
 
 
 def test_a_failing_policy_keeps_the_last_plan(compiled, capsys):
@@ -385,20 +388,14 @@ def test_a_policy_that_keeps_no_term_is_a_usage_error(command, compiled, capsys)
     assert (code, err) == (EXIT_OK, "") and out
 
 
-def test_a_new_key_drops_the_last_plan_before_compiling(monkeypatch, capsys):
-    # Two plans are never held at once: when the new one is compiled, the
-    # old one is gone.
+def test_a_fifth_key_drops_the_least_recently_used_plan(compiled, capsys):
+    # Four plans are kept: a spectrum at N = 16, 32 and 50 compiles each
+    # cutoff once.  A fifth key drops the plan used least recently.
     ncphase.cli._plan.cache_clear()
-    assert run([*SMALL_SWEEP, "--cutoff", "6"], capsys)[0] == EXIT_OK
-    held = []
-
-    def checking(expression, basis):
-        held.append(ncphase.cli._plan.cache_info().currsize)
-        return compile_plan(expression, basis)
-
-    monkeypatch.setattr(ncphase.cli, "compile_plan", checking)
-    assert run([*SMALL_SWEEP, "--cutoff", "7"], capsys)[0] == EXIT_OK
-    assert held == [0]
+    for cutoff in (4, 5, 6, 7, 4, 8, 4, 5):
+        assert run([*SMALL_SWEEP, "--cutoff", str(cutoff)], capsys)[0] == EXIT_OK
+    assert compiled == [4, 5, 6, 7, 8, 5]
+    assert ncphase.cli._plan.cache_info().currsize == 4
 
 
 def test_sweep_point_that_overflows_fails_alone(capsys):

@@ -128,9 +128,17 @@ def test_basis_cutoff_validation():
 # -- ladders ---------------------------------------------------------------------
 
 
+def _csr(triple, basis):
+    """A (rows, cols, values) triple of ``build_ladder`` or ``_letters`` as
+    a scipy CSR matrix."""
+    rows, cols, values = triple
+    return scipy.sparse.csr_matrix((values, (rows, cols)), shape=(basis.dimension,) * 2)
+
+
 def test_ladder_matrix_elements():
     basis = FockBasis(6)
-    a_plus, a_minus, a_plus_dag, a_minus_dag = (m.toarray() for m in build_ladder(basis))
+    a_plus, a_minus, a_plus_dag, a_minus_dag = (
+        _csr(m, basis).toarray() for m in build_ladder(basis))
     assert a_plus[basis.position(0, 0), basis.position(1, 0)] == pytest.approx(1.0)
     assert a_plus_dag[basis.position(2, 1), basis.position(1, 1)] == pytest.approx(
         math.sqrt(2)
@@ -143,7 +151,8 @@ def test_ladder_matrix_elements():
 
 def test_daggers_are_conjugate_transposes():
     basis = FockBasis(5)
-    a_plus, a_minus, a_plus_dag, a_minus_dag = (m.toarray() for m in build_ladder(basis))
+    a_plus, a_minus, a_plus_dag, a_minus_dag = (
+        _csr(m, basis).toarray() for m in build_ladder(basis))
     assert np.array_equal(a_plus_dag, a_plus.conj().T)
     assert np.array_equal(a_minus_dag, a_minus.conj().T)
     assert np.allclose(a_plus @ a_minus, a_minus @ a_plus)
@@ -172,10 +181,12 @@ def _ladder_per_state(basis):
 
 @pytest.mark.parametrize("cutoff", [1, 2, 5, 12, 16, 33, 50, 80])
 def test_build_ladder_has_the_bytes_of_the_per_state_loop(cutoff):
+    # Each ladder's (rows, cols, values) are the reference CSR matrix's
+    # entries in its stored order.
     basis = FockBasis(cutoff)
     for got, want in zip(build_ladder(basis), _ladder_per_state(basis)):
-        for name in ("indptr", "indices", "data"):
-            a, b = getattr(got, name), getattr(want, name)
+        want = want.tocoo()
+        for a, b in zip(got, (want.row, want.col, want.data)):
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes())
 
 
@@ -185,7 +196,8 @@ def scaled_phase_space(basis, p):
     ell_q, ell_p = math.sqrt(p.hbar / (p.m * p.omega)), math.sqrt(p.hbar * p.m * p.omega)
     scales = (ell_q, ell_q, ell_p, ell_p)
     letters = ncphase.fock._letters(basis).values()
-    return tuple(ell * (m * 1j**k).toarray() for ell, (m, k, _half) in zip(scales, letters))
+    return tuple(ell * (_csr(m, basis) * 1j**k).toarray()
+                 for ell, (m, k, _half) in zip(scales, letters))
 
 
 def test_canonical_commutators_on_interior():
@@ -401,7 +413,8 @@ def _ix_split(h):
     return supports, blocks
 
 
-@pytest.mark.parametrize("case", ["mixed-complex", "real-as-complex", "real", "tau-zero-12"])
+@pytest.mark.parametrize("case", ["mixed-complex", "real-as-complex", "real", "tau-zero-12",
+                                  "sparse-one-way"])
 def test_split_gathers_the_ix_blocks_bitwise(case):
     # A complex matrix with a block whose imaginary part is exactly zero
     # gives that block as float64 and the others as complex; each block has
@@ -410,6 +423,10 @@ def test_split_gathers_the_ix_blocks_bitwise(case):
     if case == "tau-zero-12":
         point = ParameterPoint(theta=0.02, eta=0.03, tau=0.0)
         h = evaluate(compile_plan(build_hamiltonian(), FockBasis(12)), point)
+    elif case == "sparse-one-way":
+        # Chains of entries without their transposes: 4 blocks, one of 56
+        # states, which the block search joins over several rounds.
+        h = rng.standard_normal((60, 60)) * (rng.random((60, 60)) < 0.03)
     else:
         h = _permuted_blocks(rng, (7, 1, 12, 5), False)
         if case == "mixed-complex":
@@ -1025,13 +1042,13 @@ def test_spectra_reuses_the_supports_of_an_unchanged_pattern(monkeypatch, classi
     expected = _point_by_point(points, plan)
     expected_systems = _taken(classified)
     calls = []
-    connected_components = scipy.sparse.csgraph.connected_components
+    components = ncphase.fock._components
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return connected_components(*args, **kwargs)
+        return components(*args)
 
-    monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", counting)
+    monkeypatch.setattr(ncphase.fock, "_components", counting)
     got = list(spectra(points[:6], plan))
     assert len(calls) == 3
     _assert_same_outcomes(got, expected[:6])

@@ -74,12 +74,15 @@ SCALED_POINTS = [
 
 
 def _matrices(basis, p):
-    """The phase-space matrices at ``p``: each unit-scale q matrix times l_q
-    and each pi matrix times l_p."""
+    """The phase-space matrices at ``p`` as scipy CSR matrices, built here
+    from the letters' (rows, cols, values): each unit-scale q matrix times
+    l_q and each pi matrix times l_p."""
     ell_q, ell_p = math.sqrt(p.hbar / (p.m * p.omega)), math.sqrt(p.hbar * p.m * p.omega)
     scales = (ell_q, ell_q, ell_p, ell_p)
-    return {name: ell * (m * 1j**k)
-            for ell, (name, (m, k, _half)) in zip(scales, _letters(basis).items())}
+    shape = (basis.dimension,) * 2
+    return {name: ell * (scipy.sparse.csr_matrix((values, (rows, cols)), shape=shape) * 1j**k)
+            for ell, (name, ((rows, cols, values), k, _half))
+            in zip(scales, _letters(basis).items())}
 
 
 def _word_product(mats, word, d):
@@ -199,7 +202,7 @@ def test_plan_pairs_scalars_with_words_formed_once(hamiltonians):
         core, eta, theta, core, eta, theta, tau, core, core, tau, tau]
     assert [term[1] for term in plan.terms] == [
         folded_powers(word, powers) for (word, powers), _coef in h.sorted_terms()]
-    assert all(len(term) == 3 and term[2].dtype == np.float64 for term in plan.terms)
+    assert all(len(term) == 3 and term[2].data.dtype == np.float64 for term in plan.terms)
     # Terms with one word (q1 pi2 and q2 pi1 appear twice) share its product.
     for i, j in ((1, 2), (4, 5)):
         assert words[i] == words[j]

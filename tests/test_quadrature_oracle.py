@@ -209,3 +209,36 @@ def test_import_does_not_load_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# Runs spectrum, a sweep and verify, then a brute-force scan, in one fresh
+# interpreter, printing the scipy modules loaded after each part.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+from ncphase.cli import main
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+commands = (
+    ["spectrum", "--cutoff", "12", "--tau", "0.005"],
+    ["sweep", "--param", "tau", "--from", "0", "--to", "0.01", "--steps", "3", "--cutoff", "6"],
+    ["verify", "--cutoff", "6"],
+)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(command) for command in commands]
+print(codes, scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["uncertainty", "--brute-force", "--tau", "0.04", "--theta", "0.1",
+                 "--sigma-steps", "3", "--kick-steps", "3"])
+names = scipy_modules()
+print(code, "scipy.special" in names, any(name.startswith("scipy.sparse") for name in names))
+"""
+
+
+def test_spectrum_sweep_and_verify_load_no_scipy():
+    # The numeric layer needs numpy alone; only the scan's Faddeeva function
+    # loads scipy, as scipy.special without scipy.sparse.
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines() == ["[0, 0, 1] []", "0 True False"]

@@ -51,7 +51,13 @@ MUTANTS = (
      "COMMUTING_TOLERANCE = 1e-4\n"),
     # The flat indices row * d + col must hold d * d.
     ("layout-index-int16", FOCK, "word.row.astype(np.intp)", "word.row.astype(np.int16)"),
-    ("gather-index-int16", FOCK, "dtype = np.int32 if d * d", "dtype = np.int16 if d * d"),
+    ("gather-index-int16", FOCK, "dtype = _index_dtype(d * d)", "dtype = np.int16"),
+    # The word products keep the entry order and the dropped zeros of
+    # scipy's sparse product: each row in reverse order of first touch,
+    # entries that sum to exactly 0 left out.
+    ("product-rows-first-touch", FOCK, "np.lexsort((-order[starts], rows))",
+     "np.lexsort((order[starts], rows))"),
+    ("product-keeps-zeros", FOCK, "    stored = stored[sums[stored] != 0]\n", ""),
     # The packed keys of normal ordering: each field must hold its signed
     # value, each call sizes its own fields, and a bracket denominator that
     # is not 1 is carried in its own field.
